@@ -1,23 +1,23 @@
-"""LUT-network training with learned input pruning and Verilog export."""
+"""LUT-network training with learned input pruning and Verilog export.
 
-from .data import Dataset, load_idx, synth_boolean
-from .lutcore import LutMask, TruthTable, binarize_mask, lut_forward
-from .model import Network
-from .shrink import build_prune_mask, build_U, compose_transforms, salience
-from .train import TrainConfig
+Exports resolve on first use (PEP 562): ``import lutshrink.cli`` must not
+load numpy before the CLI has set the BLAS thread count."""
 
-__all__ = [
-    "Dataset",
-    "LutMask",
-    "Network",
-    "TrainConfig",
-    "TruthTable",
-    "binarize_mask",
-    "build_U",
-    "build_prune_mask",
-    "compose_transforms",
-    "load_idx",
-    "lut_forward",
-    "salience",
-    "synth_boolean",
-]
+import importlib
+
+_EXPORTS = {
+    "data": ["Dataset", "load_idx", "synth_boolean"],
+    "lutcore": ["LutMask", "TruthTable", "binarize_mask", "lut_forward"],
+    "model": ["Network"],
+    "shrink": ["build_U", "build_prune_mask", "compose_transforms", "salience"],
+    "train": ["TrainConfig"],
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name: str):
+    for module, names in _EXPORTS.items():
+        if name in names:
+            return getattr(importlib.import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

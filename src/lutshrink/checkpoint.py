@@ -153,7 +153,6 @@ def save(path: str, net: Network, cfg: TrainConfig, phase: str,
         "config": asdict(cfg),
         "rng_state": rng.bit_generator.state,
         "num_classes": net.num_classes,
-        "binarize_inputs": net.binarize_inputs,
         "layers": [_enc_layer(l) for l in net.layers],
         "shrink_plan": _enc_plan(plan),
     }
@@ -170,12 +169,12 @@ def load(path: str):
         raise CheckpointError(
             f"unsupported checkpoint version {doc.get('format_version')!r}"
         )
-    cfg = TrainConfig(**doc["config"])
-    net = Network(
-        [_dec_layer(d) for d in doc["layers"]],
-        doc["num_classes"],
-        binarize_inputs=doc["binarize_inputs"],
-    )
+    cfg_doc = dict(doc["config"])
+    # older checkpoints record the removed binarize_inputs knob twice
+    if not (doc.get("binarize_inputs", True) and cfg_doc.pop("binarize_inputs", True)):
+        raise CheckpointError("binarize_inputs = false is no longer supported; retrain")
+    cfg = TrainConfig(**cfg_doc)
+    net = Network([_dec_layer(d) for d in doc["layers"]], doc["num_classes"])
     rng = np.random.default_rng(0)
     rng.bit_generator.state = doc["rng_state"]
     return net, cfg, doc["phase"], rng, _dec_plan(doc["shrink_plan"])

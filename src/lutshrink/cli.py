@@ -11,17 +11,20 @@ import argparse
 import os
 import sys
 
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def _set_threads(argv: list[str]) -> None:
-    """Honor --threads before numpy is imported (BLAS pools are set once)."""
-    n = "1"
+    """Honor --threads before numpy is imported (BLAS pools are set once).
+    An explicit flag overrides the environment; the default is 1."""
+    n = None
     for i, a in enumerate(argv):
         if a == "--threads" and i + 1 < len(argv):
             n = argv[i + 1]
         elif a.startswith("--threads="):
             n = a.split("=", 1)[1]
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, n)
+    for var in THREAD_VARS:
+        os.environ[var] = os.environ.get(var, "1") if n is None else n
 
 
 class PhaseError(RuntimeError):

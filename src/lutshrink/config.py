@@ -31,7 +31,6 @@ _SCHEMA = {
             "shrink_layers",
             lambda s: [v.strip() for v in s.split(",") if v.strip()],
         ),
-        "binarize_inputs": ("binarize_inputs", lambda s: s.lower() == "true"),
     },
     "train": {
         "seed": ("seed", int),
@@ -89,6 +88,9 @@ def load_config(path: str) -> TrainConfig:
             bad.append(f"[{section}]")
             continue
         for key, raw in parser.items(section):
+            if (section, key) == ("model", "binarize_inputs"):
+                raise ConfigError(
+                    f"[model] binarize_inputs was removed; delete it from {path}")
             if key not in _SCHEMA[section]:
                 bad.append(f"[{section}] {key}")
                 continue

@@ -9,6 +9,16 @@ interpolation through those corners,
 normalized so that f(a) == c[index(a)] exactly at every corner a. Corner
 indexing is fixed project-wide: input 0 is the least-significant axis, i.e.
 index(d) = sum_j bit(d_j) * 2^j with bit(-1)=0, bit(1)=1.
+
+All LUT math is one batched kernel, ``CornerBatch``, laid out corner-major:
+a table of N LUTs is (2^k, N) with row d = corner d, and input j of every
+node over B samples is one contiguous (B, N) slab. Rows 2i and 2i+1 differ
+only in the lowest input, so the forward pass halves the table per input:
+t <- t[0::2] * (1 - x_j)/2 + t[1::2] * (1 + x_j)/2. At x_j = +/-1 the weights
+are exactly 1 and 0, so f(a) == c[index(a)] holds bit for bit (lo + (hi - lo)
+* t would round), and the gradients equal a scatter-add over the samples.
+The binarized training path relies on this. The single-LUT functions below
+are one-sample, one-node calls of the same kernel.
 """
 
 from __future__ import annotations
@@ -81,53 +91,110 @@ def index_pattern(idx: int, k: int) -> np.ndarray:
     return np.array([1 if (idx >> j) & 1 else -1 for j in range(k)], dtype=np.int8)
 
 
+def pair_indices(k: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Corner indices with input i = -1 and the matching i = +1 partners,
+    ascending: lo[r] is corner r of the other k-1 inputs, in order."""
+    idx = np.arange(2**k)
+    lo = idx[(idx >> i) & 1 == 0]
+    return lo, lo | (1 << i)
+
+
+def _halve(table: np.ndarray, lo, hi) -> np.ndarray:
+    """Interpolate a (2^m, N) table over m slabs of corner weights; (B, N)."""
+    t = table[:, None, :]
+    for lo_j, hi_j in zip(lo, hi):
+        t = t[0::2] * lo_j + t[1::2] * hi_j
+    return t[0]
+
+
+# rows per interpolation step: its largest temporary, the (2^(k-1), rows, N)
+# first halving, holds about this many floats (512 KB, so it stays in cache)
+STEP_FLOATS = 1 << 16
+
+
+class CornerBatch:
+    """The k inputs of N LUTs over B samples; node n reads x[:, inputs[n, j]].
+    Each input slab is kept as its corner weights lo = (1 - x)/2 and
+    hi = (1 + x)/2, shared by the forward pass and both gradients."""
+
+    def __init__(self, x: np.ndarray, inputs: np.ndarray):
+        x = np.asarray(x, dtype=np.float64)
+        self.inputs = np.asarray(inputs, dtype=np.int64)
+        n_nodes, self.k = self.inputs.shape
+        _check_k(self.k)
+        self.n_in = x.shape[1]
+        self.lo, self.hi = np.empty((2, self.k, len(x), n_nodes))
+        for w, slabs in (((1.0 - x) * 0.5, self.lo), ((1.0 + x) * 0.5, self.hi)):
+            for j in range(self.k):
+                np.take(w, self.inputs[:, j], axis=1, out=slabs[j])
+        step = max(1, STEP_FLOATS // (n_nodes << (self.k - 1)))
+        self.steps = [slice(r, r + step) for r in range(0, max(len(x), 1), step)]
+
+    def interpolate(self, table: np.ndarray) -> np.ndarray:
+        """LUT outputs f[b, n]; shape (B, N)."""
+        return np.concatenate(
+            [_halve(table, self.lo[:, r], self.hi[:, r]) for r in self.steps]
+        )
+
+    def grad_table(self, df: np.ndarray) -> np.ndarray:
+        """sum_b df[b, n] * d f[b, n] / d table[d, n]; shape (2^k, N). The
+        batch sum adds samples in order (numpy sums pairwise only if N = 1)."""
+        basis = np.empty((2**self.k, *df.shape))
+        basis[0] = df
+        for j in range(self.k):
+            h = 1 << j
+            np.multiply(basis[:h], self.hi[j], out=basis[h : 2 * h])
+            basis[:h] *= self.lo[j]
+        return basis.sum(axis=1)
+
+    def grad_inputs(self, table: np.ndarray, df: np.ndarray) -> np.ndarray:
+        """sum over the nodes reading x[b, i] of df * d f / d x_i; (B, n_in).
+        d f / d x_j is half of table[hi_j] - table[lo_j] interpolated over the
+        other inputs; one bincount adds terms in (sample, node, input) order."""
+        b, n = df.shape
+        pairs = [table[hi] - table[lo]
+                 for lo, hi in (pair_indices(self.k, j) for j in range(self.k))]
+        g = np.empty((b, n, self.k))
+        for r in self.steps:
+            lo, hi = self.lo[:, r], self.hi[:, r]
+            for j, d in enumerate(pairs):
+                dfdx = _halve(d, [*lo[:j], *lo[j + 1 :]], [*hi[:j], *hi[j + 1 :]])
+                g[r, :, j] = dfdx * 0.5 * df[r]
+        rows = np.arange(b)[:, None, None] * self.n_in + self.inputs
+        dx = np.bincount(rows.ravel(), weights=g.ravel(), minlength=b * self.n_in)
+        return dx.reshape(b, self.n_in)
+
+
+def _one_sample(x, mask: LutMask | None = None) -> CornerBatch:
+    """A batch of one sample and one node reading x[j] as input j."""
+    x = np.asarray(x, dtype=np.float64)
+    if mask is not None and x.shape != (mask.k,):
+        raise ContractError(f"expected {mask.k} inputs, got shape {x.shape}")
+    return CornerBatch(x[None, :], np.arange(len(x))[None, :])
+
+
 def corner_weights(x: np.ndarray) -> np.ndarray:
     """Interpolation weights 2^-k * prod_j (1 + d_j x_j) for all 2^k corners.
 
     This is simultaneously the forward kernel and the exact gradient of
     lut_forward with respect to the mask entries.
     """
-    x = np.asarray(x, dtype=np.float64)
-    w = np.ones(1)
-    for xj in x:
-        w = np.concatenate([w * (1.0 - xj), w * (1.0 + xj)])
-    return w / 2 ** len(x)
-
-
-def _check_x(mask: LutMask, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (mask.k,):
-        raise ContractError(f"expected {mask.k} inputs, got shape {x.shape}")
-    return x
+    return _one_sample(x).grad_table(np.ones((1, 1)))[:, 0]
 
 
 def lut_forward(mask: LutMask, x) -> float:
     """Interpolated LUT output at x in [-1,1]^k."""
-    x = _check_x(mask, x)
-    return float(corner_weights(x) @ mask.params)
+    return float(_one_sample(x, mask).interpolate(mask.params[:, None])[0, 0])
 
 
 def lut_grad_params(mask: LutMask, x) -> np.ndarray:
     """d f / d c, one entry per corner (equals the interpolation weights)."""
-    x = _check_x(mask, x)
-    return corner_weights(x)
+    return _one_sample(x, mask).grad_table(np.ones((1, 1)))[:, 0]
 
 
 def lut_grad_inputs(mask: LutMask, x) -> np.ndarray:
     """d f / d x_j for each input j."""
-    x = _check_x(mask, x)
-    k = mask.k
-    g = np.empty(k)
-    for j in range(k):
-        w = np.ones(1)
-        for m in range(k):
-            if m == j:
-                # derivative replaces the (1 + d_j x_j) factor by d_j
-                w = np.concatenate([-w, w])
-            else:
-                w = np.concatenate([w * (1.0 - x[m]), w * (1.0 + x[m])])
-        g[j] = (w @ mask.params) / 2**k
-    return g
+    return _one_sample(x, mask).grad_inputs(mask.params[:, None], np.ones((1, 1)))[0]
 
 
 def binarize_mask(mask: LutMask) -> TruthTable:

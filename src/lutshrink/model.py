@@ -7,7 +7,10 @@ Two forward modes exist throughout:
   stay real in [-1,1].
 * ``bin`` — binarized: inputs, activations and LUT outputs are +/-1 (sign,
   with sign(0)=+1), gradients pass through sign via the clipped
-  straight-through estimator.
+  straight-through estimator. LUT layers use the same interpolation kernel
+  (``lutcore.CornerBatch``) in both modes; on +/-1 inputs it is exact at
+  the corners, so the binarized LUT output is the sign of the table entry
+  that ``infer_bin`` and the netlist look up.
 
 Weights of dense layers are always sign(shadow) in the forward pass. The
 exact inference path (``infer_bin``) is pure integer arithmetic with
@@ -21,6 +24,7 @@ import math
 
 import numpy as np
 
+from .lutcore import CornerBatch
 from .shrink import compose_transforms, salience_rows
 
 GAMMA_MIN = 1e-3  # keeps the folded threshold comparison direction fixed
@@ -82,12 +86,16 @@ class BatchNorm:
             * (b * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
         )
 
-    def update_stats(self, s: np.ndarray) -> None:
-        """Running-stat refresh without gradients (recalibration passes)."""
+    def calibrate(self, s: np.ndarray) -> np.ndarray:
+        """Running-stat refresh without gradients, then sign of the output."""
         s = s.astype(np.float64)
         m = self.momentum
         self.running_mean = (1 - m) * self.running_mean + m * s.mean(axis=0)
         self.running_var = (1 - m) * self.running_var + m * s.var(axis=0)
+        h = self.gamma * (s - self.running_mean) / np.sqrt(
+            self.running_var + self.eps
+        ) + self.beta
+        return sign_pm1(h)
 
     def fold_thresholds(self) -> np.ndarray:
         """Integer tau per unit: activation is +1 iff integer sum >= tau."""
@@ -160,11 +168,7 @@ class DenseLayer:
         s = x @ self.weights_bin().T
         if self.is_output:
             return s * self.alpha
-        self.bn.update_stats(s)
-        h = self.bn.gamma * (s - self.bn.running_mean) / np.sqrt(
-            self.bn.running_var + self.bn.eps
-        ) + self.bn.beta
-        return sign_pm1(h)
+        return self.bn.calibrate(s)
 
     def step(self, lr: float, momentum: float) -> None:
         self._v_shadow = momentum * self._v_shadow - lr * self.dshadow
@@ -233,16 +237,15 @@ class LutLayer:
             self._groups_version = self._pruned_version
         return self._group_list
 
-    def effective_masks(self) -> np.ndarray:
-        out = self.masks.copy()
+    def _transform(self, a: np.ndarray) -> np.ndarray:
+        """Row-wise severance transform, in place (v is symmetric, so it maps
+        raw masks to effective ones and effective gradients to raw ones)."""
         for rows, v in self._groups():
-            out[rows] = out[rows] @ v  # v is symmetric
-        return out
+            a[rows] = a[rows] @ v
+        return a
 
-    def _grad_to_raw(self, dceff: np.ndarray) -> np.ndarray:
-        for rows, v in self._groups():
-            dceff[rows] = dceff[rows] @ v
-        return dceff
+    def effective_masks(self) -> np.ndarray:
+        return self._transform(self.masks.copy())
 
     def fold_transforms(self) -> None:
         self.masks = self.effective_masks()
@@ -250,50 +253,17 @@ class LutLayer:
     def salience(self) -> np.ndarray:
         return salience_rows(self.effective_masks(), self.k)
 
-    # -- interpolation kernels, batched over (batch, nodes) ---------------
-
-    def _gather(self, x: np.ndarray) -> np.ndarray:
-        return x[:, self.inputs]  # (B, N, k)
-
-    @staticmethod
-    def _basis(xt: np.ndarray, k: int) -> np.ndarray:
-        """Corner weights 2^-k prod_j (1 + d_j x_j); shape (B, N, 2^k)."""
-        b, n, _ = xt.shape
-        w = np.ones((b, n, 1))
-        for j in range(k):
-            xj = xt[:, :, j : j + 1]
-            w = np.concatenate([w * (1.0 - xj), w * (1.0 + xj)], axis=2)
-        return w / 2**k
-
-    def _input_grads(self, xt: np.ndarray, ceff: np.ndarray) -> np.ndarray:
-        """d f / d x_j per node; shape (B, N, k)."""
-        b, n, k = xt.shape
-        g = np.empty((b, n, k))
-        for j in range(k):
-            w = np.ones((b, n, 1))
-            for m in range(k):
-                xm = xt[:, :, m : m + 1]
-                if m == j:
-                    w = np.concatenate([-w, w], axis=2)
-                else:
-                    w = np.concatenate([w * (1.0 - xm), w * (1.0 + xm)], axis=2)
-            g[:, :, j] = np.einsum("bnd,nd->bn", w, ceff) / 2**k
-        return g
+    def _outputs(self, x: np.ndarray):
+        """Real LUT outputs f[b, n] and what the backward pass needs."""
+        batch = CornerBatch(x, self.inputs)
+        table = np.ascontiguousarray(self.effective_masks().T)  # (2^k, N)
+        return batch.interpolate(table), batch, table
 
     def forward(self, x: np.ndarray, mode: str, training: bool) -> np.ndarray:
-        ceff = self.effective_masks()
-        xt = self._gather(np.asarray(x, dtype=np.float64))
-        self._cache_xt, self._cache_ceff, self._cache_mode = xt, ceff, mode
-        if mode == "hp":
-            basis = self._basis(xt, self.k)
-            f = np.einsum("bnd,nd->bn", basis, ceff)
-            self._cache_basis = basis
-        else:
-            idx = ((xt > 0).astype(np.int64) << np.arange(self.k)).sum(axis=2)
-            f_real = ceff[np.arange(self.n_nodes)[None, :], idx]
-            self._cache_idx, self._cache_freal = idx, f_real
-            f = sign_pm1(f_real)
-        self._cache_f = f
+        f_real, batch, table = self._outputs(x)
+        self._cache_lut, self._cache_mode = (f_real, batch, table), mode
+        # bin-mode inputs are +/-1, so f_real is exactly the table entry
+        f = f_real if mode == "hp" else sign_pm1(f_real)
         s = f @ self._chmat
         if self.is_output:
             return s * self.alpha
@@ -308,34 +278,13 @@ class LutLayer:
             dh = dout * (np.abs(self._cache_h) <= 1.0)
             ds = self.bn.backward(dh)
         df = ds @ self._chmat.T  # (B, N)
-        ceff = self._cache_ceff
-        if self._cache_mode == "hp":
-            dceff = np.einsum("bn,bnd->nd", df, self._cache_basis)
-            df_real = df
-        else:
-            df_real = df * (np.abs(self._cache_freal) <= 1.0)
-            dceff = np.zeros_like(ceff)
-            np.add.at(
-                dceff,
-                (
-                    np.broadcast_to(np.arange(self.n_nodes), df.shape),
-                    self._cache_idx,
-                ),
-                df_real,
-            )
-        self.dmasks += self._grad_to_raw(dceff)
+        f_real, batch, table = self._cache_lut
+        if self._cache_mode == "bin":
+            df = df * (np.abs(f_real) <= 1.0)  # clipped straight-through
+        dceff = np.ascontiguousarray(batch.grad_table(df).T)
+        self.dmasks += self._transform(dceff)
         if need_dx:
-            dxt = df_real[:, :, None] * self._input_grads(self._cache_xt, ceff)
-            dx = np.zeros((dout.shape[0], self.n_in))
-            np.add.at(
-                dx,
-                (
-                    np.arange(dout.shape[0])[:, None, None],
-                    self.inputs[None, :, :],
-                ),
-                dxt,
-            )
-            return dx
+            return batch.grad_inputs(table, df)
         return None
 
     def truth_tables(self) -> np.ndarray:
@@ -353,18 +302,10 @@ class LutLayer:
         return np.where(s >= tau, 1, -1).astype(np.int8)
 
     def calibrate(self, x: np.ndarray) -> np.ndarray:
-        ceff = self.effective_masks()
-        xt = self._gather(np.asarray(x, dtype=np.float64))
-        idx = ((xt > 0).astype(np.int64) << np.arange(self.k)).sum(axis=2)
-        f = sign_pm1(ceff[np.arange(self.n_nodes)[None, :], idx])
-        s = f @ self._chmat
+        s = sign_pm1(self._outputs(x)[0]) @ self._chmat
         if self.is_output:
             return s * self.alpha
-        self.bn.update_stats(s)
-        h = self.bn.gamma * (s - self.bn.running_mean) / np.sqrt(
-            self.bn.running_var + self.bn.eps
-        ) + self.bn.beta
-        return sign_pm1(h)
+        return self.bn.calibrate(s)
 
     def step(self, lr: float, momentum: float) -> None:
         self._v_masks = momentum * self._v_masks - lr * self.dmasks
@@ -377,10 +318,9 @@ class LutLayer:
 class Network:
     """A stack of layers ending in an un-normalized score layer."""
 
-    def __init__(self, layers: list, num_classes: int, binarize_inputs: bool = True):
+    def __init__(self, layers: list, num_classes: int):
         self.layers = layers
         self.num_classes = num_classes
-        self.binarize_inputs = binarize_inputs
         if not layers or not layers[-1].is_output:
             raise ModelError("network must end in an output (score) layer")
 
@@ -391,10 +331,8 @@ class Network:
         raise ModelError(f"no layer named {name!r}")
 
     def forward(self, x: np.ndarray, mode: str, training: bool) -> np.ndarray:
-        if mode == "bin" and self.binarize_inputs:
-            x = sign_pm1(np.asarray(x, dtype=np.float64))
-        else:
-            x = np.clip(np.asarray(x, dtype=np.float64), -1.0, 1.0)
+        x = np.asarray(x, dtype=np.float64)
+        x = sign_pm1(x) if mode == "bin" else np.clip(x, -1.0, 1.0)
         for lay in self.layers:
             x = lay.forward(x, mode, training)
         return x

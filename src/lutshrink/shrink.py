@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lutcore import MAX_K, ContractError, LutMask
-
-
-def _pair_indices(k: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Corner indices with input i = -1 and the matching i = +1 partners."""
-    idx = np.arange(2**k)
-    lo = idx[(idx >> i) & 1 == 0]
-    return lo, lo | (1 << i)
+from .lutcore import MAX_K, ContractError, LutMask, pair_indices
 
 
 def salience_rows(params: np.ndarray, k: int) -> np.ndarray:
@@ -35,7 +28,7 @@ def salience_rows(params: np.ndarray, k: int) -> np.ndarray:
         raise ContractError(f"expected {2**k} columns for k={k}")
     s = np.empty((params.shape[0], k))
     for i in range(k):
-        lo, hi = _pair_indices(k, i)
+        lo, hi = pair_indices(k, i)
         s[:, i] = np.abs(params[:, hi] - params[:, lo]).sum(axis=1)
     return s
 

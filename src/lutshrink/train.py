@@ -43,7 +43,6 @@ class TrainConfig:
     momentum: float = 0.9
     batch_size: int = 256
     seed: int = 0
-    binarize_inputs: bool = True
     random_prune: bool = False
     eval_train_cap: int = 10000
     data_kind: str = "synth"
@@ -104,7 +103,7 @@ def build_network(cfg: TrainConfig, n_features: int, n_classes: int,
                 shrinkable=name in cfg.shrink_layers,
             )
         )
-    return Network(layers, n_classes, binarize_inputs=cfg.binarize_inputs)
+    return Network(layers, n_classes)
 
 
 def evaluate(net: Network, ds: Dataset, mode: str, batch: int = 1024) -> float:

@@ -251,7 +251,7 @@ def desk_cfg(seed: int) -> TrainConfig:
         epochs_bnn=0, lr_schedule=[[0.2, 15], [0.05, 10], [0.02, 5]],
         epochs_post_prune=12, epochs_post_expand=5, epochs_final=6,
         lr=0.2, lr_decay=0.5, momentum=0.9, batch_size=128, seed=seed,
-        binarize_inputs=True, data_kind="mnist",
+        data_kind="mnist",
         data_dir=os.environ.get("LUTSHRINK_DATA_DIR", "data"),
     )
 

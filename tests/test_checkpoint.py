@@ -97,3 +97,34 @@ def test_unsupported_version_rejected(tmp_path):
     json.dump(doc, open(p, "w"))
     with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
         checkpoint.load(p)
+
+
+def _legacy(path, binarize_inputs):
+    """Rewrite a checkpoint as the earlier format that stored the removed
+    binarize_inputs knob at the top level and in the config."""
+    with open(path) as f:
+        doc = json.load(f)
+    doc["binarize_inputs"] = binarize_inputs
+    doc["config"]["binarize_inputs"] = binarize_inputs
+    with open(path, "w") as f:
+        json.dump(doc, f)
+
+
+def test_legacy_binarized_checkpoint_loads(tmp_path):
+    net, cfg, rng, ds = expanded_net()
+    p = str(tmp_path / "old.json")
+    checkpoint.save(p, net, cfg, "expanded", rng)
+    _legacy(p, True)
+    net2, cfg2, _, _, _ = checkpoint.load(p)
+    assert cfg2 == cfg
+    np.testing.assert_array_equal(net.predict_bin(ds.features),
+                                  net2.predict_bin(ds.features))
+
+
+def test_legacy_real_input_checkpoint_rejected(tmp_path):
+    net, cfg, rng, _ = expanded_net()
+    p = str(tmp_path / "old.json")
+    checkpoint.save(p, net, cfg, "expanded", rng)
+    _legacy(p, False)
+    with pytest.raises(CheckpointError, match="binarize_inputs = false.*retrain"):
+        checkpoint.load(p)

@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from lutshrink.cli import main
+import lutshrink
+from lutshrink.cli import THREAD_VARS, _set_threads, main
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +103,35 @@ def test_missing_dataset_path_names_remedy(tmp_path, capsys, monkeypatch):
     assert main(["train", "--config", str(cfgp), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "missing dataset file" in err and "LUTSHRINK_DATA_DIR" in err
+
+
+def test_removed_knob_names_the_remedy(tmp_path, capsys):
+    cfgp = tmp_path / "old.ini"
+    cfgp.write_text("[data]\ndataset = synth\n[model]\nbinarize_inputs = false\n")
+    assert main(["train", "--config", str(cfgp), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "[model] binarize_inputs was removed" in err and "delete it" in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(lutshrink.__file__))
+    code = "import sys, lutshrink.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert done.returncode == 0
+
+
+def test_threads_flag_overrides_environment(monkeypatch):
+    for var in THREAD_VARS:
+        monkeypatch.setenv(var, "4")
+    _set_threads(["report", "x"])
+    assert [os.environ[v] for v in THREAD_VARS] == ["4"] * 3
+    _set_threads(["--threads", "2", "report", "x"])
+    assert [os.environ[v] for v in THREAD_VARS] == ["2"] * 3
+    _set_threads(["--threads=3", "report", "x"])
+    assert [os.environ[v] for v in THREAD_VARS] == ["3"] * 3
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var)
+    _set_threads(["report", "x"])
+    assert [os.environ[v] for v in THREAD_VARS] == ["1"] * 3

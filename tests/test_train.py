@@ -74,7 +74,7 @@ def _manual_lut_net(rng):
         rng.uniform(-0.5, 0.5, size=(n_out_luts, 2**k)),
         "o", is_output=True,
     )
-    return Network([hidden, out], 2, binarize_inputs=False)
+    return Network([hidden, out], 2)
 
 
 def _loss(net, x, y):
