@@ -13,9 +13,11 @@ Two forward modes exist throughout:
   that ``infer_bin`` and the netlist look up.
 
 Weights of dense layers are always sign(shadow) in the forward pass. The
-exact inference path (``infer_bin``) is pure integer arithmetic with
+exact inference path (``infer_bin``) compares integer-valued +/-1 sums with
 batch-norm folded into integer thresholds; it is what the netlist must
-reproduce bit for bit.
+reproduce bit for bit. The sums run as float32 BLAS products: every partial
+sum is an integer below ``EXACT_SUM_LIMIT`` (2^24) in magnitude, so float32
+holds it exactly in any summation order and at any thread count.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .lutcore import CornerBatch
 from .shrink import compose_transforms, salience_rows
 
 GAMMA_MIN = 1e-3  # keeps the folded threshold comparison direction fixed
+EXACT_SUM_LIMIT = 2**24  # float32 holds every integer of smaller magnitude
 
 
 class ModelError(RuntimeError):
@@ -40,6 +43,21 @@ def sign_pm1(x: np.ndarray) -> np.ndarray:
 
 def sign_bits(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1, -1).astype(np.int8)
+
+
+def _check_exact(name: str, fan_in: int) -> None:
+    if fan_in >= EXACT_SUM_LIMIT:
+        raise ModelError(
+            f"layer {name!r}: {fan_in} terms per sum reach 2**24, "
+            "beyond exact float32 inference"
+        )
+
+
+def _infer_out(layer, s: np.ndarray) -> np.ndarray:
+    """Integer scores of an output layer, else the +/-1 bits of s >= tau."""
+    if layer.is_output:
+        return s.astype(np.int64)
+    return np.where(s >= layer.bn.fold_thresholds(), 1, -1).astype(np.int8)
 
 
 class BatchNorm:
@@ -157,12 +175,9 @@ class DenseLayer:
         return None
 
     def infer_bin(self, xbits: np.ndarray) -> np.ndarray:
-        wb = np.where(self.shadow >= 0, 1, -1).astype(np.int64) * self.alive
-        s = xbits.astype(np.int64) @ wb.T
-        if self.is_output:
-            return s
-        tau = self.bn.fold_thresholds()
-        return np.where(s >= tau, 1, -1).astype(np.int8)
+        _check_exact(self.name, self.n_in)
+        wb = np.where(self.shadow >= 0, 1, -1).astype(np.float32) * self.alive
+        return _infer_out(self, xbits.astype(np.float32) @ wb.T)
 
     def calibrate(self, x: np.ndarray) -> np.ndarray:
         s = x @ self.weights_bin().T
@@ -291,15 +306,12 @@ class LutLayer:
         return sign_bits(self.effective_masks())
 
     def infer_bin(self, xbits: np.ndarray) -> np.ndarray:
-        tt = self.truth_tables().astype(np.int64)
+        _check_exact(self.name, int(np.bincount(self.channel).max(initial=0)))
+        tt = self.truth_tables().astype(np.float32)
         xt = xbits[:, self.inputs]
         idx = ((xt > 0).astype(np.int64) << np.arange(self.k)).sum(axis=2)
         f = tt[np.arange(self.n_nodes)[None, :], idx]
-        s = f @ self._chmat.astype(np.int64)
-        if self.is_output:
-            return s
-        tau = self.bn.fold_thresholds()
-        return np.where(s >= tau, 1, -1).astype(np.int8)
+        return _infer_out(self, f @ self._chmat.astype(np.float32))
 
     def calibrate(self, x: np.ndarray) -> np.ndarray:
         s = sign_pm1(self._outputs(x)[0]) @ self._chmat

@@ -233,6 +233,15 @@ def _simplify_pass(nl: Netlist) -> bool:
                 j += 1
             if node.kind != "lut":
                 continue
+            # merge fan-ins that now name the same wire (the table's diagonal)
+            uniq = list(dict.fromkeys(node.fanin))
+            if len(uniq) < node.k:
+                idx = np.arange(2 ** len(uniq))
+                old = sum(((idx >> uniq.index(w)) & 1) << j
+                          for j, w in enumerate(node.fanin))
+                node.bits = node.bits[old]
+                node.fanin = uniq
+                changed = True
             # drop inputs outside the Boolean support
             view = table_view(node.bits, node.k)
             keep = [

@@ -101,6 +101,11 @@ def emit_verilog(nl: Netlist, top_name: str = "top") -> str:
             lines.append(f"  wire {name};")
             lines.append(f"  assign {name} = 1'b{1 if node.value > 0 else 0};")
         elif node.kind == "lut":
+            if len(set(node.fanin)) != node.k:
+                raise NetlistError(
+                    f"LUT {name} reads one wire twice in fan-in {node.fanin}; "
+                    "the parser would re-read it with a smaller k"
+                )
             lines.append(f"  wire {name};")
             lines.append(f"  assign {name} = {_lut_expr(node, names)};")
         elif node.kind == "sum":
@@ -131,50 +136,61 @@ _RE_NAME = re.compile(r"^(?:n\d+|in\[\d+\])$")
 _RE_LIT = re.compile(r"(-?)(\d+)'sd(\d+)")
 
 
+_RE_SUM_TOKEN = re.compile(
+    r"\s*(?:"
+    r"\(\s*(?P<cond>\w+(?:\[\d+\])?)\s*\?\s*(?P<a>-?\d+'sd\d+)\s*:"
+    r"\s*(?P<b>-?\d+'sd\d+)\s*\)"  # ternary leaf (w ? a : b)
+    r"|(?P<lit>-?\d+'sd\d+)"
+    r"|(?P<op>[()+])"
+    r"|(?P<bad>\S)"
+    r")"
+)
+
+
+def _lit_value(lit: str) -> int:
+    """Signed value of a literal such as -9'sd3; the width is not applied."""
+    value = int(lit.partition("'sd")[2])
+    return -value if lit[0] == "-" else value
+
+
 def _parse_sum(expr: str):
-    """Recursive descent over the balanced adder tree; returns
-    (terms, offset)."""
-    expr = expr.strip()
-    if expr.startswith("(") and _matching(expr):
-        inner = expr[1:-1]
-        # either "a + b" at top level or a ternary leaf
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "?" and depth == 0:
-                return _parse_ternary(inner)
-            elif ch == "+" and depth == 0 and inner[i - 1] == " ":
-                lt, lo = _parse_sum(inner[:i])
-                rt, ro = _parse_sum(inner[i + 1 :])
-                return lt + rt, lo + ro
-        return _parse_sum(inner)
-    m = _RE_LIT.fullmatch(expr)
-    if m:
-        val = int(m.group(3))
-        return [], -val if m.group(1) else val
+    """One pass over the balanced adder tree -> (terms, offset).
+
+    Grammar: ``e := leaf | lit | "(" e ")" | "(" e " + " e ")"``, where a
+    leaf ``(w ? a : b)`` is the term +w when a = 1 and b = -1, or -w when
+    a = -1 and b = 1. Terms come out in left-to-right leaf order. ``open_``
+    holds one flag per unclosed parenthesis: whether its "+" was read.
+    """
+    terms: list[tuple[str, int]] = []
+    offset = 0
+    open_: list[bool] = []
+    want_operand = True
+    for cond, a, b, lit, op, _bad in _RE_SUM_TOKEN.findall(expr):
+        if want_operand:
+            if cond:
+                sign = _lit_value(a)
+                if sign not in (1, -1) or _lit_value(b) != -sign:
+                    break
+                terms.append((cond, sign))
+            elif lit:
+                offset += _lit_value(lit)
+            elif op == "(":
+                open_.append(False)
+                continue
+            else:
+                break
+            want_operand = False
+        elif op == "+" and open_ and not open_[-1]:
+            open_[-1] = True
+            want_operand = True
+        elif op == ")" and open_:
+            open_.pop()
+        else:
+            break
+    else:
+        if not want_operand and not open_:
+            return terms, offset
     raise NetlistError(f"cannot parse sum expression: {expr!r}")
-
-
-def _parse_ternary(inner: str):
-    cond, rest = inner.split("?", 1)
-    a, b = rest.split(":", 1)
-    a_neg = a.strip().startswith("-")
-    return [(cond.strip(), -1 if a_neg else 1)], 0
-
-
-def _matching(expr: str) -> bool:
-    depth = 0
-    for i, ch in enumerate(expr):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return i == len(expr) - 1
-    return False
 
 
 def _parse_lut(expr: str):

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,24 @@ def test_simplify_drops_inputs_outside_support():
     assert sum_node.terms == [(a.id, 1)]
 
 
+def test_simplify_merges_fanins_that_name_one_wire():
+    nl = Netlist(n_inputs=2)
+    a = nl.add("input", pos=0)
+    b = nl.add("input", pos=1)
+    w = nl.add("lut", bits=np.array([-1, 1], dtype=np.int8), fanin=[a.id], layer="L")
+    inv = nl.add("lut", bits=np.array([1, -1], dtype=np.int8), fanin=[b.id], layer="L")
+    bits = np.random.default_rng(3).choice([-1, 1], size=16).astype(np.int8)
+    g = nl.add("lut", bits=bits, fanin=[a.id, b.id, w.id, inv.id], layer="L")
+    nl.outputs.append(nl.add("out", src=g.id, name="y").id)
+    post = simplify(nl)
+    for node in post.lut_nodes():
+        assert len(set(node.fanin)) == node.k
+    x = all_patterns(2)
+    np.testing.assert_array_equal(simulate(post, x)["y"], simulate(nl, x)["y"])
+    back = parse_verilog(emit_verilog(post))
+    np.testing.assert_array_equal(simulate(back, x)["y"], simulate(nl, x)["y"])
+
+
 def test_simplify_const_folds_empty_threshold():
     nl = Netlist(n_inputs=1)
     nl.add("input", pos=0)
@@ -203,6 +223,109 @@ def test_round_trip_and_gate():
 def test_parse_rejects_garbage():
     with pytest.raises(NetlistError):
         parse_verilog("module x (); endmodule")
+
+
+def sum_netlist(n_terms: int, offset: int, seed: int = 0) -> Netlist:
+    """One score sum over random input wires (repeats allowed), plus a
+    threshold of the same sum driving a second score."""
+    rng = np.random.default_rng(seed)
+    nl = Netlist(n_inputs=64)
+    for i in range(64):
+        nl.add("input", pos=i)
+    terms = [(int(w), int(s)) for w, s in zip(rng.integers(0, 64, size=n_terms),
+                                                rng.choice([-1, 1], size=n_terms))]
+    s = nl.add("sum", terms=terms, offset=offset)
+    th = nl.add("th", src=s.id, tau=offset // 2)
+    s2 = nl.add("sum", terms=[(th.id, -1)], offset=-offset)
+    nl.outputs.append(nl.add("out", src=s.id, name="score_0").id)
+    nl.outputs.append(nl.add("out", src=s2.id, name="score_1").id)
+    return nl
+
+
+def sums_by_position(nl: Netlist) -> list[tuple[list, int]]:
+    """Each sum's (terms, offset) in order; a term names its wire by input
+    position, or by its source's position in the node order."""
+    def key(wid):
+        node = nl.nodes[wid]
+        return ("in", node.pos) if node.kind == "input" else ("node", nl.order.index(wid))
+    return [([(key(w), sgn) for w, sgn in n.terms], n.offset)
+            for n in (nl.nodes[i] for i in nl.order) if n.kind == "sum"]
+
+
+@pytest.mark.parametrize("offset", [-5, 0, 3])
+@pytest.mark.parametrize("n_terms", [1, 2, 3, 196, 1000])
+def test_round_trip_keeps_sum_terms_and_offset(n_terms, offset):
+    nl = sum_netlist(n_terms, offset, seed=n_terms)
+    back = parse_verilog(emit_verilog(nl))
+    assert sums_by_position(back) == sums_by_position(nl)
+    assert [back.nodes[i].tau for i in back.order if back.nodes[i].kind == "th"] == [offset // 2]
+
+
+SUM_MODULE = """module top (
+    input wire [1:0] in,
+    output wire signed [3:0] score_0
+);
+  wire signed [3:0] n2;
+  assign n2 = {expr};
+  assign score_0 = n2;
+endmodule
+"""
+
+
+def test_parse_reads_hand_written_sum():
+    nl = parse_verilog(SUM_MODULE.format(
+        expr="((in[0] ? 4'sd1 : -4'sd1) + ((in[1] ? -4'sd1 : 4'sd1) + -4'sd3))"))
+    (node,) = [n for n in nl.nodes.values() if n.kind == "sum"]
+    assert node.terms == [(0, 1), (1, -1)] and node.offset == -3
+
+
+@pytest.mark.parametrize("expr", [
+    "((in[0] ? 4'sd1 : -4'sd1) + (in[1] ? 4'sd1 : -4'sd1)",  # unbalanced (
+    "(in[0] ? 4'sd1 : -4'sd1))",  # unbalanced )
+    "((in[0] ? 4'sd1 : -4'sd1) + )",  # missing operand
+    "( + (in[1] ? 4'sd1 : -4'sd1))",  # missing operand
+    "((in[0] ? 4'sd1 : -4'sd1) + ())",  # missing operand
+    "(in[0] ? 4'sd1 : -4'sd1) 4'sd2",  # trailing token
+    "(in[0] ? 4'sd1 : -4'sd1) + 4'sd2",  # trailing token
+    "((in[0] ? 4'sd1 : -4'sd1) + 4'sd1 + 4'sd1)",  # trailing token in a pair
+    "(in[0] ? 4'sd1)",  # ? leaf without its : branch
+    "(in[0] ? 4'sd1 : 4'sd1)",  # branches are not +/-1 of opposite sign
+    "(in[0] ? 4'sd2 : -4'sd2)",
+    "(in[0] ? 4'sd1 : -4'sd1) $",  # stray character
+])
+def test_parse_rejects_malformed_sum(expr):
+    with pytest.raises(NetlistError, match="cannot parse sum expression"):
+        parse_verilog(SUM_MODULE.format(expr=expr))
+
+
+def test_parse_rejects_undefined_wire_in_sum():
+    with pytest.raises(NetlistError, match="undefined wire 'n7'"):
+        parse_verilog(SUM_MODULE.format(expr="(n7 ? 4'sd1 : -4'sd1)"))
+
+
+def test_parse_leaves_no_cyclic_garbage():
+    text = emit_verilog(sum_netlist(1000, 3)) + emit_verilog(
+        simplify(random_netlist(np.random.default_rng(1))))
+    parse_verilog(text)  # warm the regex cache outside the measured parse
+    gc.collect()
+    gc.disable()
+    try:
+        nl = parse_verilog(text)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert nl.outputs and garbage == 0
+
+
+def test_emit_rejects_lut_reading_one_wire_twice():
+    nl = Netlist(n_inputs=2)
+    a = nl.add("input", pos=0)
+    nl.add("input", pos=1)
+    g = nl.add("lut", bits=np.array([-1, 1, 1, 1], dtype=np.int8), fanin=[a.id, a.id])
+    nl.outputs.append(nl.add("out", src=g.id, name="y").id)
+    with pytest.raises(NetlistError, match="n2 reads one wire twice") as exc:
+        emit_verilog(nl)
+    assert "\n" not in str(exc.value)
 
 
 # -- area report --------------------------------------------------------------
