@@ -157,7 +157,8 @@ def save(path: str, net: Network, cfg: TrainConfig, phase: str,
         "shrink_plan": _enc_plan(plan),
     }
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
+        # dumps runs the C encoder; dump streams through the Python one
+        f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         f.write("\n")
 
 

@@ -11,14 +11,28 @@ indexing is fixed project-wide: input 0 is the least-significant axis, i.e.
 index(d) = sum_j bit(d_j) * 2^j with bit(-1)=0, bit(1)=1.
 
 All LUT math is one batched kernel, ``CornerBatch``, laid out corner-major:
-a table of N LUTs is (2^k, N) with row d = corner d, and input j of every
-node over B samples is one contiguous (B, N) slab. Rows 2i and 2i+1 differ
-only in the lowest input, so the forward pass halves the table per input:
-t <- t[0::2] * (1 - x_j)/2 + t[1::2] * (1 + x_j)/2. At x_j = +/-1 the weights
-are exactly 1 and 0, so f(a) == c[index(a)] holds bit for bit (lo + (hi - lo)
-* t would round), and the gradients equal a scatter-add over the samples.
-The binarized training path relies on this. The single-LUT functions below
-are one-sample, one-node calls of the same kernel.
+a table of N LUTs is (2^k, N) with row d = corner d. It has two paths,
+chosen by the data.
+
+* Corner path, when every input is +/-1 (all binarized training, batch-norm
+  calibration and exact inference): each node reads one table entry per
+  sample, at a flat position index * N + n computed once. The forward pass
+  is a gather, the table gradient one bincount over those positions, and
+  the input gradient a gather of the slope rows table[d | 2^j] -
+  table[d & ~2^j] followed by the same bincount as below.
+* Interpolating path, otherwise: input j of every node over B samples is
+  one contiguous (B, N) slab of corner weights, and the forward pass halves
+  the table per input, t <- t[0::2] * (1 - x_j)/2 + t[1::2] * (1 + x_j)/2
+  (rows 2i and 2i+1 differ only in the lowest input). At x_j = +/-1 the
+  weights are exactly 1 and 0, so f(a) == c[index(a)] holds bit for bit
+  (lo + (hi - lo) * t would round).
+
+On +/-1 inputs the two paths agree bit for bit, because every bincount bin
+receives its terms in the order the interpolating sums add them: samples
+ascending for a table entry, (node, input) ascending for an input. (One
+exception: numpy sums a single-LUT layer's batch pairwise when
+interpolating; the corner path keeps sample order.) The single-LUT
+functions below are one-sample, one-node calls of the same kernel.
 """
 
 from __future__ import annotations
@@ -112,33 +126,79 @@ def _halve(table: np.ndarray, lo, hi) -> np.ndarray:
 STEP_FLOATS = 1 << 16
 
 
+def _at_corners(x: np.ndarray) -> bool:
+    """Whether every input is exactly +/-1, so each LUT reads one table row."""
+    return bool(np.all(np.abs(x) == 1))
+
+
+def _corner_flat(x: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Position of the table entry node n reads on sample b, in a flattened
+    (2^k, N) table: index(x[b, inputs[n]]) * N + n; shape (B, N). The corner
+    index is built node-major, one gather of whole rows of the transposed
+    sign bits per input, and written out sample-major."""
+    n_nodes, k = inputs.shape
+    bits = np.ascontiguousarray(x.T > 0).view(np.uint8)  # (n_in, B)
+    idx = bits[inputs[:, 0]]
+    for j in range(1, k):
+        idx |= bits[inputs[:, j]] << j
+    flat = np.empty((x.shape[0], n_nodes), dtype=np.int64)
+    np.multiply(idx.T, np.int64(n_nodes), out=flat)
+    flat += np.arange(n_nodes)
+    return flat
+
+
+def _bincount(bins: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Sums of weights per bin, each added in array order; float64 also
+    when there are no weights (np.bincount would return integers)."""
+    total = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=size)
+    return total.astype(np.float64, copy=False)
+
+
 class CornerBatch:
     """The k inputs of N LUTs over B samples; node n reads x[:, inputs[n, j]].
-    Each input slab is kept as its corner weights lo = (1 - x)/2 and
-    hi = (1 + x)/2, shared by the forward pass and both gradients."""
+
+    When every input is +/-1, ``flat`` holds the table position each node
+    reads and every operation gathers or bincounts over it. Otherwise
+    ``flat`` is None and each input slab is kept as its corner weights
+    lo = (1 - x)/2 and hi = (1 + x)/2, shared by the interpolating forward
+    pass and both gradients.
+    """
 
     def __init__(self, x: np.ndarray, inputs: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         self.inputs = np.asarray(inputs, dtype=np.int64)
         n_nodes, self.k = self.inputs.shape
         _check_k(self.k)
         self.n_in = x.shape[1]
+        if _at_corners(x):
+            self.flat = _corner_flat(x, self.inputs)
+            return
+        self.flat = None
+        x = x.astype(np.float64, copy=False)
         self.lo, self.hi = np.empty((2, self.k, len(x), n_nodes))
         for w, slabs in (((1.0 - x) * 0.5, self.lo), ((1.0 + x) * 0.5, self.hi)):
             for j in range(self.k):
-                np.take(w, self.inputs[:, j], axis=1, out=slabs[j])
+                # mode="clip" writes straight into out; the default buffers it
+                np.take(w, self.inputs[:, j], axis=1, out=slabs[j], mode="clip")
         step = max(1, STEP_FLOATS // (n_nodes << (self.k - 1)))
         self.steps = [slice(r, r + step) for r in range(0, max(len(x), 1), step)]
 
     def interpolate(self, table: np.ndarray) -> np.ndarray:
-        """LUT outputs f[b, n]; shape (B, N)."""
+        """LUT outputs f[b, n]; shape (B, N). At corners this is the table
+        entry itself, in the table's dtype."""
+        if self.flat is not None:
+            return np.take(table, self.flat)
         return np.concatenate(
             [_halve(table, self.lo[:, r], self.hi[:, r]) for r in self.steps]
         )
 
     def grad_table(self, df: np.ndarray) -> np.ndarray:
         """sum_b df[b, n] * d f[b, n] / d table[d, n]; shape (2^k, N). The
-        batch sum adds samples in order (numpy sums pairwise only if N = 1)."""
+        batch sum adds samples in order (except when interpolating with
+        N = 1, where numpy sums pairwise)."""
+        if self.flat is not None:
+            n = df.shape[1]
+            return _bincount(self.flat, df, n << self.k).reshape(2**self.k, n)
         basis = np.empty((2**self.k, *df.shape))
         basis[0] = df
         for j in range(self.k):
@@ -149,20 +209,27 @@ class CornerBatch:
 
     def grad_inputs(self, table: np.ndarray, df: np.ndarray) -> np.ndarray:
         """sum over the nodes reading x[b, i] of df * d f / d x_i; (B, n_in).
-        d f / d x_j is half of table[hi_j] - table[lo_j] interpolated over the
-        other inputs; one bincount adds terms in (sample, node, input) order."""
+        d f / d x_j is half of table[hi_j] - table[lo_j]: at a corner, the
+        slope row for the corner's index; elsewhere interpolated over the
+        other inputs. One bincount adds terms in (sample, node, input) order."""
         b, n = df.shape
-        pairs = [table[hi] - table[lo]
-                 for lo, hi in (pair_indices(self.k, j) for j in range(self.k))]
         g = np.empty((b, n, self.k))
-        for r in self.steps:
-            lo, hi = self.lo[:, r], self.hi[:, r]
-            for j, d in enumerate(pairs):
-                dfdx = _halve(d, [*lo[:j], *lo[j + 1 :]], [*hi[:j], *hi[j + 1 :]])
-                g[r, :, j] = dfdx * 0.5 * df[r]
+        if self.flat is not None:
+            d = np.arange(2**self.k)
+            for j in range(self.k):
+                h = 1 << j
+                slope = table[d | h] - table[d & ~h]  # rows d and d ^ h agree
+                g[:, :, j] = np.take(slope, self.flat) * 0.5 * df
+        else:
+            pairs = [table[hi] - table[lo]
+                     for lo, hi in (pair_indices(self.k, j) for j in range(self.k))]
+            for r in self.steps:
+                lo, hi = self.lo[:, r], self.hi[:, r]
+                for j, d in enumerate(pairs):
+                    dfdx = _halve(d, [*lo[:j], *lo[j + 1 :]], [*hi[:j], *hi[j + 1 :]])
+                    g[r, :, j] = dfdx * 0.5 * df[r]
         rows = np.arange(b)[:, None, None] * self.n_in + self.inputs
-        dx = np.bincount(rows.ravel(), weights=g.ravel(), minlength=b * self.n_in)
-        return dx.reshape(b, self.n_in)
+        return _bincount(rows, g, b * self.n_in).reshape(b, self.n_in)
 
 
 def _one_sample(x, mask: LutMask | None = None) -> CornerBatch:

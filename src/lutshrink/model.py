@@ -7,10 +7,15 @@ Two forward modes exist throughout:
   stay real in [-1,1].
 * ``bin`` — binarized: inputs, activations and LUT outputs are +/-1 (sign,
   with sign(0)=+1), gradients pass through sign via the clipped
-  straight-through estimator. LUT layers use the same interpolation kernel
-  (``lutcore.CornerBatch``) in both modes; on +/-1 inputs it is exact at
-  the corners, so the binarized LUT output is the sign of the table entry
-  that ``infer_bin`` and the netlist look up.
+  straight-through estimator.
+
+LUT layers run every operation through one kernel, ``lutcore.CornerBatch``,
+which picks its path from the data: on inputs that are all +/-1 (every
+binarized forward, backward, ``calibrate`` and ``infer_bin``, and any hp
+call whose inputs happen to be saturated) a LUT output is a table lookup
+and its gradients are bincounts; otherwise it interpolates. The paths agree
+bit for bit on +/-1 inputs, so the binarized LUT output is the sign of the
+table entry that ``infer_bin`` and the netlist look up.
 
 Weights of dense layers are always sign(shadow) in the forward pass. The
 exact inference path (``infer_bin``) compares integer-valued +/-1 sums with
@@ -307,10 +312,8 @@ class LutLayer:
 
     def infer_bin(self, xbits: np.ndarray) -> np.ndarray:
         _check_exact(self.name, int(np.bincount(self.channel).max(initial=0)))
-        tt = self.truth_tables().astype(np.float32)
-        xt = xbits[:, self.inputs]
-        idx = ((xt > 0).astype(np.int64) << np.arange(self.k)).sum(axis=2)
-        f = tt[np.arange(self.n_nodes)[None, :], idx]
+        tt = self.truth_tables().astype(np.float32).T  # (2^k, N)
+        f = CornerBatch(xbits, self.inputs).interpolate(tt)
         return _infer_out(self, f @ self._chmat.astype(np.float32))
 
     def calibrate(self, x: np.ndarray) -> np.ndarray:

@@ -55,6 +55,16 @@ class Node:
     def k(self) -> int:
         return len(self.fanin)
 
+    def copy(self) -> Node:
+        """A node sharing no mutable state with this one."""
+        return Node(
+            self.id, self.kind, self.layer,
+            bits=None if self.bits is None else self.bits.copy(),
+            fanin=list(self.fanin), pos=self.pos, value=self.value,
+            terms=list(self.terms), offset=self.offset, src=self.src,
+            tau=self.tau, name=self.name,
+        )
+
 
 @dataclass
 class Netlist:
@@ -70,6 +80,14 @@ class Netlist:
         self.order.append(node.id)
         self._next += 1
         return node
+
+    def copy(self) -> Netlist:
+        """A netlist sharing no mutable state with this one."""
+        return Netlist(
+            self.n_inputs,
+            nodes={i: node.copy() for i, node in self.nodes.items()},
+            order=list(self.order), outputs=list(self.outputs), _next=self._next,
+        )
 
     def lut_nodes(self) -> list[Node]:
         return [self.nodes[i] for i in self.order if self.nodes[i].kind == "lut"]
@@ -306,9 +324,7 @@ def _garbage_collect(nl: Netlist) -> None:
 
 def simplify(nl: Netlist) -> Netlist:
     """Fixpoint of support reduction, constant/wire/inverter elimination."""
-    import copy
-
-    nl = copy.deepcopy(nl)
+    nl = nl.copy()
     while _simplify_pass(nl):
         pass
     _garbage_collect(nl)

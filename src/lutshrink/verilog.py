@@ -132,7 +132,7 @@ def emit_verilog(nl: Netlist, top_name: str = "top") -> str:
 
 _RE_CONST = re.compile(r"^1'b([01])$")
 _RE_TH = re.compile(r"^\((\w+) >= (-?)(\d+)'sd(\d+)\)$")
-_RE_NAME = re.compile(r"^(?:n\d+|in\[\d+\])$")
+_RE_LUT_LIT = re.compile(r"^~?(?:n\d+|in\[\d+\])$")
 _RE_LIT = re.compile(r"(-?)(\d+)'sd(\d+)")
 
 
@@ -193,8 +193,9 @@ def _parse_sum(expr: str):
     raise NetlistError(f"cannot parse sum expression: {expr!r}")
 
 
-def _parse_lut(expr: str):
-    """SOP over bit wires -> (fanin names in input order, table bits)."""
+def _parse_lut(lhs: str, expr: str):
+    """SOP over bit wires -> (fanin names in input order, table bits); a
+    bare wire name is a one-input wire LUT."""
     fanin: list[str] = []
     minterm_lits: list[list[tuple[str, bool]]] = []
     for term in expr.split("|"):
@@ -204,6 +205,8 @@ def _parse_lut(expr: str):
         lits = []
         for lit in term.split("&"):
             lit = lit.strip()
+            if not _RE_LUT_LIT.match(lit):
+                raise NetlistError(f"assign {lhs}: malformed LUT expression {expr!r}")
             neg = lit.startswith("~")
             name = lit[1:] if neg else lit
             if name not in fanin:
@@ -275,13 +278,7 @@ def parse_verilog(text: str) -> Netlist:
             )
             by_name[lhs] = node.id
             continue
-        if _RE_NAME.match(rhs):
-            # pure alias; model as a wire LUT
-            node = nl.add("lut", bits=np.array([-1, 1], dtype=np.int8),
-                          fanin=[resolve(rhs)])
-            by_name[lhs] = node.id
-            continue
-        fanin, bits = _parse_lut(rhs)
+        fanin, bits = _parse_lut(lhs, rhs)
         node = nl.add("lut", bits=bits, fanin=[resolve(n) for n in fanin])
         by_name[lhs] = node.id
     return nl

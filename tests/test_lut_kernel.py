@@ -1,4 +1,5 @@
-"""The corner-major LUT kernel against a frozen copy of the kernel it replaced.
+"""The corner-major LUT kernel against a frozen copy of the kernel it replaced,
+and its two paths against each other.
 
 ``ReferenceLutLayer`` keeps the earlier ``LutLayer`` forward and backward: a
 (B, N, 2^k) corner basis and per-input gradient tables built by repeated
@@ -6,7 +7,13 @@ concatenation, a table lookup for the binarized forward, and ``np.add.at``
 scatters. On +/-1 inputs both kernels do the same arithmetic on exactly the
 same values, so the binarized path must agree bit for bit; the
 high-precision path sums in another order and must agree to 1e-12.
+
+``CornerBatch`` takes its corner path (gathers and bincounts) whenever every
+input is +/-1. Patching ``lutcore._at_corners`` to refuse forces the
+interpolating path on the same data; the two must agree bit for bit.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -15,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lutshrink import lutcore
-from lutshrink.lutcore import CornerBatch, index_pattern
+from lutshrink.lutcore import CornerBatch, _halve, index_pattern
 from lutshrink.model import BatchNorm, LutLayer, sign_pm1
 
 
@@ -104,8 +111,9 @@ class ReferenceLutLayer(LutLayer):
 N_IN, N_OUT, N_NODES = 9, 4, 23
 
 
-def _pair(is_output, k, seed):
-    """The same random layer twice: with the live and the reference kernel."""
+def _pair(is_output, k, seed, classes=(LutLayer, ReferenceLutLayer)):
+    """The same random layer twice: by default with the live and the
+    reference kernel."""
     rng = np.random.default_rng(seed)
     inputs = np.stack([rng.choice(N_IN, size=k, replace=False) for _ in range(N_NODES)])
     channel = rng.integers(0, N_OUT, size=N_NODES)
@@ -114,7 +122,7 @@ def _pair(is_output, k, seed):
     pruned = rng.random((N_NODES, k)) < 0.3  # some rows lose inputs, some all
     pruned[0] = True
     layers = []
-    for cls in (LutLayer, ReferenceLutLayer):
+    for cls in classes:
         bn = BatchNorm(N_OUT)
         bn.gamma[:] = 0.3  # keep part of the hard-tanh gate open
         lay = cls(N_IN, N_OUT, k, inputs, channel, masks, "l", bn=bn,
@@ -160,6 +168,90 @@ def test_kernel_matches_reference(mode, k, batch, is_output, one_sample_steps,
         assert np.any(dmasks != 0.0) and np.any(dx != 0.0)
 
 
+@contextlib.contextmanager
+def _interpolating(monkeypatch):
+    """A context in which CornerBatch interpolates even on +/-1 inputs."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lutcore, "_at_corners", lambda x: False)
+        yield
+
+
+def _kernel_run(x, inputs, table, df):
+    batch = CornerBatch(x, inputs)
+    return batch, (batch.interpolate(table), batch.grad_table(df),
+                   batch.grad_inputs(table, df))
+
+
+@pytest.mark.parametrize("batch", [0, 1, 7, 128])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_corner_path_matches_interpolation(k, batch, monkeypatch):
+    rng = np.random.default_rng(10 * k + batch)
+    inputs = rng.integers(0, N_IN, size=(N_NODES, k))  # repeats allowed
+    x = sign_pm1(rng.standard_normal((batch, N_IN)))
+    table = rng.uniform(-1.2, 1.2, size=(2**k, N_NODES))
+    df = rng.standard_normal((batch, N_NODES))
+    corner, got = _kernel_run(x, inputs, table, df)
+    with _interpolating(monkeypatch):
+        interp, want = _kernel_run(x, inputs, table, df)
+    assert corner.flat is not None and interp.flat is None
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+def _layer_run(lay, x, dout, mode):
+    out, dmasks, dx = _run(lay, x, dout, mode)
+    corner = lay._cache_lut[1].flat is not None
+    cal = lay.calibrate(x)
+    stats = () if lay.is_output else (lay.bn.running_mean, lay.bn.running_var)
+    return corner, (out, dmasks, dx, cal, *stats)
+
+
+@pytest.mark.parametrize("is_output", [False, True])
+@pytest.mark.parametrize("batch", [1, 7, 128])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("mode", ["bin", "hp"])
+def test_layer_corner_path_matches_interpolation(mode, k, batch, is_output,
+                                                 monkeypatch):
+    """Forward, backward and calibrate, in bin mode and in hp calls whose
+    inputs happen to be +/-1, on rows with severed inputs; dmasks must match
+    to the bit, sign of zero included."""
+    (live, twin), rng = _pair(is_output, k, seed=7 * k + batch,
+                              classes=(LutLayer, LutLayer))
+    x = sign_pm1(rng.uniform(-1.0, 1.0, size=(batch, N_IN)))
+    dout = rng.standard_normal((batch, N_OUT))
+    corner, got = _layer_run(live, x, dout, mode)
+    with _interpolating(monkeypatch):
+        interp, want = _layer_run(twin, x, dout, mode)
+    assert corner and not interp
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    assert got[1].tobytes() == want[1].tobytes()  # dmasks
+
+
+def test_untouched_zero_sign_is_erased_by_dmasks(monkeypatch):
+    """A table entry no sample reads gets df * 0 from every sample in the
+    interpolating sum: -0.0 when every df is negative. Whether that sum
+    ends at -0.0 depends on the numpy version (it may start from +0.0); the
+    corner bincount gives +0.0. The gradients are equal as numbers either
+    way, and dmasks += on its +0.0 buffer leaves the same bits."""
+    k, batch = 3, 4
+    (live, twin), rng = _pair(True, k, seed=3, classes=(LutLayer, LutLayer))
+    x = sign_pm1(rng.standard_normal((batch, N_IN)))
+    dout = -np.ones((batch, N_OUT))  # df < 0 on every node and sample
+    df = dout @ live._chmat.T
+    got = CornerBatch(x, live.inputs).grad_table(df)
+    with _interpolating(monkeypatch):
+        want = CornerBatch(x, live.inputs).grad_table(df)
+        twin_dmasks = _run(twin, x, dout, "bin")[1]
+    np.testing.assert_array_equal(got, want)
+    untouched = got == 0.0
+    assert np.any(untouched) and not np.any(np.signbit(got[untouched]))
+    dmasks = _run(live, x, dout, "bin")[1]
+    assert not np.any(np.signbit(dmasks[dmasks == 0.0]))
+    assert dmasks.tobytes() == twin_dmasks.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 6).flatmap(
@@ -170,8 +262,13 @@ def test_kernel_matches_reference(mode, k, batch, is_output, one_sample_steps,
     )
 )
 def test_interpolation_is_exact_at_every_corner(table):
+    """The interpolating path itself, called directly: CornerBatch would
+    take its corner path on these inputs."""
     k = table.shape[0].bit_length() - 1
     corners = np.array([index_pattern(d, k) for d in range(2**k)], dtype=np.float64)
-    inputs = np.tile(np.arange(k), (table.shape[1], 1))  # every node reads x
-    f = CornerBatch(corners, inputs).interpolate(table)
-    np.testing.assert_array_equal(f, table)  # f[a, n] == table[index(a), n]
+    n = table.shape[1]
+    lo = [np.repeat((1.0 - corners[:, j : j + 1]) * 0.5, n, axis=1) for j in range(k)]
+    hi = [np.repeat((1.0 + corners[:, j : j + 1]) * 0.5, n, axis=1) for j in range(k)]
+    np.testing.assert_array_equal(_halve(table, lo, hi), table)  # f[a] == table[a]
+    inputs = np.tile(np.arange(k), (n, 1))  # every node reads x
+    np.testing.assert_array_equal(CornerBatch(corners, inputs).interpolate(table), table)

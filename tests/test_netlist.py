@@ -91,6 +91,29 @@ def test_simplify_preserves_function_on_random_netlists():
         assert post.total_lut_inputs() <= nl.total_lut_inputs()
 
 
+def netlist_state(nl: Netlist):
+    """Every field of the netlist and of each node, arrays as lists."""
+    return (nl.n_inputs, nl._next, list(nl.order), list(nl.outputs), [
+        (i, n.id, n.kind, n.layer, None if n.bits is None else n.bits.tolist(),
+         list(n.fanin), n.pos, n.value, list(n.terms), n.offset, n.src, n.tau,
+         n.name)
+        for i, n in nl.nodes.items()])
+
+
+def test_simplify_leaves_its_input_unchanged():
+    for seed in range(20):
+        nl = random_netlist(np.random.default_rng(seed))
+        before = netlist_state(nl)
+        out = simplify(nl)
+        assert netlist_state(nl) == before
+        assert netlist_state(out) != before  # simplify did change its copy
+        for nid, node in out.nodes.items():
+            old = nl.nodes[nid]
+            assert node is not old and node.fanin is not old.fanin
+            assert node.terms is not old.terms
+            assert node.bits is None or not np.shares_memory(node.bits, old.bits)
+
+
 def test_simplify_collapses_wire_chains():
     nl = Netlist(n_inputs=1)
     a = nl.add("input", pos=0)
@@ -301,6 +324,31 @@ def test_parse_rejects_malformed_sum(expr):
 def test_parse_rejects_undefined_wire_in_sum():
     with pytest.raises(NetlistError, match="undefined wire 'n7'"):
         parse_verilog(SUM_MODULE.format(expr="(n7 ? 4'sd1 : -4'sd1)"))
+
+
+LUT_MODULE = """module top (
+    input wire [1:0] in,
+    output wire y
+);
+  wire n2;
+  wire n3;
+  assign n2 = in[0];
+  assign n3 = {expr};
+  assign y = n3;
+endmodule
+"""
+
+
+def test_parse_reads_hand_written_lut():
+    nl = parse_verilog(LUT_MODULE.format(expr="(n2 & ~in[1]) | (~n2 & in[1])"))
+    np.testing.assert_array_equal(simulate(nl, all_patterns(2))["y"], [-1, 1, 1, -1])
+
+
+@pytest.mark.parametrize("expr", ["()", "n2 & & n2", "(n2 &)", "n2 |", "n2 & 1'b1"])
+def test_parse_rejects_malformed_lut(expr):
+    with pytest.raises(NetlistError, match="assign n3: malformed LUT expression") as exc:
+        parse_verilog(LUT_MODULE.format(expr=expr))
+    assert "\n" not in str(exc.value)
 
 
 def test_parse_leaves_no_cyclic_garbage():
