@@ -88,6 +88,7 @@ def cmd_expand(args) -> None:
         cfg.k = args.k
     if args.epochs is not None:
         cfg.epochs_post_expand = args.epochs
+    cfg.validate()
     train, test = load_datasets(cfg)
     logic_expand(net, cfg.k, train, test, cfg, rng, _log_for(args.checkpoint))
     checkpoint.save(args.out or args.checkpoint, net, cfg, "expanded", rng)

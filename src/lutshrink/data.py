@@ -101,14 +101,3 @@ def synth_boolean(fn: str, m: int, n_samples: int, seed: int = 0) -> Dataset:
     labels = _boolean_label(fn, patterns, rng)
     return Dataset(patterns.astype(np.float32), labels, 2, {"function": fn, "m": m})
 
-
-def load_delimited(path: str, num_classes: int | None = None) -> Dataset:
-    """Whitespace-delimited text: one sample per line, label last."""
-    table = np.loadtxt(path, ndmin=2)
-    if table.shape[1] < 2:
-        raise DataError(f"{path}: need at least one feature column plus label")
-    features = table[:, :-1].astype(np.float32)
-    labels = table[:, -1].astype(np.int64)
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1
-    return Dataset(features, labels, num_classes)

@@ -275,36 +275,42 @@ def table_view(bits: np.ndarray, k: int) -> np.ndarray:
     return np.asarray(bits).reshape((2,) * k, order="F")
 
 
-def effective_inputs(tt: TruthTable) -> set[int]:
-    """Boolean support: inputs whose flip changes the output somewhere."""
-    view = table_view(tt.bits, tt.k)
-    support = set()
-    for j in range(tt.k):
-        lo = np.take(view, 0, axis=j)
-        hi = np.take(view, 1, axis=j)
-        if np.any(lo != hi):
-            support.add(j)
-    return support
+def support(bits: np.ndarray, k: int) -> list[int]:
+    """Boolean support of a 2^k table: the inputs whose flip changes the
+    output somewhere, ascending."""
+    view = table_view(bits, k)
+    return [j for j in range(k)
+            if np.any(np.take(view, 0, axis=j) != np.take(view, 1, axis=j))]
 
 
-def project_table(tt: TruthTable, keep: list[int]) -> TruthTable | int:
-    """Restrict a table to the given (sorted) input positions.
+def project(bits: np.ndarray, k: int, keep) -> np.ndarray | int:
+    """Restrict a 2^k table to the inputs in ``keep`` (in ascending order).
 
-    Positions not kept must be outside the Boolean support; otherwise the
+    Dropped inputs must be outside the Boolean support; otherwise the
     projection would be ill-defined. Returns the constant (+/-1) when keep
     is empty.
     """
-    keep = sorted(keep)
-    dropped = [j for j in range(tt.k) if j not in keep]
-    if set(keep) | set(dropped) != set(range(tt.k)):
+    keep = set(keep)
+    if not keep <= set(range(k)):
         raise ContractError("keep positions out of range")
-    support = effective_inputs(tt)
-    if support - set(keep):
-        raise ContractError(f"cannot drop inputs in the support: {support - set(keep)}")
-    view = table_view(tt.bits, tt.k)
-    for j in reversed(dropped):
-        view = np.take(view, 0, axis=j)
+    lost = set(support(bits, k)) - keep
+    if lost:
+        raise ContractError(f"cannot drop inputs in the support: {sorted(lost)}")
+    view = table_view(bits, k)
+    for j in reversed(range(k)):
+        if j not in keep:
+            view = np.take(view, 0, axis=j)
     if not keep:
         return int(view)
-    bits = view.reshape(-1, order="F")
-    return TruthTable(len(keep), bits)
+    return np.asarray(view.reshape(-1, order="F"), dtype=np.int8)
+
+
+def effective_inputs(tt: TruthTable) -> set[int]:
+    """Boolean support: inputs whose flip changes the output somewhere."""
+    return set(support(tt.bits, tt.k))
+
+
+def project_table(tt: TruthTable, keep: list[int]) -> TruthTable | int:
+    """``project`` of a TruthTable; the constant (+/-1) when keep is empty."""
+    bits = project(tt.bits, tt.k, keep)
+    return bits if isinstance(bits, int) else TruthTable(len(set(keep)), bits)

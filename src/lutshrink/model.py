@@ -11,11 +11,17 @@ Two forward modes exist throughout:
 
 LUT layers run every operation through one kernel, ``lutcore.CornerBatch``,
 which picks its path from the data: on inputs that are all +/-1 (every
-binarized forward, backward, ``calibrate`` and ``infer_bin``, and any hp
+binarized forward, backward, batch-norm refresh and ``infer_bin``, and any hp
 call whose inputs happen to be saturated) a LUT output is a table lookup
 and its gradients are bincounts; otherwise it interpolates. The paths agree
 bit for bit on +/-1 inputs, so the binarized LUT output is the sign of the
 table entry that ``infer_bin`` and the netlist look up.
+
+A layer's ``forward`` also takes the batch-norm statistics to use:
+``"batch"`` normalizes by the batch and folds it into the running stats
+(training), ``"running"`` normalizes by the running stats (evaluation), and
+``"refresh"`` folds the batch in first and then normalizes by the running
+stats. ``Network.recalibrate`` runs the binarized forward in refresh mode.
 
 Weights of dense layers are always sign(shadow) in the forward pass. The
 exact inference path (``infer_bin``) compares integer-valued +/-1 sums with
@@ -58,6 +64,24 @@ def _check_exact(name: str, fan_in: int) -> None:
         )
 
 
+def _activate(layer, s: np.ndarray, mode: str, stats: str) -> np.ndarray:
+    """Layer output from its sums: scaled scores of an output layer, else
+    batch norm then hard-tanh (hp) or sign (bin)."""
+    if layer.is_output:
+        return s * layer.alpha
+    h = layer.bn.forward(s, stats)
+    layer._cache_h = h
+    return np.clip(h, -1.0, 1.0) if mode == "hp" else sign_pm1(h)
+
+
+def _sum_grad(layer, dout: np.ndarray) -> np.ndarray:
+    """Gradient at the sums, through hard-tanh (or sign, straight-through)
+    and batch norm: the backward of _activate."""
+    if layer.is_output:
+        return dout * layer.alpha
+    return layer.bn.backward(dout * (np.abs(layer._cache_h) <= 1.0))
+
+
 def _infer_out(layer, s: np.ndarray) -> np.ndarray:
     """Integer scores of an output layer, else the +/-1 bits of s >= tau."""
     if layer.is_output:
@@ -80,27 +104,28 @@ class BatchNorm:
         self._v_gamma = np.zeros(n)
         self._v_beta = np.zeros(n)
 
-    def forward(self, s: np.ndarray, training: bool) -> np.ndarray:
+    def forward(self, s: np.ndarray, stats: str) -> np.ndarray:
+        """Batch norm by the "batch", "running" or "refresh" statistics."""
         s = s.astype(np.float64)
-        if training:
+        if stats != "running":
             mu = s.mean(axis=0)
             var = s.var(axis=0)
             m = self.momentum
             self.running_mean = (1 - m) * self.running_mean + m * mu
             self.running_var = (1 - m) * self.running_var + m * var
-        else:
+        if stats != "batch":
             mu, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (s - mu) * inv_std
-        self._cache = (xhat, inv_std, training)
+        self._cache = (xhat, inv_std, stats == "batch")
         return self.gamma * xhat + self.beta
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        xhat, inv_std, training = self._cache
+        xhat, inv_std, by_batch = self._cache
         self.dgamma += (dy * xhat).sum(axis=0)
         self.dbeta += dy.sum(axis=0)
         dxhat = dy * self.gamma
-        if not training:
+        if not by_batch:
             return dxhat * inv_std
         b = dy.shape[0]
         return (
@@ -108,17 +133,6 @@ class BatchNorm:
             / b
             * (b * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
         )
-
-    def calibrate(self, s: np.ndarray) -> np.ndarray:
-        """Running-stat refresh without gradients, then sign of the output."""
-        s = s.astype(np.float64)
-        m = self.momentum
-        self.running_mean = (1 - m) * self.running_mean + m * s.mean(axis=0)
-        self.running_var = (1 - m) * self.running_var + m * s.var(axis=0)
-        h = self.gamma * (s - self.running_mean) / np.sqrt(
-            self.running_var + self.eps
-        ) + self.beta
-        return sign_pm1(h)
 
     def fold_thresholds(self) -> np.ndarray:
         """Integer tau per unit: activation is +1 iff integer sum >= tau."""
@@ -158,22 +172,13 @@ class DenseLayer:
     def weights_bin(self) -> np.ndarray:
         return np.where(self.shadow >= 0, 1.0, -1.0) * self.alive
 
-    def forward(self, x: np.ndarray, mode: str, training: bool) -> np.ndarray:
+    def forward(self, x: np.ndarray, mode: str, stats: str) -> np.ndarray:
         wb = self.weights_bin()
-        s = x @ wb.T
         self._cache_x, self._cache_wb = x, wb
-        if self.is_output:
-            return s * self.alpha
-        h = self.bn.forward(s, training)
-        self._cache_h = h
-        return np.clip(h, -1.0, 1.0) if mode == "hp" else sign_pm1(h)
+        return _activate(self, x @ wb.T, mode, stats)
 
     def backward(self, dout: np.ndarray, need_dx: bool) -> np.ndarray | None:
-        if self.is_output:
-            ds = dout * self.alpha
-        else:
-            dh = dout * (np.abs(self._cache_h) <= 1.0)
-            ds = self.bn.backward(dh)
+        ds = _sum_grad(self, dout)
         self.dshadow += (ds.T @ self._cache_x) * (np.abs(self.shadow) <= 1.0) * self.alive
         if need_dx:
             return ds @ self._cache_wb
@@ -183,12 +188,6 @@ class DenseLayer:
         _check_exact(self.name, self.n_in)
         wb = np.where(self.shadow >= 0, 1, -1).astype(np.float32) * self.alive
         return _infer_out(self, xbits.astype(np.float32) @ wb.T)
-
-    def calibrate(self, x: np.ndarray) -> np.ndarray:
-        s = x @ self.weights_bin().T
-        if self.is_output:
-            return s * self.alpha
-        return self.bn.calibrate(s)
 
     def step(self, lr: float, momentum: float) -> None:
         self._v_shadow = momentum * self._v_shadow - lr * self.dshadow
@@ -279,25 +278,15 @@ class LutLayer:
         table = np.ascontiguousarray(self.effective_masks().T)  # (2^k, N)
         return batch.interpolate(table), batch, table
 
-    def forward(self, x: np.ndarray, mode: str, training: bool) -> np.ndarray:
+    def forward(self, x: np.ndarray, mode: str, stats: str) -> np.ndarray:
         f_real, batch, table = self._outputs(x)
         self._cache_lut, self._cache_mode = (f_real, batch, table), mode
         # bin-mode inputs are +/-1, so f_real is exactly the table entry
         f = f_real if mode == "hp" else sign_pm1(f_real)
-        s = f @ self._chmat
-        if self.is_output:
-            return s * self.alpha
-        h = self.bn.forward(s, training)
-        self._cache_h = h
-        return np.clip(h, -1.0, 1.0) if mode == "hp" else sign_pm1(h)
+        return _activate(self, f @ self._chmat, mode, stats)
 
     def backward(self, dout: np.ndarray, need_dx: bool) -> np.ndarray | None:
-        if self.is_output:
-            ds = dout * self.alpha
-        else:
-            dh = dout * (np.abs(self._cache_h) <= 1.0)
-            ds = self.bn.backward(dh)
-        df = ds @ self._chmat.T  # (B, N)
+        df = _sum_grad(self, dout) @ self._chmat.T  # (B, N)
         f_real, batch, table = self._cache_lut
         if self._cache_mode == "bin":
             df = df * (np.abs(f_real) <= 1.0)  # clipped straight-through
@@ -315,12 +304,6 @@ class LutLayer:
         tt = self.truth_tables().astype(np.float32).T  # (2^k, N)
         f = CornerBatch(xbits, self.inputs).interpolate(tt)
         return _infer_out(self, f @ self._chmat.astype(np.float32))
-
-    def calibrate(self, x: np.ndarray) -> np.ndarray:
-        s = sign_pm1(self._outputs(x)[0]) @ self._chmat
-        if self.is_output:
-            return s * self.alpha
-        return self.bn.calibrate(s)
 
     def step(self, lr: float, momentum: float) -> None:
         self._v_masks = momentum * self._v_masks - lr * self.dmasks
@@ -349,7 +332,7 @@ class Network:
         x = np.asarray(x, dtype=np.float64)
         x = sign_pm1(x) if mode == "bin" else np.clip(x, -1.0, 1.0)
         for lay in self.layers:
-            x = lay.forward(x, mode, training)
+            x = lay.forward(x, mode, "batch" if training else "running")
         return x
 
     def backward(self, dlogits: np.ndarray) -> None:
@@ -375,7 +358,7 @@ class Network:
         for lo in range(0, n, batch):
             h = sign_pm1(np.asarray(x[lo : lo + batch], dtype=np.float64))
             for lay in self.layers:
-                h = lay.calibrate(h)
+                h = lay.forward(h, "bin", "refresh")
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lutcore import table_view
+from .lutcore import project, support, table_view
 from .model import Network
 
 
@@ -139,7 +139,7 @@ def extract_netlist(net: Network) -> Netlist:
             chan_terms: list[list[tuple[int, int]]] = [[] for _ in range(lay.n_out)]
             for n in range(lay.n_nodes):
                 keep = [j for j in range(lay.k) if not lay.pruned[n, j]]
-                bits = _project(tts[n], lay.k, keep)
+                bits = project(tts[n], lay.k, keep)
                 if not keep:
                     node = nl.add("const", value=int(bits), layer=lay.name)
                 else:
@@ -158,25 +158,6 @@ def extract_netlist(net: Network) -> Netlist:
                     new_wires.append(th.id)
             wires = new_wires
     return nl
-
-
-def _project(bits: np.ndarray, k: int, keep: list[int]):
-    """Project a table to `keep` axes; dropped axes must be out of support.
-
-    Unlike lutcore.project_table this is used where zero salience already
-    guarantees independence, but we still verify to fail loudly.
-    """
-    view = table_view(bits, k)
-    for j in range(k):
-        if j in keep:
-            continue
-        if np.any(np.take(view, 0, axis=j) != np.take(view, 1, axis=j)):
-            raise NetlistError(f"dropped input {j} is in the Boolean support")
-    for j in reversed([j for j in range(k) if j not in keep]):
-        view = np.take(view, 0, axis=j)
-    if not keep:
-        return int(view)
-    return np.asarray(view.reshape(-1, order="F"), dtype=np.int8)
 
 
 # -- simplification ---------------------------------------------------------
@@ -261,14 +242,9 @@ def _simplify_pass(nl: Netlist) -> bool:
                 node.fanin = uniq
                 changed = True
             # drop inputs outside the Boolean support
-            view = table_view(node.bits, node.k)
-            keep = [
-                j
-                for j in range(node.k)
-                if np.any(np.take(view, 0, axis=j) != np.take(view, 1, axis=j))
-            ]
+            keep = support(node.bits, node.k)
             if len(keep) < node.k:
-                res = _project(node.bits, node.k, keep)
+                res = project(node.bits, node.k, keep)
                 if not keep:
                     node.kind, node.value, node.bits, node.fanin = (
                         "const", int(res), None, [])

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
+from .lutcore import MAX_K
 from .model import DenseLayer, LutLayer, ModelError, Network, softmax_xent
 from .shrink import PruneMask, SalienceMatrix, build_prune_mask
 
@@ -58,8 +59,11 @@ class TrainConfig:
             raise ValueError("delta must be in [0,1]")
         if self.shrink_iters < 1 or self.epochs_per_iter < 1:
             raise ValueError("T and P must be >= 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        if not 1 <= self.k <= MAX_K:
+            raise ValueError(
+                f"LUT fan-in ([expand] k, --k) must be in [1, {MAX_K}], got {self.k}")
+        if self.batch_size < 1:
+            raise ValueError(f"[train] batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass

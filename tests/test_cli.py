@@ -122,6 +122,31 @@ def test_removed_knob_names_the_remedy(tmp_path, capsys):
     assert "[model] binarize_inputs was removed" in err and "delete it" in err
 
 
+def test_expand_fan_in_flag_names_its_range(tmp_path, capsys):
+    out = str(tmp_path)
+    assert main(["train", "--preset", "xor-smoke", "--out", out]) == 0
+    ckpt = os.path.join(out, "checkpoint.json")
+    for k in ("0", "7"):
+        assert main(["expand", ckpt, "--k", k]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--k" in err and "[1, 6]" in err and f"got {k}" in err
+
+
+@pytest.mark.parametrize("section, key, value, bound", [
+    ("train", "batch_size", "0", ">= 1"),
+    ("expand", "k", "7", "[1, 6]"),
+])
+def test_out_of_range_config_value_names_key_and_range(tmp_path, capsys, section,
+                                                       key, value, bound):
+    cfgp = tmp_path / "bad.ini"
+    cfgp.write_text(f"[data]\ndataset = synth\n[{section}]\n{key} = {value}\n")
+    assert main(["train", "--config", str(cfgp), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"[{section}] {key}" in err and bound in err and f"got {value}" in err
+
+
 def test_cli_import_leaves_numpy_unloaded():
     src = os.path.dirname(os.path.dirname(lutshrink.__file__))
     code = "import sys, lutshrink.cli; sys.exit('numpy' in sys.modules)"

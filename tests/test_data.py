@@ -5,7 +5,6 @@ import pytest
 
 from lutshrink.data import (
     DataError,
-    load_delimited,
     load_idx,
     synth_boolean,
 )
@@ -112,14 +111,3 @@ def test_synth_unknown_function():
     with pytest.raises(DataError, match="unknown boolean function"):
         synth_boolean("nand3", 3, 8)
 
-
-def test_load_delimited(tmp_path):
-    p = tmp_path / "d.txt"
-    p.write_text("0.5 -1 0\n-0.5 1 2\n")
-    ds = load_delimited(str(p))
-    assert ds.features.shape == (2, 2) and ds.num_classes == 3
-    np.testing.assert_array_equal(ds.labels, [0, 2])
-    bad = tmp_path / "bad.txt"
-    bad.write_text("1\n2\n")
-    with pytest.raises(DataError):
-        load_delimited(str(bad))

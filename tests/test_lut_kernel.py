@@ -55,7 +55,7 @@ class ReferenceLutLayer(LutLayer):
             g[:, :, j] = np.einsum("bnd,nd->bn", w, ceff) / 2**k
         return g
 
-    def forward(self, x, mode, training):
+    def forward(self, x, mode, stats):
         ceff = self.effective_masks()
         xt = self._gather(np.asarray(x, dtype=np.float64))
         self._cache_xt, self._cache_ceff, self._cache_mode = xt, ceff, mode
@@ -72,7 +72,7 @@ class ReferenceLutLayer(LutLayer):
         s = f @ self._chmat
         if self.is_output:
             return s * self.alpha
-        h = self.bn.forward(s, training)
+        h = self.bn.forward(s, stats)
         self._cache_h = h
         return np.clip(h, -1.0, 1.0) if mode == "hp" else sign_pm1(h)
 
@@ -133,7 +133,7 @@ def _pair(is_output, k, seed, classes=(LutLayer, ReferenceLutLayer)):
 
 
 def _run(lay, x, dout, mode):
-    out = lay.forward(x, mode, training=True)
+    out = lay.forward(x, mode, "batch")
     dx = lay.backward(dout, need_dx=True)
     return out, lay.dmasks.copy(), dx
 
@@ -202,7 +202,7 @@ def test_corner_path_matches_interpolation(k, batch, monkeypatch):
 def _layer_run(lay, x, dout, mode):
     out, dmasks, dx = _run(lay, x, dout, mode)
     corner = lay._cache_lut[1].flat is not None
-    cal = lay.calibrate(x)
+    cal = lay.forward(x, "bin", "refresh")
     stats = () if lay.is_output else (lay.bn.running_mean, lay.bn.running_var)
     return corner, (out, dmasks, dx, cal, *stats)
 
@@ -213,9 +213,9 @@ def _layer_run(lay, x, dout, mode):
 @pytest.mark.parametrize("mode", ["bin", "hp"])
 def test_layer_corner_path_matches_interpolation(mode, k, batch, is_output,
                                                  monkeypatch):
-    """Forward, backward and calibrate, in bin mode and in hp calls whose
-    inputs happen to be +/-1, on rows with severed inputs; dmasks must match
-    to the bit, sign of zero included."""
+    """Forward, backward and batch-norm refresh, in bin mode and in hp calls
+    whose inputs happen to be +/-1, on rows with severed inputs; dmasks must
+    match to the bit, sign of zero included."""
     (live, twin), rng = _pair(is_output, k, seed=7 * k + batch,
                               classes=(LutLayer, LutLayer))
     x = sign_pm1(rng.uniform(-1.0, 1.0, size=(batch, N_IN)))

@@ -14,11 +14,15 @@ from lutshrink.lutcore import (
     lut_grad_inputs,
     lut_grad_params,
     pattern_index,
+    project,
     project_table,
+    support,
 )
 
 # Table-1-style AND mask, indexed (-1,-1),(1,-1),(-1,1),(1,1)
 AND_MASK = LutMask(2, [-0.90, -0.01, -0.85, 0.05])
+# x0 XOR x2 as a 3-input table: input 1 is outside the support
+XOR02 = np.array([-1, 1, -1, 1, 1, -1, 1, -1], dtype=np.int8)
 
 
 def brute_forward(params, x):
@@ -155,22 +159,36 @@ def test_binarize_after_input_removal_gives_wire():
 def test_effective_inputs_examples():
     and_tt = TruthTable(2, [-1, -1, -1, 1])
     assert effective_inputs(and_tt) == {0, 1}
+    assert support(and_tt.bits, 2) == [0, 1]
     wire = TruthTable(2, [-1, 1, -1, 1])
     assert effective_inputs(wire) == {0}
+    assert support(wire.bits, 2) == [0]
     const = TruthTable(2, [1, 1, 1, 1])
     assert effective_inputs(const) == set()
+    assert support(const.bits, 2) == []
+    assert support(XOR02, 3) == [0, 2]
 
 
 def test_support_soundness_exhaustive():
     rng = np.random.default_rng(3)
     for k in range(1, 7):
+        idx = np.arange(2**k)
         for _ in range(20):
             bits = rng.choice([-1, 1], 2**k).astype(np.int8)
+            for j in np.flatnonzero(rng.random(k) < 0.4):
+                bits = bits[idx & ~(1 << j)]  # input j no longer matters
             tt = TruthTable(k, bits)
             dead = set(range(k)) - effective_inputs(tt)
             for j in dead:
-                for idx in range(2**k):
-                    assert bits[idx] == bits[idx ^ (1 << j)]
+                for i in range(2**k):
+                    assert bits[i] == bits[i ^ (1 << j)]
+            keep = support(bits, k)
+            assert set(keep) == effective_inputs(tt)
+            assert all(np.any(bits != bits[idx ^ (1 << j)]) for j in keep)
+            # the projection reads input keep[m] as its input m
+            proj = project(bits, k, keep)
+            sub = sum(((idx >> j) & 1) << m for m, j in enumerate(keep))
+            np.testing.assert_array_equal(np.take(proj, sub), bits)
 
 
 def test_project_table():
@@ -182,6 +200,13 @@ def test_project_table():
     and_tt = TruthTable(2, [-1, -1, -1, 1])
     with pytest.raises(ContractError):
         project_table(and_tt, [0])
+    np.testing.assert_array_equal(project(wire.bits, 2, [0]), [-1, 1])
+    assert project(const.bits, 2, []) == 1
+    np.testing.assert_array_equal(project(XOR02, 3, [2, 0]), [-1, 1, 1, -1])
+    with pytest.raises(ContractError, match=r"in the support: \[1\]"):
+        project(and_tt.bits, 2, [0])
+    with pytest.raises(ContractError, match="out of range"):
+        project(wire.bits, 2, [0, 2])
 
 
 def test_contract_errors():

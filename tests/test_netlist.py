@@ -3,12 +3,15 @@ import gc
 import numpy as np
 import pytest
 
+from lutshrink.lutcore import ContractError
+from lutshrink.model import LutLayer, Network
 from lutshrink.netlist import (
     AreaReport,
     Netlist,
     NetlistError,
     area_report,
     classify,
+    extract_netlist,
     simplify,
     simulate,
 )
@@ -407,3 +410,18 @@ def test_fully_severed_lut_counts_as_zero_input():
     pre.outputs.append(pre.add("out", src=s.id, name="score_0").id)
     rep = area_report(pre, simplify(pre))
     assert rep.pre["fc2"][0] == 1
+
+
+def test_extract_refuses_to_drop_an_input_in_the_support(monkeypatch):
+    lay = LutLayer(2, 2, 2, inputs=np.array([[0, 1]]), channel=np.array([0]),
+                   masks=np.array([[-0.9, -0.1, -0.8, 0.2]]), name="fc2",
+                   is_output=True)
+    lay.set_pruned(np.array([[False, True]]))
+    lay.fold_transforms()
+    net = Network([lay], 2)
+    assert extract_netlist(net).total_lut_inputs() == 1
+    # a table that still reads severed input 1 (AND) cannot be projected
+    monkeypatch.setattr(lay, "truth_tables",
+                        lambda: np.array([[-1, -1, -1, 1]], dtype=np.int8))
+    with pytest.raises(ContractError, match=r"in the support: \[1\]"):
+        extract_netlist(net)
