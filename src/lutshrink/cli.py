@@ -126,6 +126,7 @@ def cmd_finalize(args) -> None:
     _require_phase(phase, ("shrunk",), "finalize")
     if args.epochs is not None:
         cfg.epochs_final = args.epochs
+    cfg.validate()
     train, test = load_datasets(cfg)
     finalize_binarized(net, train, test, cfg, rng, _log_for(args.checkpoint))
     checkpoint.save(args.out or args.checkpoint, net, cfg, "final", rng, plan)
@@ -140,6 +141,8 @@ def cmd_export(args) -> None:
     from .netlist import area_report, classify, extract_netlist, simplify
     from .verilog import emit_verilog, parse_verilog
 
+    if args.cert_samples < 1:
+        raise ValueError(f"--cert-samples must be >= 1, got {args.cert_samples}")
     net, cfg, phase, rng, plan = checkpoint.load(args.checkpoint)
     _require_phase(phase, ("final",), "export")
     os.makedirs(args.out, exist_ok=True)

@@ -53,27 +53,47 @@ class TrainConfig:
     synth_samples: int = 256
 
     def validate(self) -> None:
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must be in [0,1]")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError("delta must be in [0,1]")
-        if self.shrink_iters < 1 or self.epochs_per_iter < 1:
-            raise ValueError("T and P must be >= 1")
-        if not 1 <= self.k <= MAX_K:
-            raise ValueError(
-                f"LUT fan-in ([expand] k, --k) must be in [1, {MAX_K}], got {self.k}")
-        if self.batch_size < 1:
-            raise ValueError(f"[train] batch_size must be >= 1, got {self.batch_size}")
+        """One line per bad value: its ``[section] key`` (and CLI flag), the
+        valid range and the value."""
+        def need(ok: bool, key: str, valid: str, got) -> None:
+            if not ok:
+                raise ValueError(f"{key} must be {valid}, got {got}")
+
+        rate = "finite and > 0"
+        need(math.isfinite(self.lr) and self.lr > 0, "[train] lr", rate, self.lr)
+        need(math.isfinite(self.lr_decay) and self.lr_decay > 0, "[train] lr_decay",
+             rate, self.lr_decay)
+        for lr, epochs in self.lr_schedule:
+            need(math.isfinite(lr) and lr > 0 and epochs >= 0, "[train] lr_schedule",
+                 f"rate:epochs with a rate {rate} and epochs >= 0", f"{lr}:{epochs}")
+        need(0.0 <= self.momentum < 1.0, "[train] momentum", "in [0, 1)", self.momentum)
+        for width in self.hidden:
+            need(width >= 1, "[model] hidden", ">= 1 per layer", width)
+        need(self.synth_samples >= 1, "[data] samples", ">= 1", self.synth_samples)
+        need(self.eval_train_cap >= 1, "[train] eval_train_cap", ">= 1",
+             self.eval_train_cap)
+        need(self.batch_size >= 1, "[train] batch_size", ">= 1", self.batch_size)
+        for key, epochs in (("[train] epochs", self.epochs_bnn),
+                            ("[prune] epochs", self.epochs_post_prune),
+                            ("[expand] epochs (--epochs)", self.epochs_post_expand),
+                            ("[finalize] epochs (--epochs)", self.epochs_final)):
+            need(epochs >= 0, key, ">= 0", epochs)
+        need(0.0 <= self.theta <= 1.0, "[prune] theta", "in [0, 1]", self.theta)
+        need(1 <= self.k <= MAX_K, "[expand] k (--k)", f"in [1, {MAX_K}]", self.k)
+        need(0.0 <= self.delta <= 1.0, "[shrink] delta (--delta)", "in [0, 1]",
+             self.delta)
+        need(self.shrink_iters >= 1, "[shrink] iterations (--iterations)", ">= 1",
+             self.shrink_iters)
+        need(self.epochs_per_iter >= 1, "[shrink] epochs_per_iter (--epochs-per-iter)",
+             ">= 1", self.epochs_per_iter)
 
 
 @dataclass
 class ShrinkPlan:
-    """Record of one shrinkage run: per-iteration targets, scores and masks."""
+    """Record of one shrinkage run: per-iteration targets and severed counts."""
 
     deltas: list[float] = field(default_factory=list)
     pruned_counts: list[int] = field(default_factory=list)
-    saliences: list[np.ndarray] = field(default_factory=list)
-    masks: list[np.ndarray] = field(default_factory=list)
     random_mode: bool = False
 
 
@@ -270,8 +290,6 @@ def logic_shrink(net: Network, train: Dataset, test: Dataset, cfg: TrainConfig,
             lay.set_pruned(mask.mask[bounds[li] : bounds[li + 1]])
         plan.deltas.append(delta_t)
         plan.pruned_counts.append(mask.count)
-        plan.saliences.append(scores)
-        plan.masks.append(mask.mask.copy())
         train_phase(net, train, test, mode="hp", epochs=cfg.epochs_per_iter,
                     lr=cfg.lr * cfg.lr_decay**2, cfg=cfg, rng=rng, log=log,
                     phase=f"shrink-{t}")

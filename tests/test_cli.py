@@ -136,15 +136,55 @@ def test_expand_fan_in_flag_names_its_range(tmp_path, capsys):
 @pytest.mark.parametrize("section, key, value, bound", [
     ("train", "batch_size", "0", ">= 1"),
     ("expand", "k", "7", "[1, 6]"),
+    ("train", "lr", "nan", "finite and > 0"),
+    ("train", "lr", "0", "finite and > 0"),
+    ("train", "lr_decay", "inf", "finite and > 0"),
+    ("train", "lr_schedule", "nan:5", "finite and > 0"),
+    ("train", "lr_schedule", "0.1:-1", "epochs >= 0"),
+    ("train", "momentum", "1.5", "[0, 1)"),
+    ("train", "epochs", "-1", ">= 0"),
+    ("train", "eval_train_cap", "0", ">= 1"),
+    ("model", "hidden", "0", ">= 1"),
+    ("data", "samples", "0", ">= 1"),
+    ("prune", "theta", "1.5", "[0, 1]"),
+    ("prune", "epochs", "-1", ">= 0"),
+    ("expand", "epochs", "-2", ">= 0"),
+    ("shrink", "delta", "-0.5", "[0, 1]"),
+    ("shrink", "iterations", "0", ">= 1"),
+    ("shrink", "epochs_per_iter", "0", ">= 1"),
+    ("finalize", "epochs", "-1", ">= 0"),
 ])
 def test_out_of_range_config_value_names_key_and_range(tmp_path, capsys, section,
                                                        key, value, bound):
+    sections = {"data": "dataset = synth\n"}
+    sections[section] = sections.get(section, "") + f"{key} = {value}\n"
     cfgp = tmp_path / "bad.ini"
-    cfgp.write_text(f"[data]\ndataset = synth\n[{section}]\n{key} = {value}\n")
+    cfgp.write_text("".join(f"[{s}]\n{body}" for s, body in sections.items()))
     assert main(["train", "--config", str(cfgp), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"[{section}] {key}" in err and bound in err and f"got {value}" in err
+    assert not (tmp_path / "checkpoint.json").exists()
+
+
+def test_stage_flags_name_their_range(tmp_path, capsys):
+    out = str(tmp_path)
+    ckpt = os.path.join(out, "checkpoint.json")
+    for command in (["train", "--preset", "xor-smoke", "--out", out],
+                    ["expand", ckpt], ["shrink", ckpt]):
+        assert main(command) == 0
+    capsys.readouterr()
+    cases = [(["finalize", ckpt, "--epochs", "-1"], "--epochs", ">= 0"),
+             (["export", ckpt, "--out", out, "--cert-samples", "-5"],
+              "--cert-samples", ">= 1"),
+             (["export", ckpt, "--out", out, "--cert-samples", "0"],
+              "--cert-samples", ">= 1")]
+    for argv, flag, bound in cases:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert flag in err and bound in err and f"got {argv[-1]}" in err
+    assert not os.path.exists(os.path.join(out, "certificate.txt"))
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -5,7 +5,10 @@ alters numerics on purpose updates the hashes and says why in CHANGES.md.
 The Verilog hashes predate the corner-major LUT kernel (its binarized path
 is bit-exact); the checkpoint hashes were taken after it, because its
 high-precision phases round differently in the last ulp and the checkpoint
-no longer records the removed ``binarize_inputs`` knob.
+no longer records the removed ``binarize_inputs`` knob. They were taken again
+for checkpoint format 2 (arrays as base64 of raw little-endian bytes, no
+shrink-plan saliences or masks): a new format on purpose, while every layer
+array loads bit for bit as the format-1 checkpoint did.
 """
 
 import hashlib
@@ -18,11 +21,11 @@ from lutshrink.cli import main
 GOLDEN = {
     "xor-smoke": (
         "de7df30b598013f4064ca59e37dae199cb709fed383c267f4ea3e1f2a1d313eb",
-        "f46f5df63705ea1e0b0137e5f8586d0d620ff503de656cfbfe10299ec3cff4c1",
+        "7082743a3da12eb794a6353e5fecf784328bf2a102a8493afc6930b7ece140b4",
     ),
     "parity8": (
         "793f3578167476f12fbc137906f7a4e76edbac71911808093e41fb98afd33da3",
-        "f70a528f153a77647f4012b8bee2f39aa5009628d5777fc53cd75db5085897db",
+        "0797ea17ae5bd38d816c025fe76708fb1659872761aabe1b061dad5e7772f188",
     ),
 }
 
