@@ -26,6 +26,10 @@ PHASES = ["init", "trained", "expanded", "shrunk", "final"]
 
 _BN_FIELDS = ("gamma", "beta", "running_mean", "running_var")
 
+# the top-level fields of a checkpoint and their JSON types
+_FIELDS = {"phase": str, "config": dict, "rng_state": dict, "num_classes": int,
+           "layers": list, "shrink_plan": (dict, type(None))}
+
 
 class CheckpointError(RuntimeError):
     pass
@@ -120,12 +124,21 @@ def load(path: str):
             doc = json.load(f)
     except ValueError as e:
         raise CheckpointError(f"{path} is not a checkpoint: {e}") from e
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{path} is not a checkpoint: its top level has "
+                              f"type {type(doc).__name__}, not dict")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {version!r} in {path} (this build "
             f"reads version {FORMAT_VERSION}); re-run from `lutshrink train`"
         )
+    for key, kind in _FIELDS.items():
+        if key not in doc:
+            raise CheckpointError(f"{path} is not a checkpoint: no field {key!r}")
+        if not isinstance(doc[key], kind):
+            raise CheckpointError(f"{path} is not a checkpoint: field {key!r} "
+                                  f"has type {type(doc[key]).__name__}")
     cfg = TrainConfig(**doc["config"])
     net = Network([_dec_layer(d) for d in doc["layers"]], doc["num_classes"])
     rng = np.random.default_rng(0)

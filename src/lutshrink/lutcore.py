@@ -113,6 +113,11 @@ def pair_indices(k: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, lo | (1 << i)
 
 
+# per k, the pair_indices(k, j) of every input j side by side: (2, k * 2^(k-1))
+_FLIP_PAIRS = [None] + [np.hstack([pair_indices(k, j) for j in range(k)])
+                        for k in range(1, MAX_K + 1)]
+
+
 def _halve(table: np.ndarray, lo, hi) -> np.ndarray:
     """Interpolate a (2^m, N) table over m slabs of corner weights; (B, N)."""
     t = table[:, None, :]
@@ -277,10 +282,12 @@ def table_view(bits: np.ndarray, k: int) -> np.ndarray:
 
 def support(bits: np.ndarray, k: int) -> list[int]:
     """Boolean support of a 2^k table: the inputs whose flip changes the
-    output somewhere, ascending."""
-    view = table_view(bits, k)
-    return [j for j in range(k)
-            if np.any(np.take(view, 0, axis=j) != np.take(view, 1, axis=j))]
+    output somewhere, ascending. One fancy-index compare over the corner
+    pairs of every input."""
+    lo, hi = _FLIP_PAIRS[k]
+    bits = np.asarray(bits)
+    flips = (bits[lo] != bits[hi]).reshape(k, -1).tolist()
+    return [j for j, row in enumerate(flips) if any(row)]
 
 
 def project(bits: np.ndarray, k: int, keep) -> np.ndarray | int:
@@ -293,13 +300,11 @@ def project(bits: np.ndarray, k: int, keep) -> np.ndarray | int:
     keep = set(keep)
     if not keep <= set(range(k)):
         raise ContractError("keep positions out of range")
-    lost = set(support(bits, k)) - keep
+    lost = [j for j in support(bits, k) if j not in keep]
     if lost:
-        raise ContractError(f"cannot drop inputs in the support: {sorted(lost)}")
-    view = table_view(bits, k)
-    for j in reversed(range(k)):
-        if j not in keep:
-            view = np.take(view, 0, axis=j)
+        raise ContractError(f"cannot drop inputs in the support: {lost}")
+    # dropped inputs read 0: one basic index of the (2,)*k view
+    view = table_view(bits, k)[tuple(slice(None) if j in keep else 0 for j in range(k))]
     if not keep:
         return int(view)
     return np.asarray(view.reshape(-1, order="F"), dtype=np.int8)

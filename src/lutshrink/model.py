@@ -344,13 +344,16 @@ class Network:
         for lay in self.layers:
             lay.step(lr, momentum)
 
-    def predict_bin(self, x: np.ndarray) -> np.ndarray:
-        """Exact integer inference; ties resolved to the lowest class."""
-        xbits = sign_bits(np.asarray(x, dtype=np.float64))
-        h = xbits
+    def infer_bin(self, x: np.ndarray) -> np.ndarray:
+        """Exact integer class scores, (B, classes)."""
+        h = sign_bits(np.asarray(x, dtype=np.float64))
         for lay in self.layers:
             h = lay.infer_bin(h)
-        return np.argmax(h, axis=1)
+        return h
+
+    def predict_bin(self, x: np.ndarray) -> np.ndarray:
+        """Exact integer inference; ties resolved to the lowest class."""
+        return np.argmax(self.infer_bin(x), axis=1)
 
     def recalibrate(self, x: np.ndarray, passes: int = 20, batch: int = 256) -> None:
         """Refresh batch-norm running stats under binarized forward."""

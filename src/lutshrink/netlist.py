@@ -11,19 +11,29 @@ Wire values are +/-1 (a Verilog bit 1 means +1). Node kinds:
 
 Simplification mirrors what downstream synthesis would do locally: drop
 truth-table inputs outside the Boolean support, propagate constants (into
-consumer tables and into sum offsets), collapse wire LUTs, and absorb
-inverter LUTs into consuming tables or term signs. It is exact: the
-simplified netlist computes the same function, bit for bit.
+consumer tables and into sum offsets), collapse wire LUTs, absorb inverter
+LUTs into consuming tables or term signs, and make a threshold constant when
+its sum (n +/-1 terms plus offset o, so within [o - n, o + n]) always or
+never reaches it. It is exact: the simplified netlist computes the same
+function, bit for bit. Node ids are topological, and a node only rewrites
+itself from sources already final, so one pass in id order is the fixpoint.
+
+Simulation runs the netlist a level at a time, each wire a float32 row: a
+table gather per LUT level, one exact BLAS product per sum level (wrapped to
+the declared width the Verilog parser records), a compare per threshold
+level. It shares no code with the model's inference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
 from .lutcore import project, support, table_view
-from .model import Network
+from .model import EXACT_SUM_LIMIT, Network
 
 
 class NetlistError(RuntimeError):
@@ -42,9 +52,10 @@ class Node:
     pos: int = 0
     # const
     value: int = 0
-    # sum
+    # sum; width is its declared signed width (0: none, never wraps)
     terms: list[tuple[int, int]] = field(default_factory=list)
     offset: int = 0
+    width: int = 0
     # th
     src: int = 0
     tau: int = 0
@@ -61,7 +72,7 @@ class Node:
             self.id, self.kind, self.layer,
             bits=None if self.bits is None else self.bits.copy(),
             fanin=list(self.fanin), pos=self.pos, value=self.value,
-            terms=list(self.terms), offset=self.offset, src=self.src,
+            terms=list(self.terms), offset=self.offset, width=self.width, src=self.src,
             tau=self.tau, name=self.name,
         )
 
@@ -118,11 +129,9 @@ def extract_netlist(net: Network) -> Netlist:
             taus = None if lay.is_output else lay.bn.fold_thresholds()
             new_wires = []
             for c in range(lay.n_out):
-                terms = [
-                    (wires[p], int(wb[c, p]))
-                    for p in range(lay.n_in)
-                    if lay.alive[c, p]
-                ]
+                alive = np.flatnonzero(lay.alive[c])
+                terms = list(zip(map(wires.__getitem__, alive.tolist()),
+                                 wb[c, alive].tolist()))
                 s = nl.add("sum", terms=terms, offset=0, layer=lay.name)
                 if lay.is_output:
                     nl.outputs.append(
@@ -137,13 +146,14 @@ def extract_netlist(net: Network) -> Netlist:
             tts = lay.truth_tables()
             taus = None if lay.is_output else lay.bn.fold_thresholds()
             chan_terms: list[list[tuple[int, int]]] = [[] for _ in range(lay.n_out)]
-            for n in range(lay.n_nodes):
-                keep = [j for j in range(lay.k) if not lay.pruned[n, j]]
+            for n, (pruned, inputs) in enumerate(zip(lay.pruned.tolist(),
+                                                     lay.inputs.tolist())):
+                keep = [j for j in range(lay.k) if not pruned[j]]
                 bits = project(tts[n], lay.k, keep)
                 if not keep:
                     node = nl.add("const", value=int(bits), layer=lay.name)
                 else:
-                    fan = [wires[lay.inputs[n, j]] for j in keep]
+                    fan = [wires[inputs[j]] for j in keep]
                     node = nl.add("lut", bits=bits, fanin=fan, layer=lay.name)
                 chan_terms[lay.channel[n]].append((node.id, 1))
             new_wires = []
@@ -185,124 +195,112 @@ def _cofactor(bits: np.ndarray, k: int, j: int, value: int) -> np.ndarray | int:
     return np.asarray(view.reshape(-1, order="F"), dtype=np.int8)
 
 
-def _resolve(nl: Netlist, wid: int, through_inverters: bool) -> tuple[int, int]:
-    """Follow wire (and optionally inverter) chains; returns (id, polarity)."""
-    pol = 1
-    seen = 0
-    while True:
-        node = nl.nodes[wid]
-        if _is_wire(node):
-            wid = node.fanin[0]
-        elif through_inverters and _is_inverter(node):
-            pol = -pol
-            wid = node.fanin[0]
+def _sources(node: Node):
+    """Ids of the wires a node reads."""
+    if node.kind == "sum":
+        return map(itemgetter(0), node.terms)
+    if node.kind in ("th", "out"):
+        return (node.src,)
+    return node.fanin
+
+
+def _image(node: Node) -> tuple[int, int, int]:
+    """(source, polarity, constant value or 0) that readers of a simplified
+    node see: a wire or inverter LUT is read through to its fan-in, which
+    was already resolved when the LUT itself was simplified."""
+    if _is_wire(node) or _is_inverter(node):
+        return node.fanin[0], int(node.bits[1]), 0
+    return node.id, 1, node.value if node.kind == "const" else 0
+
+
+def _simplify_lut(image: dict, node: Node) -> None:
+    # fold constant and inverted/aliased fan-ins into the table
+    j = 0
+    while j < node.k:
+        src, pol, value = image[node.fanin[j]]
+        if value:
+            res = _cofactor(node.bits, node.k, j, pol * value)
+            if isinstance(res, int):
+                node.kind, node.value, node.bits, node.fanin = "const", res, None, []
+                return
+            node.bits = res
+            node.fanin.pop(j)
+            continue
+        if pol != 1:
+            node.bits = _flip_axis(node.bits, node.k, j)
+        node.fanin[j] = src
+        j += 1
+    # merge fan-ins that now name the same wire (the table's diagonal)
+    uniq = list(dict.fromkeys(node.fanin))
+    if len(uniq) < node.k:
+        idx = np.arange(2 ** len(uniq))
+        old = sum(((idx >> uniq.index(w)) & 1) << j for j, w in enumerate(node.fanin))
+        node.bits = node.bits[old]
+        node.fanin = uniq
+    # drop inputs outside the Boolean support
+    keep = support(node.bits, node.k)
+    if len(keep) < node.k:
+        res = project(node.bits, node.k, keep)
+        if not keep:
+            node.kind, node.value, node.bits, node.fanin = "const", int(res), None, []
         else:
-            return wid, pol
-        seen += 1
-        if seen > len(nl.nodes):
-            raise NetlistError("cycle detected in wire chain")
+            node.bits = res
+            node.fanin = [node.fanin[j] for j in keep]
 
 
-def _simplify_pass(nl: Netlist) -> bool:
-    changed = False
-    for nid in list(nl.order):
-        node = nl.nodes[nid]
-        if node.kind == "lut":
-            # fold constant and inverted/aliased fan-ins into the table
-            j = 0
-            while j < node.k:
-                src, pol = _resolve(nl, node.fanin[j], through_inverters=True)
-                src_node = nl.nodes[src]
-                if src_node.kind == "const":
-                    res = _cofactor(node.bits, node.k, j, pol * src_node.value)
-                    if isinstance(res, int):
-                        node.kind, node.value, node.bits, node.fanin = (
-                            "const", res, None, [])
-                        changed = True
-                        break
-                    node.bits = res
-                    node.fanin.pop(j)
-                    changed = True
-                    continue
-                if src != node.fanin[j] or pol != 1:
-                    if pol != 1:
-                        node.bits = _flip_axis(node.bits, node.k, j)
-                    node.fanin[j] = src
-                    changed = True
-                j += 1
-            if node.kind != "lut":
-                continue
-            # merge fan-ins that now name the same wire (the table's diagonal)
-            uniq = list(dict.fromkeys(node.fanin))
-            if len(uniq) < node.k:
-                idx = np.arange(2 ** len(uniq))
-                old = sum(((idx >> uniq.index(w)) & 1) << j
-                          for j, w in enumerate(node.fanin))
-                node.bits = node.bits[old]
-                node.fanin = uniq
-                changed = True
-            # drop inputs outside the Boolean support
-            keep = support(node.bits, node.k)
-            if len(keep) < node.k:
-                res = project(node.bits, node.k, keep)
-                if not keep:
-                    node.kind, node.value, node.bits, node.fanin = (
-                        "const", int(res), None, [])
-                else:
-                    node.bits = res
-                    node.fanin = [node.fanin[j] for j in keep]
-                changed = True
-        elif node.kind == "sum":
-            new_terms: list[tuple[int, int]] = []
-            for wid, sign in node.terms:
-                src, pol = _resolve(nl, wid, through_inverters=True)
-                src_node = nl.nodes[src]
-                if src_node.kind == "const":
-                    node.offset += sign * pol * src_node.value
-                    changed = True
-                else:
-                    if src != wid or pol != 1:
-                        changed = True
-                    new_terms.append((src, sign * pol))
-            node.terms = new_terms
-        elif node.kind == "th":
-            s = nl.nodes[node.src]
-            if s.kind == "sum" and not s.terms:
-                node.kind = "const"
-                node.value = 1 if s.offset >= node.tau else -1
-                changed = True
-        elif node.kind == "out":
-            # outputs may pass through wires but keep a final inverter
-            src, pol = _resolve(nl, node.src, through_inverters=False)
-            if src != node.src:
-                node.src = src
-                changed = True
-    return changed
+def _simplify_node(nl: Netlist, image: dict, node: Node) -> None:
+    if node.kind == "lut":
+        _simplify_lut(image, node)
+    elif node.kind == "sum":
+        terms: list[tuple[int, int]] = []
+        for wid, sign in node.terms:
+            src, pol, value = image[wid]
+            if value:
+                node.offset += sign * pol * value
+            else:
+                terms.append((src, sign * pol))
+        node.terms = terms
+    elif node.kind == "th":
+        s = nl.nodes[node.src]
+        if s.kind == "sum":
+            # a sum of n +/-1 terms lies in [offset - n, offset + n]
+            n = len(s.terms)
+            if node.tau <= s.offset - n:
+                node.kind, node.value = "const", 1
+            elif node.tau > s.offset + n:
+                node.kind, node.value = "const", -1
+    elif node.kind == "out":
+        # outputs may pass through wires but keep a final inverter
+        src, pol, _ = image[node.src]
+        if pol == 1:
+            node.src = src
 
 
 def _garbage_collect(nl: Netlist) -> None:
-    live = set()
-    stack = list(nl.outputs)
-    while stack:
-        nid = stack.pop()
+    live = set(nl.outputs)
+    for nid in reversed(nl.order):  # consumers before their sources
         if nid in live:
-            continue
-        live.add(nid)
-        node = nl.nodes[nid]
-        stack.extend(node.fanin)
-        stack.extend(w for w, _ in node.terms)
-        if node.kind in ("th", "out"):
-            stack.append(node.src)
+            live.update(_sources(nl.nodes[nid]))
     live |= {n.id for n in nl.nodes.values() if n.kind == "input"}
     nl.order = [i for i in nl.order if i in live]
     nl.nodes = {i: nl.nodes[i] for i in nl.order}
 
 
 def simplify(nl: Netlist) -> Netlist:
-    """Fixpoint of support reduction, constant/wire/inverter elimination."""
+    """Support reduction, constant/wire/inverter elimination and folding of
+    unreachable thresholds, in one pass over the topological order: a node
+    only rewrites itself, from sources that are already final, so the pass
+    ends at the fixpoint."""
     nl = nl.copy()
-    while _simplify_pass(nl):
-        pass
+    image: dict[int, tuple[int, int, int]] = {}
+    for nid in nl.order:
+        node = nl.nodes[nid]
+        late = max(_sources(node), default=-1)
+        if late >= nid:
+            raise NetlistError(f"node {nid} reads node {late}, which is not "
+                               "earlier; node ids must be in topological order")
+        _simplify_node(nl, image, node)
+        image[nid] = _image(node)
     _garbage_collect(nl)
     return nl
 
@@ -310,11 +308,57 @@ def simplify(nl: Netlist) -> Netlist:
 # -- simulation -------------------------------------------------------------
 
 
+_KINDS = ("input", "const", "lut", "sum", "th")
+
+
+def _levels(nl: Netlist) -> list[list[Node]]:
+    """The netlist compiled into levels, in execution order. A node's depth
+    is one more than its deepest source; the nodes of one depth, kind and
+    fan-in form a level, which only reads levels before it."""
+    depth: dict[int, int] = {}
+    levels: dict[tuple, list[Node]] = {}
+    for nid in nl.order:
+        node = nl.nodes[nid]
+        try:
+            depth[nid] = 1 + max(map(depth.__getitem__, _sources(node)), default=-1)
+        except KeyError as e:
+            raise NetlistError(f"node {nid} reads node {e.args[0]}, which is not "
+                               "earlier in the order") from None
+        if node.kind != "out":
+            key = (depth[nid], _KINDS.index(node.kind), node.k)
+            levels.setdefault(key, []).append(node)
+    return [levels[key] for key in sorted(levels)]
+
+
+def _sum_level(nodes: list[Node], rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """offset + sum of sign * wire for each sum node, one float32 product of
+    a +/-1 incidence matrix with the distinct source rows, wrapped to each
+    sum's declared width (32 bits without one: no sum below 2^24 wraps)."""
+    count = [len(node.terms) for node in nodes]
+    offset = np.array([node.offset for node in nodes], dtype=np.int64)
+    span = np.add(count, np.abs(offset))
+    if span.max() >= EXACT_SUM_LIMIT:
+        raise NetlistError(f"sum n{nodes[int(span.argmax())].id}: {span.max()} "
+                           "terms plus |offset| reach 2**24, beyond exact float32")
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(
+        node.terms for node in nodes)), dtype=np.int32)
+    read = rows[flat[0::2]]
+    used = np.zeros(len(v), dtype=bool)
+    used[read] = True
+    src = np.flatnonzero(used)
+    cell = (np.cumsum(used) - 1)[read]  # column of each term's source
+    cell += np.repeat(np.arange(len(nodes)) * len(src), count)
+    incidence = np.bincount(cell, weights=flat[1::2], minlength=len(nodes) * len(src))
+    acc = incidence.reshape(len(nodes), -1).astype(np.float32) @ v[src]
+    half = 2.0 ** (np.array([[min(node.width or 32, 32)] for node in nodes]) - 1)
+    return (acc + offset[:, None] + half) % (2 * half) - half
+
+
 def simulate(nl: Netlist, x: np.ndarray) -> dict[str, np.ndarray]:
     """Evaluate all outputs on a batch of +/-1 input vectors.
 
     Returns {output name: array}; +/-1 for bit outputs, integers for score
-    outputs.
+    outputs. Each wire is one float32 row, written a level at a time.
     """
     x = np.atleast_2d(np.asarray(x))
     if x.shape[1] != nl.n_inputs:
@@ -323,37 +367,42 @@ def simulate(nl: Netlist, x: np.ndarray) -> dict[str, np.ndarray]:
         )
     if not np.all(np.abs(x) == 1):
         raise NetlistError("simulation inputs must be +/-1")
-    b = x.shape[0]
-    vals: dict[int, np.ndarray] = {}
-    for nid in nl.order:
-        node = nl.nodes[nid]
-        if node.kind == "input":
-            vals[nid] = x[:, node.pos].astype(np.int64)
-        elif node.kind == "const":
-            vals[nid] = np.full(b, node.value, dtype=np.int64)
-        elif node.kind == "lut":
-            idx = np.zeros(b, dtype=np.int64)
-            for j, f in enumerate(node.fanin):
-                idx |= (vals[f] > 0).astype(np.int64) << j
-            vals[nid] = node.bits.astype(np.int64)[idx]
-        elif node.kind == "sum":
-            acc = np.full(b, node.offset, dtype=np.int64)
-            for wid, sign in node.terms:
-                acc = acc + sign * vals[wid]
-            vals[nid] = acc
-        elif node.kind == "th":
-            vals[nid] = np.where(vals[node.src] >= node.tau, 1, -1).astype(np.int64)
-        elif node.kind == "out":
-            vals[nid] = vals[node.src]
-    return {nl.nodes[o].name: vals[o] for o in nl.outputs}
+    levels = _levels(nl)
+    ids = [node.id for nodes in levels for node in nodes]
+    rows = np.zeros(max(nl.order, default=0) + 1, dtype=np.int64)
+    rows[ids] = np.arange(len(ids))
+    v = np.empty((len(ids), x.shape[0]), dtype=np.float32)
+    a = 0
+    for nodes in levels:
+        kind, b = nodes[0].kind, a + len(nodes)
+        if kind == "input":
+            v[a:b] = x.T[[node.pos for node in nodes]]
+        elif kind == "const":
+            v[a:b] = [[node.value] for node in nodes]
+        elif kind == "lut":
+            fanin = rows[np.array([node.fanin for node in nodes])]
+            code = sum((v[fanin[:, j]] > 0) << j for j in range(nodes[0].k))
+            v[a:b] = np.take_along_axis(np.array([node.bits for node in nodes]), code, 1)
+        elif kind == "sum":
+            v[a:b] = _sum_level(nodes, rows, v)
+        else:
+            srcs = rows[[node.src for node in nodes]]
+            v[a:b] = np.where(v[srcs] >= [[node.tau] for node in nodes], 1, -1)
+        a = b
+    return {nl.nodes[o].name: v[rows[nl.nodes[o].src]].astype(np.int64)
+            for o in nl.outputs}
+
+
+def scores(nl: Netlist, x: np.ndarray) -> np.ndarray:
+    """The score outputs as columns in class order, (B, classes)."""
+    res = simulate(nl, x)
+    names = sorted(res, key=lambda s: int(s.split("_")[-1]))
+    return np.stack([res[n] for n in names], axis=1)
 
 
 def classify(nl: Netlist, x: np.ndarray) -> np.ndarray:
     """Argmax over score outputs (lowest class wins ties)."""
-    res = simulate(nl, x)
-    names = sorted(res, key=lambda s: int(s.split("_")[-1]))
-    scores = np.stack([res[n] for n in names], axis=1)
-    return np.argmax(scores, axis=1)
+    return np.argmax(scores(nl, x), axis=1)
 
 
 # -- area report ------------------------------------------------------------

@@ -8,7 +8,12 @@ Emission order is the netlist's topological order, so output text is
 byte-stable for a given netlist.
 
 The parser understands exactly this subset; it exists so emitted text can be
-re-simulated and checked for equivalence without any vendor tool.
+re-simulated and checked for equivalence without any vendor tool. It reads
+literals as a Verilog tool does: ``W'sdV`` is V truncated to W bits and
+sign-extended, before any unary minus, and each sum keeps its declared
+width, at which the simulator wraps it. The emitter refuses a literal whose
+magnitude does not fit its signed width. A sum is split on its leaves, and
+the text between them must reduce to one leaf.
 """
 
 from __future__ import annotations
@@ -54,8 +59,17 @@ def _tree(leaves: list[str]) -> str:
     return f"({_tree(leaves[:mid])} + {_tree(leaves[mid:])})"
 
 
+def _lit(value: int, width: int, name: str) -> str:
+    """``value`` as a signed literal of ``width`` bits, written as a minus
+    and a magnitude; the magnitude must read back as itself at that width."""
+    if abs(value) >= 1 << (width - 1):
+        raise NetlistError(
+            f"{name}: literal {value} does not fit signed width {width}")
+    return f"{'-' if value < 0 else ''}{width}'sd{abs(value)}"
+
+
 def _sum_expr(node: Node, names: dict[int, str], width: int) -> str:
-    one = f"{width}'sd1"
+    one = _lit(1, width, _wire(node.id))
     leaves = []
     for wid, sign in node.terms:
         w = names[wid]
@@ -63,11 +77,8 @@ def _sum_expr(node: Node, names: dict[int, str], width: int) -> str:
             leaves.append(f"({w} ? {one} : -{one})")
         else:
             leaves.append(f"({w} ? -{one} : {one})")
-    if node.offset:
-        mag = abs(node.offset)
-        leaves.append(f"{'-' if node.offset < 0 else ''}{width}'sd{mag}")
-    if not leaves:
-        return f"{width}'sd0"
+    if node.offset or not leaves:
+        leaves.append(_lit(node.offset, width, _wire(node.id)))
     return _tree(leaves)
 
 
@@ -114,9 +125,7 @@ def emit_verilog(nl: Netlist, top_name: str = "top") -> str:
             lines.append(f"  wire signed [{w - 1}:0] {name};")
             lines.append(f"  assign {name} = {_sum_expr(node, names, w)};")
         elif node.kind == "th":
-            w = sum_width[node.src]
-            tau = node.tau
-            lit = f"{'-' if tau < 0 else ''}{w}'sd{abs(tau)}"
+            lit = _lit(node.tau, sum_width[node.src], name)
             lines.append(f"  wire {name};")
             lines.append(f"  assign {name} = ({names[node.src]} >= {lit});")
         else:
@@ -130,67 +139,59 @@ def emit_verilog(nl: Netlist, top_name: str = "top") -> str:
 
 # -- parser for the emitted subset -------------------------------------------
 
+_LIT = r"-?[1-9]\d*'sd\d+"
 _RE_CONST = re.compile(r"^1'b([01])$")
-_RE_TH = re.compile(r"^\((\w+) >= (-?)(\d+)'sd(\d+)\)$")
+_RE_TH = re.compile(rf"^\((\w+) >= ({_LIT})\)$")
 _RE_LUT_LIT = re.compile(r"^~?(?:n\d+|in\[\d+\])$")
-_RE_LIT = re.compile(r"(-?)(\d+)'sd(\d+)")
+_RE_LIT = re.compile(_LIT)
+# a sum leaf: a term (w ? a : b), captured as w and "a : b", or a literal
+_RE_SUM_LEAF = re.compile(rf"\((\w+(?:\[\d+\])?) \? ({_LIT} : {_LIT})\)|({_LIT})")
+_RE_SIGNED_WIRE = re.compile(r"wire signed \[(\d+):0\] (\w+);")
 
 
-_RE_SUM_TOKEN = re.compile(
-    r"\s*(?:"
-    r"\(\s*(?P<cond>\w+(?:\[\d+\])?)\s*\?\s*(?P<a>-?\d+'sd\d+)\s*:"
-    r"\s*(?P<b>-?\d+'sd\d+)\s*\)"  # ternary leaf (w ? a : b)
-    r"|(?P<lit>-?\d+'sd\d+)"
-    r"|(?P<op>[()+])"
-    r"|(?P<bad>\S)"
-    r")"
-)
+def _wrap(value: int, width: int) -> int:
+    """``value`` as a ``width``-bit two's complement number."""
+    half = 1 << (width - 1)
+    return ((value + half) & (2 * half - 1)) - half
 
 
-def _lit_value(lit: str) -> int:
-    """Signed value of a literal such as -9'sd3; the width is not applied."""
-    value = int(lit.partition("'sd")[2])
-    return -value if lit[0] == "-" else value
+def _lit_value(lit: str) -> tuple[int, int]:
+    """(value, width) of a literal such as -9'sd3, read as Verilog does: the
+    digits truncated to the width and sign-extended, then any minus."""
+    width, _, digits = lit.lstrip("-").partition("'sd")
+    value = _wrap(int(digits), int(width))
+    return (-value if lit[0] == "-" else value), int(width)
 
 
 def _parse_sum(expr: str):
-    """One pass over the balanced adder tree -> (terms, offset).
+    """Balanced adder tree -> (terms, offset), terms in left-to-right leaf
+    order.
 
-    Grammar: ``e := leaf | lit | "(" e ")" | "(" e " + " e ")"``, where a
-    leaf ``(w ? a : b)`` is the term +w when a = 1 and b = -1, or -w when
-    a = -1 and b = 1. Terms come out in left-to-right leaf order. ``open_``
-    holds one flag per unclosed parenthesis: whether its "+" was read.
+    Grammar: ``e := leaf | "(" e ")" | "(" e " + " e ")"``. A leaf is a
+    literal, or ``(w ? a : b)``: the term +w when a = 1 and b = -1, -w when
+    a = -1 and b = 1. The expression is split on its leaves, and what lies
+    between them must reduce to one leaf ``L`` by rewriting ``(L + L)`` and
+    ``(L)`` to ``L``.
     """
-    terms: list[tuple[str, int]] = []
-    offset = 0
-    open_: list[bool] = []
-    want_operand = True
-    for cond, a, b, lit, op, _bad in _RE_SUM_TOKEN.findall(expr):
-        if want_operand:
-            if cond:
-                sign = _lit_value(a)
-                if sign not in (1, -1) or _lit_value(b) != -sign:
-                    break
-                terms.append((cond, sign))
-            elif lit:
-                offset += _lit_value(lit)
-            elif op == "(":
-                open_.append(False)
-                continue
-            else:
-                break
-            want_operand = False
-        elif op == "+" and open_ and not open_[-1]:
-            open_[-1] = True
-            want_operand = True
-        elif op == ")" and open_:
-            open_.pop()
-        else:
-            break
-    else:
-        if not want_operand and not open_:
-            return terms, offset
-    raise NetlistError(f"cannot parse sum expression: {expr!r}")
+    parts = _RE_SUM_LEAF.split(expr)
+    skeleton = "L".join(parts[::4])
+    # an "L" in the text itself would pass for a leaf
+    ok = skeleton.count("L") == len(parts) // 4
+    while ok and skeleton != "L":
+        reduced = skeleton.replace("(L + L)", "L").replace("(L)", "L")
+        ok, skeleton = reduced != skeleton, reduced
+    if not ok:
+        raise NetlistError(f"cannot parse sum expression: {expr!r}")
+    wires, branches, lits = parts[1::4], parts[2::4], parts[3::4]
+    sign_of = {}  # the sign of each distinct "a : b"
+    for ab in set(filter(None, branches)):
+        a, _, b = ab.partition(" : ")
+        sign = _lit_value(a)[0]
+        if sign not in (1, -1) or _lit_value(b)[0] != -sign:
+            raise NetlistError(f"cannot parse sum expression: {expr!r}")
+        sign_of[ab] = sign
+    terms = list(zip(filter(None, wires), map(sign_of.__getitem__, filter(None, branches))))
+    return terms, sum(_lit_value(lit)[0] for lit in filter(None, lits))
 
 
 def _parse_lut(lhs: str, expr: str):
@@ -231,6 +232,7 @@ def parse_verilog(text: str) -> Netlist:
         raise NetlistError("no input port found")
     n_inputs = int(m.group(1)) + 1
     out_names = re.findall(r"output wire (?:signed \[\d+:0\] )?(\w+)", text)
+    widths = {name: int(msb) + 1 for msb, name in _RE_SIGNED_WIRE.findall(text)}
 
     nl = Netlist(n_inputs=n_inputs)
     by_name: dict[str, int] = {}
@@ -263,19 +265,22 @@ def parse_verilog(text: str) -> Netlist:
             continue
         mt = _RE_TH.match(rhs)
         if mt:
-            tau = int(mt.group(4))
-            if mt.group(2) == "-":
-                tau = -tau
-            node = nl.add("th", src=resolve(mt.group(1)), tau=tau)
+            src = nl.nodes[resolve(mt.group(1))]
+            tau, w = _lit_value(mt.group(2))
+            if src.width:  # the compare runs at the wider of the two widths
+                tau = _wrap(tau, max(w, src.width))
+            node = nl.add("th", src=src.id, tau=tau)
             by_name[lhs] = node.id
             continue
         if "?" in rhs or _RE_LIT.search(rhs):
+            if lhs not in widths:
+                raise NetlistError(f"sum {lhs} has no signed width declaration")
             terms, offset = _parse_sum(rhs)
-            node = nl.add(
-                "sum",
-                terms=[(resolve(n), s) for n, s in terms],
-                offset=offset,
-            )
+            try:
+                terms = [(by_name[n], s) for n, s in terms]
+            except KeyError as e:
+                raise NetlistError(f"use of undefined wire {e.args[0]!r}") from None
+            node = nl.add("sum", terms=terms, offset=offset, width=widths[lhs])
             by_name[lhs] = node.id
             continue
         fanin, bits = _parse_lut(lhs, rhs)

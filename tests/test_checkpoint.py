@@ -111,6 +111,27 @@ def test_truncated_checkpoint_names_the_file(tmp_path):
         checkpoint.load(p)
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda doc: [], "its top level has type list, not dict"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "layers"}, "no field 'layers'"),
+    (lambda doc: {**doc, "layers": 5}, "field 'layers' has type int"),
+    (lambda doc: {**doc, "config": None}, "field 'config' has type NoneType"),
+], ids=["list", "no-layers", "int-layers", "null-config"])
+def test_malformed_checkpoint_names_the_file_and_field(tmp_path, capsys, edit, field):
+    net, cfg, rng, _ = expanded_net()
+    p = str(tmp_path / "m.json")
+    checkpoint.save(p, net, cfg, "expanded", rng)
+    with open(p) as f:
+        doc = edit(json.load(f))
+    with open(p, "w") as f:
+        json.dump(doc, f)
+    message = f"{p} is not a checkpoint: {field}"
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        checkpoint.load(p)
+    assert main(["export", p, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 _F8_SPECIALS = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2e-308,
                          np.finfo(np.float64).max, np.finfo(np.float64).tiny])
 _I8 = np.iinfo(np.int64)

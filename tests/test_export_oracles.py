@@ -1,0 +1,464 @@
+"""The export path against frozen copies of the code it replaced.
+
+``simulate`` (levelized, float32 BLAS), ``simplify`` (one topological pass)
+and ``_parse_sum`` (split on leaves, reduce the skeleton) are checked against
+the node-by-node simulator, the fixpoint loop of simplification passes and
+the token-by-token sum parser they replaced. The oracles below are copies
+of that code and must not be edited to follow the library. The fixpoint
+oracle adds one step the old passes did not have: folding thresholds that
+their sum cannot reach, the rule ``simplify`` now applies. It is written
+here on its own, so the old passes stay verbatim.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lutshrink import netlist
+from lutshrink.lutcore import ContractError, table_view
+from lutshrink.netlist import (
+    Netlist,
+    NetlistError,
+    _cofactor,
+    _flip_axis,
+    _is_inverter,
+    _is_wire,
+    simplify,
+    simulate,
+)
+from lutshrink.verilog import _parse_sum, emit_verilog, parse_verilog
+
+from test_netlist import all_patterns, netlist_state, random_netlist, sum_netlist
+
+# -- frozen oracles -----------------------------------------------------------
+
+
+def oracle_simulate(nl: Netlist, x: np.ndarray) -> dict[str, np.ndarray]:
+    x = np.atleast_2d(np.asarray(x))
+    if x.shape[1] != nl.n_inputs:
+        raise NetlistError(
+            f"expected {nl.n_inputs} inputs, got {x.shape[1]}"
+        )
+    if not np.all(np.abs(x) == 1):
+        raise NetlistError("simulation inputs must be +/-1")
+    b = x.shape[0]
+    vals: dict[int, np.ndarray] = {}
+    for nid in nl.order:
+        node = nl.nodes[nid]
+        if node.kind == "input":
+            vals[nid] = x[:, node.pos].astype(np.int64)
+        elif node.kind == "const":
+            vals[nid] = np.full(b, node.value, dtype=np.int64)
+        elif node.kind == "lut":
+            idx = np.zeros(b, dtype=np.int64)
+            for j, f in enumerate(node.fanin):
+                idx |= (vals[f] > 0).astype(np.int64) << j
+            vals[nid] = node.bits.astype(np.int64)[idx]
+        elif node.kind == "sum":
+            acc = np.full(b, node.offset, dtype=np.int64)
+            for wid, sign in node.terms:
+                acc = acc + sign * vals[wid]
+            vals[nid] = acc
+        elif node.kind == "th":
+            vals[nid] = np.where(vals[node.src] >= node.tau, 1, -1).astype(np.int64)
+        elif node.kind == "out":
+            vals[nid] = vals[node.src]
+    return {nl.nodes[o].name: vals[o] for o in nl.outputs}
+
+
+def oracle_support(bits: np.ndarray, k: int) -> list[int]:
+    view = table_view(bits, k)
+    return [j for j in range(k)
+            if np.any(np.take(view, 0, axis=j) != np.take(view, 1, axis=j))]
+
+
+def oracle_project(bits: np.ndarray, k: int, keep) -> np.ndarray | int:
+    keep = set(keep)
+    if not keep <= set(range(k)):
+        raise ContractError("keep positions out of range")
+    lost = set(oracle_support(bits, k)) - keep
+    if lost:
+        raise ContractError(f"cannot drop inputs in the support: {sorted(lost)}")
+    view = table_view(bits, k)
+    for j in reversed(range(k)):
+        if j not in keep:
+            view = np.take(view, 0, axis=j)
+    if not keep:
+        return int(view)
+    return np.asarray(view.reshape(-1, order="F"), dtype=np.int8)
+
+
+def oracle_resolve(nl: Netlist, wid: int, through_inverters: bool) -> tuple[int, int]:
+    pol = 1
+    seen = 0
+    while True:
+        node = nl.nodes[wid]
+        if _is_wire(node):
+            wid = node.fanin[0]
+        elif through_inverters and _is_inverter(node):
+            pol = -pol
+            wid = node.fanin[0]
+        else:
+            return wid, pol
+        seen += 1
+        if seen > len(nl.nodes):
+            raise NetlistError("cycle detected in wire chain")
+
+
+def oracle_simplify_pass(nl: Netlist) -> bool:
+    changed = False
+    for nid in list(nl.order):
+        node = nl.nodes[nid]
+        if node.kind == "lut":
+            j = 0
+            while j < node.k:
+                src, pol = oracle_resolve(nl, node.fanin[j], through_inverters=True)
+                src_node = nl.nodes[src]
+                if src_node.kind == "const":
+                    res = _cofactor(node.bits, node.k, j, pol * src_node.value)
+                    if isinstance(res, int):
+                        node.kind, node.value, node.bits, node.fanin = (
+                            "const", res, None, [])
+                        changed = True
+                        break
+                    node.bits = res
+                    node.fanin.pop(j)
+                    changed = True
+                    continue
+                if src != node.fanin[j] or pol != 1:
+                    if pol != 1:
+                        node.bits = _flip_axis(node.bits, node.k, j)
+                    node.fanin[j] = src
+                    changed = True
+                j += 1
+            if node.kind != "lut":
+                continue
+            uniq = list(dict.fromkeys(node.fanin))
+            if len(uniq) < node.k:
+                idx = np.arange(2 ** len(uniq))
+                old = sum(((idx >> uniq.index(w)) & 1) << j
+                          for j, w in enumerate(node.fanin))
+                node.bits = node.bits[old]
+                node.fanin = uniq
+                changed = True
+            keep = oracle_support(node.bits, node.k)
+            if len(keep) < node.k:
+                res = oracle_project(node.bits, node.k, keep)
+                if not keep:
+                    node.kind, node.value, node.bits, node.fanin = (
+                        "const", int(res), None, [])
+                else:
+                    node.bits = res
+                    node.fanin = [node.fanin[j] for j in keep]
+                changed = True
+        elif node.kind == "sum":
+            new_terms: list[tuple[int, int]] = []
+            for wid, sign in node.terms:
+                src, pol = oracle_resolve(nl, wid, through_inverters=True)
+                src_node = nl.nodes[src]
+                if src_node.kind == "const":
+                    node.offset += sign * pol * src_node.value
+                    changed = True
+                else:
+                    if src != wid or pol != 1:
+                        changed = True
+                    new_terms.append((src, sign * pol))
+            node.terms = new_terms
+        elif node.kind == "th":
+            s = nl.nodes[node.src]
+            if s.kind == "sum" and not s.terms:
+                node.kind = "const"
+                node.value = 1 if s.offset >= node.tau else -1
+                changed = True
+        elif node.kind == "out":
+            src, pol = oracle_resolve(nl, node.src, through_inverters=False)
+            if src != node.src:
+                node.src = src
+                changed = True
+    return changed
+
+
+def oracle_garbage_collect(nl: Netlist) -> None:
+    live = set()
+    stack = list(nl.outputs)
+    while stack:
+        nid = stack.pop()
+        if nid in live:
+            continue
+        live.add(nid)
+        node = nl.nodes[nid]
+        stack.extend(node.fanin)
+        stack.extend(w for w, _ in node.terms)
+        if node.kind in ("th", "out"):
+            stack.append(node.src)
+    live |= {n.id for n in nl.nodes.values() if n.kind == "input"}
+    nl.order = [i for i in nl.order if i in live]
+    nl.nodes = {i: nl.nodes[i] for i in nl.order}
+
+
+def fold_unreachable(nl: Netlist) -> bool:
+    """The added rule: a threshold its sum of n +/-1 terms cannot reach, or
+    always reaches, is a constant."""
+    changed = False
+    for nid in nl.order:
+        node = nl.nodes[nid]
+        if node.kind == "th" and nl.nodes[node.src].kind == "sum":
+            s = nl.nodes[node.src]
+            lo, hi = s.offset - len(s.terms), s.offset + len(s.terms)
+            if not lo < node.tau <= hi:
+                node.kind, node.value = "const", 1 if node.tau <= lo else -1
+                changed = True
+    return changed
+
+
+def oracle_simplify(nl: Netlist) -> tuple[Netlist, bool]:
+    """The fixpoint, and whether the added rule fired."""
+    nl = nl.copy()
+    folded = False
+    while True:
+        changed = oracle_simplify_pass(nl)
+        if fold_unreachable(nl):
+            folded = changed = True
+        if not changed:
+            break
+    oracle_garbage_collect(nl)
+    return nl, folded
+
+
+_ORACLE_SUM_TOKEN = re.compile(
+    r"\s*(?:"
+    r"\(\s*(?P<cond>\w+(?:\[\d+\])?)\s*\?\s*(?P<a>-?\d+'sd\d+)\s*:"
+    r"\s*(?P<b>-?\d+'sd\d+)\s*\)"
+    r"|(?P<lit>-?\d+'sd\d+)"
+    r"|(?P<op>[()+])"
+    r"|(?P<bad>\S)"
+    r")"
+)
+
+
+def _oracle_lit_value(lit: str) -> int:
+    value = int(lit.partition("'sd")[2])
+    return -value if lit[0] == "-" else value
+
+
+def oracle_parse_sum(expr: str):
+    terms: list[tuple[str, int]] = []
+    offset = 0
+    open_: list[bool] = []
+    want_operand = True
+    for cond, a, b, lit, op, _bad in _ORACLE_SUM_TOKEN.findall(expr):
+        if want_operand:
+            if cond:
+                sign = _oracle_lit_value(a)
+                if sign not in (1, -1) or _oracle_lit_value(b) != -sign:
+                    break
+                terms.append((cond, sign))
+            elif lit:
+                offset += _oracle_lit_value(lit)
+            elif op == "(":
+                open_.append(False)
+                continue
+            else:
+                break
+            want_operand = False
+        elif op == "+" and open_ and not open_[-1]:
+            open_[-1] = True
+            want_operand = True
+        elif op == ")" and open_:
+            open_.pop()
+        else:
+            break
+    else:
+        if not want_operand and not open_:
+            return terms, offset
+    raise NetlistError(f"cannot parse sum expression: {expr!r}")
+
+
+# -- simulate -----------------------------------------------------------------
+
+
+def random_pm1(rng: np.random.Generator, b: int, n: int) -> np.ndarray:
+    return np.where(rng.random((b, n)) < 0.5, 1, -1).astype(np.int64)
+
+
+def assert_same_outputs(got: dict, want: dict, msg: str) -> None:
+    assert list(got) == list(want), msg
+    for name in want:
+        np.testing.assert_array_equal(got[name], want[name], err_msg=f"{msg}, {name}")
+        assert got[name].dtype == np.int64
+
+
+@pytest.mark.parametrize("b", [0, 1, 7, 300])
+def test_simulate_matches_frozen_simulator(b):
+    kinds = set()
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n_inputs = int(rng.integers(2, 7))
+        nl = random_netlist(rng, n_inputs)
+        x = random_pm1(rng, b, n_inputs)
+        for net in (nl, simplify(nl)):
+            assert_same_outputs(simulate(net, x), oracle_simulate(net, x), f"seed {seed}")
+            kinds |= {n.kind for n in net.nodes.values()}
+            kinds |= {"inverted" for n in net.nodes.values() if any(s < 0 for _, s in n.terms)}
+    assert kinds >= {"input", "const", "lut", "sum", "th", "out", "inverted"}
+
+
+@pytest.mark.parametrize("n_terms", [1, 196, 1000])
+def test_simulate_matches_frozen_simulator_on_wide_sums(n_terms):
+    rng = np.random.default_rng(n_terms)
+    for offset in (-5, 0, 3):
+        nl = sum_netlist(n_terms, offset, seed=n_terms)
+        x = random_pm1(rng, 300, 64)
+        assert_same_outputs(simulate(nl, x), oracle_simulate(nl, x), f"offset {offset}")
+
+
+def test_simulate_rejects_a_node_that_reads_a_later_node():
+    nl = Netlist(n_inputs=1)
+    a = nl.add("input", pos=0)
+    s = nl.add("sum", terms=[(a.id, 1)], offset=0)
+    nl.outputs.append(nl.add("out", src=s.id, name="score_0").id)
+    s.terms.append((nl.outputs[0] + 1, 1))
+    nl.add("const", value=1)
+    with pytest.raises(NetlistError, match="node 1 reads node 3") as exc:
+        simulate(nl, np.ones((1, 1)))
+    assert "\n" not in str(exc.value)
+
+
+def test_sum_at_the_exactness_limit_is_refused(monkeypatch):
+    monkeypatch.setattr(netlist, "EXACT_SUM_LIMIT", 4)
+    x = all_patterns(3)
+    ok = sum_netlist(3, 0)  # 3 terms, |offset| 0
+    assert simulate(ok, x[:, :1].repeat(64, axis=1))
+    with pytest.raises(NetlistError, match=r"sum n64: 4 terms plus \|offset\| reach") as exc:
+        simulate(sum_netlist(3, 1), x[:, :1].repeat(64, axis=1))
+    assert "\n" not in str(exc.value)
+
+
+# -- simplify -----------------------------------------------------------------
+
+
+def test_one_pass_simplify_matches_frozen_fixpoint():
+    folded = 0
+    for seed in range(600):
+        rng = np.random.default_rng(seed)
+        nl = random_netlist(rng, int(rng.integers(2, 7)))
+        want, fired = oracle_simplify(nl)
+        assert netlist_state(simplify(nl)) == netlist_state(want), f"seed {seed}"
+        folded += fired
+    assert 0 < folded < 600  # both with and without unreachable thresholds
+
+
+def test_simplify_folds_unreachable_thresholds():
+    for tau, kind, value in [(-2, "const", 1), (-1, "th", 0), (2, "th", 0),
+                             (3, "const", -1)]:
+        nl = Netlist(n_inputs=2)
+        a, b = nl.add("input", pos=0), nl.add("input", pos=1)
+        s = nl.add("sum", terms=[(a.id, 1), (b.id, -1)], offset=0, layer="L")
+        th = nl.add("th", src=s.id, tau=tau, layer="L")
+        nl.outputs.append(nl.add("out", src=th.id, name="y").id)
+        post = simplify(nl)
+        assert (post.nodes[th.id].kind, post.nodes[th.id].value) == (kind, value)
+        assert (s.id in post.nodes) == (kind == "th")  # a dead sum is dropped
+        x = all_patterns(2)
+        np.testing.assert_array_equal(simulate(post, x)["y"], simulate(nl, x)["y"])
+
+
+def test_simplify_rejects_a_node_that_reads_a_later_node():
+    nl = Netlist(n_inputs=1)
+    a = nl.add("input", pos=0)
+    w = nl.add("lut", bits=np.array([-1, 1], dtype=np.int8), fanin=[a.id])
+    nl.add("lut", bits=np.array([-1, 1], dtype=np.int8), fanin=[w.id])
+    w.fanin[0] = 2  # a wire cycle 1 -> 2 -> 1
+    nl.outputs.append(nl.add("out", src=w.id, name="y").id)
+    with pytest.raises(NetlistError, match="node 1 reads node 2, which is not earlier") as exc:
+        simplify(nl)
+    assert "\n" not in str(exc.value)
+
+
+# -- parser and literals ------------------------------------------------------
+
+
+def emitted_sums(text: str) -> list[str]:
+    return [rhs for rhs in re.findall(r"assign \S+ = (.+);", text) if "?" in rhs
+            or re.fullmatch(r"-?\d+'sd\d+", rhs)]
+
+
+def test_parse_sum_matches_frozen_parser_on_emitted_sums():
+    texts = [emit_verilog(simplify(random_netlist(np.random.default_rng(seed))))
+             for seed in range(100)]
+    texts += [emit_verilog(sum_netlist(n, offset, seed=n))
+              for n in (1, 2, 3, 196, 1000) for offset in (-5, 0, 3)]
+    exprs = [e for text in texts for e in emitted_sums(text)]
+    assert len(exprs) > 250 and any(e.count("?") == 1000 for e in exprs)
+    for expr in exprs:
+        assert _parse_sum(expr) == oracle_parse_sum(expr), expr
+
+
+SUM_MODULE = """module top (
+    input wire [1:0] in,
+    output wire signed [{msb}:0] score_0,
+    output wire signed [{msb}:0] score_1
+);
+  wire signed [{msb}:0] n2;
+  assign n2 = {expr};
+  wire n3;
+  assign n3 = (n2 >= {tau});
+  wire signed [{msb}:0] n4;
+  assign n4 = ((n3 ? {w}'sd1 : -{w}'sd1) + {w}'sd0);
+  assign score_0 = n2;
+  assign score_1 = n4;
+endmodule
+"""
+
+
+@pytest.mark.parametrize("width, expr, tau, score, bit", [
+    # 3'sd5 is 3'b101: -3 once truncated and sign-extended, so -3'sd5 is 3
+    (3, "((in[0] ? 3'sd1 : -3'sd1) + (in[1] ? -3'sd1 : 3'sd1))", "-3'sd5",
+     [0, 2, -2, 0], [-1, -1, -1, -1]),
+    (3, "((in[0] ? 3'sd1 : -3'sd1) + 3'sd5)", "3'sd5", [-4, -2, -4, -2], [-1, 1, -1, 1]),
+    # 2'sd3 is -1 and -2'sd3 is 1, so the first leaf is the term -in[0]
+    (3, "((in[0] ? 2'sd3 : -2'sd3) + (in[1] ? 3'sd1 : -3'sd1))", "3'sd1",
+     [0, -2, 2, 0], [-1, -1, 1, -1]),
+    # 2 in a 2-bit sum wraps to -2
+    (2, "((in[0] ? 2'sd1 : -2'sd1) + (in[1] ? 2'sd1 : -2'sd1))", "2'sd0",
+     [-2, 0, 0, -2], [-1, 1, 1, -1]),
+    # 4'sd8 is -8 and the minus gives 8: 8 - 1 = 7, and 8 + 1 wraps to -7;
+    # in the 4-bit compare, 8 wraps back to -8
+    (4, "((in[0] ? 4'sd1 : -4'sd1) + -4'sd8)", "-4'sd8", [7, -7, 7, -7], [1, 1, 1, 1]),
+])
+def test_parser_reads_literals_and_widths_as_verilog_does(width, expr, tau, score, bit):
+    text = SUM_MODULE.format(msb=width - 1, w=width, expr=expr, tau=tau)
+    out = simulate(parse_verilog(text), all_patterns(2))
+    np.testing.assert_array_equal(out["score_0"], score)
+    np.testing.assert_array_equal(out["score_1"], bit)
+
+
+def test_parse_rejects_a_sum_without_a_declared_width():
+    text = SUM_MODULE.format(msb=2, w=3, expr="(in[0] ? 3'sd1 : -3'sd1)", tau="3'sd0")
+    with pytest.raises(NetlistError, match="sum n2 has no signed width declaration"):
+        parse_verilog(text.replace("  wire signed [2:0] n2;\n", ""))
+
+
+def test_emit_rejects_a_literal_wider_than_its_sum():
+    nl = Netlist(n_inputs=2)
+    a, b = nl.add("input", pos=0), nl.add("input", pos=1)
+    s = nl.add("sum", terms=[(a.id, 1), (b.id, -1)], offset=0)
+    th = nl.add("th", src=s.id, tau=-5)  # unreachable: simplify would fold it
+    nl.outputs.append(nl.add("out", src=th.id, name="y").id)
+    with pytest.raises(NetlistError, match="n3: literal -5 does not fit signed width 3") as exc:
+        emit_verilog(nl)
+    assert "\n" not in str(exc.value)
+    assert "'sd5" not in emit_verilog(simplify(nl))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_inputs=st.integers(2, 6))
+def test_round_trip_through_width_faithful_parse(seed, n_inputs):
+    nl = random_netlist(np.random.default_rng(seed), n_inputs)
+    x = all_patterns(n_inputs)
+    back = parse_verilog(emit_verilog(simplify(nl)))
+    assert all(n.width > 0 for n in back.nodes.values() if n.kind == "sum")
+    assert_same_outputs(simulate(back, x), oracle_simulate(nl, x), f"seed {seed}")

@@ -9,18 +9,31 @@ no longer records the removed ``binarize_inputs`` knob. They were taken again
 for checkpoint format 2 (arrays as base64 of raw little-endian bytes, no
 shrink-plan saliences or masks): a new format on purpose, while every layer
 array loads bit for bit as the format-1 checkpoint did.
+
+The xor-smoke Verilog hash changed once more when ``simplify`` began to
+fold thresholds a sum cannot reach. Its old text compared a 3-bit sum with
+``-3'sd5``, which a Verilog tool reads as 3 (``3'sd5`` is ``3'b101``, that
+is -3), not as -5; that threshold is now the constant it always was in the
+model, and its sum is gone. ``XOR_SMOKE_OLD`` keeps the old text, which the
+width-faithful certificate now fails.
 """
 
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
+from lutshrink import verilog
+from lutshrink.checkpoint import load as load_checkpoint
 from lutshrink.cli import main
+from lutshrink.config import load_datasets
+from lutshrink.netlist import classify
+from lutshrink.verilog import parse_verilog
 
 GOLDEN = {
     "xor-smoke": (
-        "de7df30b598013f4064ca59e37dae199cb709fed383c267f4ea3e1f2a1d313eb",
+        "e2d9b39f62993d1548af6e3c91da07405f7b8c65b9e3de85f6307211aadf9872",
         "7082743a3da12eb794a6353e5fecf784328bf2a102a8493afc6930b7ece140b4",
     ),
     "parity8": (
@@ -30,19 +43,80 @@ GOLDEN = {
 }
 
 
+# the xor-smoke Verilog before unreachable thresholds were folded
+XOR_SMOKE_OLD = """\
+module top (
+    input wire [1:0] in,
+    output wire signed [3:0] score_0,
+    output wire signed [3:0] score_1
+);
+  wire signed [2:0] n4;
+  assign n4 = ((in[0] ? 3'sd1 : -3'sd1) + (in[1] ? -3'sd1 : 3'sd1));
+  wire n5;
+  assign n5 = (n4 >= -3'sd5);
+  wire signed [2:0] n6;
+  assign n6 = ((in[0] ? 3'sd1 : -3'sd1) + (in[1] ? 3'sd1 : -3'sd1));
+  wire n7;
+  assign n7 = (n6 >= 3'sd1);
+  wire signed [2:0] n10;
+  assign n10 = ((in[0] ? 3'sd1 : -3'sd1) + (in[1] ? 3'sd1 : -3'sd1));
+  wire n11;
+  assign n11 = (n10 >= 3'sd0);
+  wire signed [2:0] n12;
+  assign n12 = ((in[0] ? -3'sd1 : 3'sd1) + (in[1] ? -3'sd1 : 3'sd1));
+  wire n13;
+  assign n13 = (n12 >= 3'sd1);
+  wire signed [2:0] n14;
+  assign n14 = ((in[0] ? -3'sd1 : 3'sd1) + (in[1] ? -3'sd1 : 3'sd1));
+  wire n15;
+  assign n15 = (n14 >= -3'sd1);
+  wire signed [2:0] n16;
+  assign n16 = ((in[0] ? 3'sd1 : -3'sd1) + (in[1] ? -3'sd1 : 3'sd1));
+  wire n17;
+  assign n17 = (n16 >= 3'sd1);
+  wire signed [3:0] n30;
+  assign n30 = ((((n5 ? 4'sd1 : -4'sd1) + (n7 ? 4'sd1 : -4'sd1)) + (n11 ? -4'sd1 : 4'sd1)) + (((n13 ? 4'sd1 : -4'sd1) + (n15 ? -4'sd1 : 4'sd1)) + (n17 ? -4'sd1 : 4'sd1)));
+  wire signed [3:0] n32;
+  assign n32 = ((((n5 ? -4'sd1 : 4'sd1) + (n7 ? -4'sd1 : 4'sd1)) + (n11 ? 4'sd1 : -4'sd1)) + (((n13 ? -4'sd1 : 4'sd1) + (n15 ? 4'sd1 : -4'sd1)) + (n17 ? 4'sd1 : -4'sd1)));
+  assign score_0 = n30;
+  assign score_1 = n32;
+endmodule
+"""
+
+
 def _sha256(path):
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
 
 
-@pytest.mark.parametrize("preset", sorted(GOLDEN))
-def test_preset_pipeline_is_byte_identical(preset, tmp_path):
-    out = str(tmp_path)
+def _final_checkpoint(preset: str, out: str) -> str:
     ckpt = os.path.join(out, "checkpoint.json")
     assert main(["train", "--preset", preset, "--out", out]) == 0
     for command in ("expand", "shrink", "finalize"):
         assert main([command, ckpt]) == 0
+    return ckpt
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN))
+def test_preset_pipeline_is_byte_identical(preset, tmp_path):
+    out = str(tmp_path)
+    ckpt = _final_checkpoint(preset, out)
     assert main(["export", ckpt, "--out", out, "--cert-samples", "256"]) == 0
-    verilog, checkpoint = GOLDEN[preset]
-    assert _sha256(os.path.join(out, "netlist.v")) == verilog
+    text, checkpoint = GOLDEN[preset]
+    assert _sha256(os.path.join(out, "netlist.v")) == text
     assert _sha256(ckpt) == checkpoint
+
+
+def test_old_xor_smoke_text_fails_the_certificate(tmp_path, monkeypatch):
+    out = str(tmp_path)
+    ckpt = _final_checkpoint("xor-smoke", out)
+    monkeypatch.setattr(verilog, "emit_verilog", lambda nl, top: XOR_SMOKE_OLD)
+    assert main(["export", ckpt, "--out", out, "--cert-samples", "256"]) == 1
+    with open(os.path.join(out, "certificate.txt")) as f:
+        assert f.read() == "samples\t4\nmismatches\t4\nstatus\tFAIL\n"
+    # every score is off by two, yet no class changes: a certificate on
+    # classes alone would pass
+    net, cfg, *_ = load_checkpoint(ckpt)
+    x = load_datasets(cfg)[1].features
+    old = classify(parse_verilog(XOR_SMOKE_OLD), np.where(x >= 0, 1, -1))
+    np.testing.assert_array_equal(old, net.predict_bin(x))

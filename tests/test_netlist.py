@@ -318,6 +318,7 @@ def test_parse_reads_hand_written_sum():
     "(in[0] ? 4'sd1 : 4'sd1)",  # branches are not +/-1 of opposite sign
     "(in[0] ? 4'sd2 : -4'sd2)",
     "(in[0] ? 4'sd1 : -4'sd1) $",  # stray character
+    "(L + (in[0] ? 4'sd1 : -4'sd1))",  # a letter where an operand belongs
 ])
 def test_parse_rejects_malformed_sum(expr):
     with pytest.raises(NetlistError, match="cannot parse sum expression"):
