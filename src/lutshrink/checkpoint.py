@@ -48,6 +48,17 @@ def _dec(d: dict) -> np.ndarray:
     return a.reshape(d["shape"]).copy()
 
 
+def _array(doc: dict, key: str, dtype: str) -> np.ndarray:
+    """The array stored as doc[key], which must have ``dtype``."""
+    d = doc[key]
+    try:
+        if d["dtype"] != dtype:
+            raise ValueError(f"it has dtype {d['dtype']!r}")
+        return _dec(d)
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"field {key!r} is not a {dtype} array: {e}") from None
+
+
 def _enc_bn(bn: BatchNorm | None):
     if bn is None:
         return None
@@ -59,7 +70,7 @@ def _dec_bn(d, n: int) -> BatchNorm | None:
         return None
     bn = BatchNorm(n)
     for f in _BN_FIELDS:
-        setattr(bn, f, _dec(d[f]))
+        setattr(bn, f, _array(d, f, "<f8"))
     return bn
 
 
@@ -89,12 +100,12 @@ def _dec_layer(d: dict):
         lay = DenseLayer(d["n_in"], d["n_out"], np.random.default_rng(0), d["name"],
                          is_output=d["is_output"], shrinkable=d["shrinkable"])
         lay.alpha, lay.bn = d["alpha"], bn
-        lay.shadow, lay.alive = _dec(d["shadow"]), _dec(d["alive"])
+        lay.shadow, lay.alive = _array(d, "shadow", "<f8"), _array(d, "alive", "|b1")
         return lay
-    lay = LutLayer(d["n_in"], d["n_out"], d["k"], _dec(d["inputs"]),
-                   _dec(d["channel"]), _dec(d["masks"]), d["name"],
+    lay = LutLayer(d["n_in"], d["n_out"], d["k"], _array(d, "inputs", "<i8"),
+                   _array(d, "channel", "<i8"), _array(d, "masks", "<f8"), d["name"],
                    is_output=d["is_output"], bn=bn, alpha=d["alpha"])
-    lay.set_pruned(_dec(d["pruned"]))
+    lay.set_pruned(_array(d, "pruned", "|b1"))
     return lay
 
 
@@ -140,7 +151,18 @@ def load(path: str):
             raise CheckpointError(f"{path} is not a checkpoint: field {key!r} "
                                   f"has type {type(doc[key]).__name__}")
     cfg = TrainConfig(**doc["config"])
-    net = Network([_dec_layer(d) for d in doc["layers"]], doc["num_classes"])
+    layers = []
+    for i, d in enumerate(doc["layers"]):
+        where = f"{path} is not a checkpoint: layer {i}"
+        if not isinstance(d, dict):
+            raise CheckpointError(f"{where} has type {type(d).__name__}, not dict")
+        try:
+            layers.append(_dec_layer(d))
+        except KeyError as e:
+            raise CheckpointError(f"{where} has no field {e.args[0]!r}") from None
+        except CheckpointError as e:
+            raise CheckpointError(f"{where}: {e}") from None
+    net = Network(layers, doc["num_classes"])
     rng = np.random.default_rng(0)
     rng.bit_generator.state = doc["rng_state"]
     plan = doc["shrink_plan"]

@@ -202,10 +202,17 @@ def cmd_report(args) -> None:
     if args.path.endswith(".log") or _looks_like_log(args.path):
         rows = []
         with open(args.path) as f:
-            for line in f:
-                parts = line.split()
-                if len(parts) == 4:
-                    rows.append(parts)
+            for n, line in enumerate(f, 1):
+                parts = line.rstrip("\n").split("\t")
+                try:
+                    _, epoch, train_err, test_err = parts
+                    int(epoch), float(train_err), float(test_err)
+                except ValueError:
+                    raise ValueError(
+                        f"{args.path} line {n} is not a metrics line (phase, "
+                        f"epoch, train_err, test_err, tab-separated): {line.strip()!r}"
+                    ) from None
+                rows.append(parts)
         if args.tsv:
             print("phase\tepoch\ttrain_err\ttest_err")
             for r in rows:

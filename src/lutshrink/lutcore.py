@@ -33,11 +33,15 @@ ascending for a table entry, (node, input) ascending for an input. (One
 exception: numpy sums a single-LUT layer's batch pairwise when
 interpolating; the corner path keeps sample order.) The single-LUT
 functions below are one-sample, one-node calls of the same kernel.
+
+A binarized table has one set of helpers: ``support``, ``project`` (drop
+inputs outside the support) and ``rewire`` (any re-indexing, one gather).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,8 +118,8 @@ def pair_indices(k: int, i: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # per k, the pair_indices(k, j) of every input j side by side: (2, k * 2^(k-1))
-_FLIP_PAIRS = [None] + [np.hstack([pair_indices(k, j) for j in range(k)])
-                        for k in range(1, MAX_K + 1)]
+FLIP_PAIRS = [None] + [np.hstack([pair_indices(k, j) for j in range(k)])
+                       for k in range(1, MAX_K + 1)]
 
 
 def _halve(table: np.ndarray, lo, hi) -> np.ndarray:
@@ -275,19 +279,39 @@ def binarize_mask(mask: LutMask) -> TruthTable:
     return TruthTable(mask.k, bits)
 
 
-def table_view(bits: np.ndarray, k: int) -> np.ndarray:
-    """Reshape a 2^k table to shape (2,)*k with axis j = input j."""
-    return np.asarray(bits).reshape((2,) * k, order="F")
-
-
 def support(bits: np.ndarray, k: int) -> list[int]:
     """Boolean support of a 2^k table: the inputs whose flip changes the
     output somewhere, ascending. One fancy-index compare over the corner
     pairs of every input."""
-    lo, hi = _FLIP_PAIRS[k]
+    lo, hi = FLIP_PAIRS[k]
     bits = np.asarray(bits)
     flips = (bits[lo] != bits[hi]).reshape(k, -1).tolist()
     return [j for j, row in enumerate(flips) if any(row)]
+
+
+# index arrays kept, one per (pos, flip); a full cache of 6-input ones is 512 KB
+REWIRE_CACHE = 1024
+
+
+@lru_cache(maxsize=REWIRE_CACHE)
+def _rewire_index(pos: tuple, flip: tuple) -> np.ndarray:
+    new = np.arange(2 ** (max(pos, default=-1) + 1))
+    old = np.zeros_like(new)
+    for j, (p, f) in enumerate(zip(pos, flip)):
+        old |= (((new >> p) & 1 if p >= 0 else 0) ^ f) << j
+    old.flags.writeable = False  # shared by every caller with this key
+    return old
+
+
+def rewire(bits: np.ndarray, k: int, pos, flip) -> np.ndarray:
+    """The int8 table of a k-input LUT whose input j now reads new input
+    ``pos[j]`` (a constant 0 bit when ``pos[j] < 0``) XOR ``flip[j]``: a
+    cofactor, an inverted input or two inputs merged into one, or all of
+    them at once, in one gather of the old table. New inputs are numbered
+    0 .. max(pos); with none, the table is its one constant entry."""
+    if np.shape(bits) != (2**k,) or not len(pos) == len(flip) == k:
+        raise ContractError(f"a {k}-input table needs {2**k} entries, {k} positions and flips")
+    return np.asarray(bits, dtype=np.int8)[_rewire_index(tuple(pos), tuple(flip))]
 
 
 def project(bits: np.ndarray, k: int, keep) -> np.ndarray | int:
@@ -303,11 +327,9 @@ def project(bits: np.ndarray, k: int, keep) -> np.ndarray | int:
     lost = [j for j in support(bits, k) if j not in keep]
     if lost:
         raise ContractError(f"cannot drop inputs in the support: {lost}")
-    # dropped inputs read 0: one basic index of the (2,)*k view
-    view = table_view(bits, k)[tuple(slice(None) if j in keep else 0 for j in range(k))]
-    if not keep:
-        return int(view)
-    return np.asarray(view.reshape(-1, order="F"), dtype=np.int8)
+    slot = {j: m for m, j in enumerate(sorted(keep))}  # dropped inputs read 0
+    table = rewire(bits, k, [slot.get(j, -1) for j in range(k)], [0] * k)
+    return table if keep else int(table[0])
 
 
 def effective_inputs(tt: TruthTable) -> set[int]:

@@ -9,14 +9,14 @@ Wire values are +/-1 (a Verilog bit 1 means +1). Node kinds:
 * ``th``     — comparator: +1 iff its sum >= tau.
 * ``out``    — named output; either a bit wire or an integer score bus.
 
-Simplification mirrors what downstream synthesis would do locally: drop
-truth-table inputs outside the Boolean support, propagate constants (into
-consumer tables and into sum offsets), collapse wire LUTs, absorb inverter
-LUTs into consuming tables or term signs, and make a threshold constant when
-its sum (n +/-1 terms plus offset o, so within [o - n, o + n]) always or
-never reaches it. It is exact: the simplified netlist computes the same
-function, bit for bit. Node ids are topological, and a node only rewrites
-itself from sources already final, so one pass in id order is the fixpoint.
+Simplification mirrors what downstream synthesis would do locally. It
+folds constant, inverted and repeated fan-ins into each reading table (one
+``lutcore.rewire``) and constants and inverters into sum offsets and term
+signs, drops table inputs outside the Boolean support, collapses wire LUTs,
+and makes a threshold constant when its sum (n +/-1 terms plus offset o,
+within [o - n, o + n]) never or always reaches it. It is exact, bit for
+bit. Node ids are topological, and a node only rewrites itself from sources
+already final, so one pass in id order is the fixpoint.
 
 Simulation runs the netlist a level at a time, each wire a float32 row: a
 table gather per LUT level, one exact BLAS product per sum level (wrapped to
@@ -32,7 +32,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .lutcore import project, support, table_view
+from .lutcore import project, rewire, support
 from .model import EXACT_SUM_LIMIT, Network
 
 
@@ -124,28 +124,15 @@ def extract_netlist(net: Network) -> Netlist:
     nl = Netlist(n_inputs=net.layers[0].n_in)
     wires = [nl.add("input", pos=i).id for i in range(nl.n_inputs)]
     for lay in net.layers:
+        # the +/-1 terms each output channel sums
         if lay.kind == "dense":
             wb = np.where(lay.shadow >= 0, 1, -1) * lay.alive
-            taus = None if lay.is_output else lay.bn.fold_thresholds()
-            new_wires = []
-            for c in range(lay.n_out):
-                alive = np.flatnonzero(lay.alive[c])
-                terms = list(zip(map(wires.__getitem__, alive.tolist()),
-                                 wb[c, alive].tolist()))
-                s = nl.add("sum", terms=terms, offset=0, layer=lay.name)
-                if lay.is_output:
-                    nl.outputs.append(
-                        nl.add("out", src=s.id, name=f"score_{c}", layer=lay.name).id
-                    )
-                else:
-                    th = nl.add("th", src=s.id, tau=int(taus[c]), layer=lay.name)
-                    new_wires.append(th.id)
-            wires = new_wires
+            chan_terms = [list(zip(map(wires.__getitem__, a.tolist()), wb[c, a].tolist()))
+                          for c, a in enumerate(map(np.flatnonzero, lay.alive))]
         else:
             # sign of the effective masks: exactly the tables infer_bin uses
             tts = lay.truth_tables()
-            taus = None if lay.is_output else lay.bn.fold_thresholds()
-            chan_terms: list[list[tuple[int, int]]] = [[] for _ in range(lay.n_out)]
+            chan_terms = [[] for _ in range(lay.n_out)]
             for n, (pruned, inputs) in enumerate(zip(lay.pruned.tolist(),
                                                      lay.inputs.tolist())):
                 keep = [j for j in range(lay.k) if not pruned[j]]
@@ -156,43 +143,20 @@ def extract_netlist(net: Network) -> Netlist:
                     fan = [wires[inputs[j]] for j in keep]
                     node = nl.add("lut", bits=bits, fanin=fan, layer=lay.name)
                 chan_terms[lay.channel[n]].append((node.id, 1))
-            new_wires = []
-            for c in range(lay.n_out):
-                s = nl.add("sum", terms=chan_terms[c], offset=0, layer=lay.name)
-                if lay.is_output:
-                    nl.outputs.append(
-                        nl.add("out", src=s.id, name=f"score_{c}", layer=lay.name).id
-                    )
-                else:
-                    th = nl.add("th", src=s.id, tau=int(taus[c]), layer=lay.name)
-                    new_wires.append(th.id)
-            wires = new_wires
+        taus = None if lay.is_output else lay.bn.fold_thresholds()
+        wires = []
+        for c, terms in enumerate(chan_terms):
+            s = nl.add("sum", terms=terms, offset=0, layer=lay.name)
+            if lay.is_output:
+                nl.outputs.append(
+                    nl.add("out", src=s.id, name=f"score_{c}", layer=lay.name).id
+                )
+            else:
+                wires.append(nl.add("th", src=s.id, tau=int(taus[c]), layer=lay.name).id)
     return nl
 
 
 # -- simplification ---------------------------------------------------------
-
-
-def _is_wire(node: Node) -> bool:
-    return node.kind == "lut" and node.k == 1 and node.bits[0] == -1 and node.bits[1] == 1
-
-
-def _is_inverter(node: Node) -> bool:
-    return node.kind == "lut" and node.k == 1 and node.bits[0] == 1 and node.bits[1] == -1
-
-
-def _flip_axis(bits: np.ndarray, k: int, j: int) -> np.ndarray:
-    view = table_view(bits.copy(), k)
-    view[:] = np.flip(view, axis=j)
-    return view.reshape(-1, order="F")
-
-
-def _cofactor(bits: np.ndarray, k: int, j: int, value: int) -> np.ndarray | int:
-    view = table_view(bits, k)
-    view = np.take(view, 1 if value > 0 else 0, axis=j)
-    if k == 1:
-        return int(view)
-    return np.asarray(view.reshape(-1, order="F"), dtype=np.int8)
 
 
 def _sources(node: Node):
@@ -206,46 +170,32 @@ def _sources(node: Node):
 
 def _image(node: Node) -> tuple[int, int, int]:
     """(source, polarity, constant value or 0) that readers of a simplified
-    node see: a wire or inverter LUT is read through to its fan-in, which
-    was already resolved when the LUT itself was simplified."""
-    if _is_wire(node) or _is_inverter(node):
+    node see: a simplified one-input LUT is a wire or an inverter, read
+    through to its fan-in, which was resolved when the LUT was simplified."""
+    if node.kind == "lut" and node.k == 1:
         return node.fanin[0], int(node.bits[1]), 0
     return node.id, 1, node.value if node.kind == "const" else 0
 
 
 def _simplify_lut(image: dict, node: Node) -> None:
-    # fold constant and inverted/aliased fan-ins into the table
-    j = 0
-    while j < node.k:
-        src, pol, value = image[node.fanin[j]]
-        if value:
-            res = _cofactor(node.bits, node.k, j, pol * value)
-            if isinstance(res, int):
-                node.kind, node.value, node.bits, node.fanin = "const", res, None, []
-                return
-            node.bits = res
-            node.fanin.pop(j)
-            continue
-        if pol != 1:
-            node.bits = _flip_axis(node.bits, node.k, j)
-        node.fanin[j] = src
-        j += 1
-    # merge fan-ins that now name the same wire (the table's diagonal)
-    uniq = list(dict.fromkeys(node.fanin))
-    if len(uniq) < node.k:
-        idx = np.arange(2 ** len(uniq))
-        old = sum(((idx >> uniq.index(w)) & 1) << j for j, w in enumerate(node.fanin))
-        node.bits = node.bits[old]
-        node.fanin = uniq
+    # read each fan-in through its image: constant, inverted and repeated
+    # wires all fold into the table in one rewire
+    slots: dict[int, int] = {}  # new fan-in wire -> its input position
+    pos, flip = [], []
+    for wid in node.fanin:
+        src, pol, value = image[wid]
+        pos.append(slots.setdefault(src, len(slots)) if not value else -1)
+        flip.append(pol * value > 0 if value else pol < 0)  # a constant +1 is bit 1
+    bits = rewire(node.bits, node.k, pos, flip)
+    fanin = list(slots)
     # drop inputs outside the Boolean support
-    keep = support(node.bits, node.k)
-    if len(keep) < node.k:
-        res = project(node.bits, node.k, keep)
-        if not keep:
-            node.kind, node.value, node.bits, node.fanin = "const", int(res), None, []
-        else:
-            node.bits = res
-            node.fanin = [node.fanin[j] for j in keep]
+    keep = support(bits, len(fanin)) if fanin else []
+    if not keep:
+        node.kind, node.value, node.bits, node.fanin = "const", int(bits[0]), None, []
+    elif len(keep) < len(fanin):
+        node.bits, node.fanin = project(bits, len(fanin), keep), [fanin[j] for j in keep]
+    else:
+        node.bits, node.fanin = bits, fanin
 
 
 def _simplify_node(nl: Netlist, image: dict, node: Node) -> None:

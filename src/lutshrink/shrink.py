@@ -18,19 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lutcore import MAX_K, ContractError, LutMask, pair_indices
+from .lutcore import FLIP_PAIRS, MAX_K, ContractError, LutMask
 
 
 def salience_rows(params: np.ndarray, k: int) -> np.ndarray:
-    """Per-input salience for a stack of masks; params shape (n, 2^k)."""
+    """Per-input salience for a stack of masks; params shape (n, 2^k). One
+    gather of the corner pairs of every input, summed per input."""
     params = np.atleast_2d(np.asarray(params, dtype=np.float64))
     if params.shape[1] != 2**k:
         raise ContractError(f"expected {2**k} columns for k={k}")
-    s = np.empty((params.shape[0], k))
-    for i in range(k):
-        lo, hi = pair_indices(k, i)
-        s[:, i] = np.abs(params[:, hi] - params[:, lo]).sum(axis=1)
-    return s
+    lo, hi = FLIP_PAIRS[k]
+    diff = np.abs(params[:, hi] - params[:, lo])
+    return diff.reshape(len(params), k, 2 ** (k - 1)).sum(axis=2)
 
 
 def salience(mask: LutMask) -> np.ndarray:

@@ -68,15 +68,16 @@ def _lit(value: int, width: int, name: str) -> str:
     return f"{'-' if value < 0 else ''}{width}'sd{abs(value)}"
 
 
-def _sum_expr(node: Node, names: dict[int, str], width: int) -> str:
+def _decl(node: Node) -> str:
+    """Declaration of the wire node drives: signed at its width for a sum."""
+    return f"wire signed [{_sum_width(node) - 1}:0]" if node.kind == "sum" else "wire"
+
+
+def _sum_expr(node: Node, names: dict[int, str]) -> str:
+    width = _sum_width(node)
     one = _lit(1, width, _wire(node.id))
-    leaves = []
-    for wid, sign in node.terms:
-        w = names[wid]
-        if sign > 0:
-            leaves.append(f"({w} ? {one} : -{one})")
-        else:
-            leaves.append(f"({w} ? -{one} : {one})")
+    branches = {1: f"{one} : -{one}", -1: f"-{one} : {one}"}  # by term sign
+    leaves = [f"({names[wid]} ? {branches[sign]})" for wid, sign in node.terms]
     if node.offset or not leaves:
         leaves.append(_lit(node.offset, width, _wire(node.id)))
     return _tree(leaves)
@@ -84,52 +85,38 @@ def _sum_expr(node: Node, names: dict[int, str], width: int) -> str:
 
 def emit_verilog(nl: Netlist, top_name: str = "top") -> str:
     """Single self-contained structural module for a (simplified) netlist."""
-    names: dict[int, str] = {}
-    sum_width: dict[int, int] = {}
     ports = [f"    input wire [{nl.n_inputs - 1}:0] in"]
     for oid in nl.outputs:
         out = nl.nodes[oid]
-        src = nl.nodes[out.src]
-        if src.kind == "sum":
-            w = _sum_width(src)
-            ports.append(f"    output wire signed [{w - 1}:0] {out.name}")
-        else:
-            ports.append(f"    output wire {out.name}")
+        ports.append(f"    output {_decl(nl.nodes[out.src])} {out.name}")
     lines = [f"module {top_name} (", ",\n".join(ports), ");"]
 
-    order = sorted(nl.order)  # ids are assigned in topological order
-    for nid in order:
+    names: dict[int, str] = {}
+    for nid in sorted(nl.order):  # ids are assigned in topological order
         node = nl.nodes[nid]
-        if node.kind == "input":
-            names[nid] = f"in[{node.pos}]"
-    for nid in order:
-        node = nl.nodes[nid]
+        name = names[nid] = f"in[{node.pos}]" if node.kind == "input" else _wire(nid)
         if node.kind in ("input", "out"):
             continue
-        name = _wire(nid)
-        names[nid] = name
         if node.kind == "const":
-            lines.append(f"  wire {name};")
-            lines.append(f"  assign {name} = 1'b{1 if node.value > 0 else 0};")
+            expr = f"1'b{1 if node.value > 0 else 0}"
         elif node.kind == "lut":
             if len(set(node.fanin)) != node.k:
                 raise NetlistError(
                     f"LUT {name} reads one wire twice in fan-in {node.fanin}; "
                     "the parser would re-read it with a smaller k"
                 )
-            lines.append(f"  wire {name};")
-            lines.append(f"  assign {name} = {_lut_expr(node, names)};")
+            expr = _lut_expr(node, names)
         elif node.kind == "sum":
-            w = _sum_width(node)
-            sum_width[nid] = w
-            lines.append(f"  wire signed [{w - 1}:0] {name};")
-            lines.append(f"  assign {name} = {_sum_expr(node, names, w)};")
+            expr = _sum_expr(node, names)
         elif node.kind == "th":
-            lit = _lit(node.tau, sum_width[node.src], name)
-            lines.append(f"  wire {name};")
-            lines.append(f"  assign {name} = ({names[node.src]} >= {lit});")
+            src = nl.nodes[node.src]
+            if src.kind != "sum":
+                raise NetlistError(f"threshold {name} compares node {src.id} of "
+                                   f"kind {src.kind!r}; only a sum can be compared")
+            expr = f"({names[src.id]} >= {_lit(node.tau, _sum_width(src), name)})"
         else:
             raise NetlistError(f"cannot emit node kind {node.kind!r}")
+        lines += [f"  {_decl(node)} {name};", f"  assign {name} = {expr};"]
     for oid in nl.outputs:
         out = nl.nodes[oid]
         lines.append(f"  assign {out.name} = {names[out.src]};")
@@ -225,65 +212,47 @@ def _parse_lut(lhs: str, expr: str):
     return fanin, bits
 
 
+class _Wires(dict):
+    """Wire name -> node id; reading a name not yet assigned is an error."""
+
+    def __missing__(self, name: str):
+        raise NetlistError(f"use of undefined wire {name!r}")
+
+
 def parse_verilog(text: str) -> Netlist:
     """Rebuild a simulatable netlist from text produced by emit_verilog."""
     m = re.search(r"input wire \[(\d+):0\] in", text)
     if not m:
         raise NetlistError("no input port found")
     n_inputs = int(m.group(1)) + 1
-    out_names = re.findall(r"output wire (?:signed \[\d+:0\] )?(\w+)", text)
+    out_names = set(re.findall(r"output wire (?:signed \[\d+:0\] )?(\w+)", text))
     widths = {name: int(msb) + 1 for msb, name in _RE_SIGNED_WIRE.findall(text)}
 
     nl = Netlist(n_inputs=n_inputs)
-    by_name: dict[str, int] = {}
-    for i in range(n_inputs):
-        node = nl.add("input", pos=i)
-        by_name[f"in[{i}]"] = node.id
-
-    def resolve(name: str) -> int:
-        if name not in by_name:
-            raise NetlistError(f"use of undefined wire {name!r}")
-        return by_name[name]
-
-    assigns = re.findall(r"assign (\S+) = (.+);", text)
-    for lhs, rhs in assigns:
+    by_name = _Wires((f"in[{i}]", nl.add("input", pos=i).id) for i in range(n_inputs))
+    for lhs, rhs in re.findall(r"assign (\S+) = (.+);", text):
         rhs = rhs.strip()
-        if lhs in out_names:
-            if rhs in by_name:
-                src = by_name[rhs]
-            else:
-                mc = _RE_CONST.match(rhs)
-                if not mc:
-                    raise NetlistError(f"unparseable output assign: {rhs!r}")
-                src = nl.add("const", value=1 if mc.group(1) == "1" else -1).id
-            nl.outputs.append(nl.add("out", src=src, name=lhs).id)
-            continue
-        mc = _RE_CONST.match(rhs)
-        if mc:
-            node = nl.add("const", value=1 if mc.group(1) == "1" else -1)
-            by_name[lhs] = node.id
-            continue
-        mt = _RE_TH.match(rhs)
-        if mt:
-            src = nl.nodes[resolve(mt.group(1))]
+        if lhs in out_names and rhs in by_name:  # an output aliasing a wire
+            nid = by_name[rhs]
+        elif mc := _RE_CONST.match(rhs):
+            nid = nl.add("const", value=1 if mc.group(1) == "1" else -1).id
+        elif mt := _RE_TH.match(rhs):
+            src = nl.nodes[by_name[mt.group(1)]]
             tau, w = _lit_value(mt.group(2))
             if src.width:  # the compare runs at the wider of the two widths
                 tau = _wrap(tau, max(w, src.width))
-            node = nl.add("th", src=src.id, tau=tau)
-            by_name[lhs] = node.id
-            continue
-        if "?" in rhs or _RE_LIT.search(rhs):
+            nid = nl.add("th", src=src.id, tau=tau).id
+        elif "?" in rhs or _RE_LIT.search(rhs):
             if lhs not in widths:
                 raise NetlistError(f"sum {lhs} has no signed width declaration")
             terms, offset = _parse_sum(rhs)
-            try:
-                terms = [(by_name[n], s) for n, s in terms]
-            except KeyError as e:
-                raise NetlistError(f"use of undefined wire {e.args[0]!r}") from None
-            node = nl.add("sum", terms=terms, offset=offset, width=widths[lhs])
-            by_name[lhs] = node.id
-            continue
-        fanin, bits = _parse_lut(lhs, rhs)
-        node = nl.add("lut", bits=bits, fanin=[resolve(n) for n in fanin])
-        by_name[lhs] = node.id
+            terms = [(by_name[n], s) for n, s in terms]
+            nid = nl.add("sum", terms=terms, offset=offset, width=widths[lhs]).id
+        else:
+            fanin, bits = _parse_lut(lhs, rhs)
+            nid = nl.add("lut", bits=bits, fanin=[by_name[n] for n in fanin]).id
+        if lhs in out_names:
+            nl.outputs.append(nl.add("out", src=nid, name=lhs).id)
+        else:
+            by_name[lhs] = nid
     return nl

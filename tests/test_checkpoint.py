@@ -111,12 +111,26 @@ def test_truncated_checkpoint_names_the_file(tmp_path):
         checkpoint.load(p)
 
 
+def edit_layer(i, edit):
+    """A checkpoint edit that replaces layer i by edit(layer i)."""
+    return lambda doc: {**doc, "layers": [edit(d) if n == i else d
+                                          for n, d in enumerate(doc["layers"])]}
+
+
 @pytest.mark.parametrize("edit, field", [
     (lambda doc: [], "its top level has type list, not dict"),
     (lambda doc: {k: v for k, v in doc.items() if k != "layers"}, "no field 'layers'"),
     (lambda doc: {**doc, "layers": 5}, "field 'layers' has type int"),
     (lambda doc: {**doc, "config": None}, "field 'config' has type NoneType"),
-], ids=["list", "no-layers", "int-layers", "null-config"])
+    (edit_layer(0, lambda d: {k: v for k, v in d.items() if k != "kind"}),
+     "layer 0 has no field 'kind'"),
+    (edit_layer(0, lambda d: []), "layer 0 has type list, not dict"),
+    (edit_layer(1, lambda d: {k: v for k, v in d.items() if k != "masks"}),
+     "layer 1 has no field 'masks'"),
+    (edit_layer(0, lambda d: {**d, "shadow": {**d["shadow"], "dtype": "<f4"}}),
+     "layer 0: field 'shadow' is not a <f8 array: it has dtype '<f4'"),
+], ids=["list", "no-layers", "int-layers", "null-config", "layer-no-kind",
+        "layer-list", "lut-no-masks", "shadow-f4"])
 def test_malformed_checkpoint_names_the_file_and_field(tmp_path, capsys, edit, field):
     net, cfg, rng, _ = expanded_net()
     p = str(tmp_path / "m.json")

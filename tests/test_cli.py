@@ -48,6 +48,23 @@ def test_report_metrics_log(pipeline_dir, capsys):
     assert len(out) > 10
 
 
+@pytest.mark.parametrize("text, line", [
+    ("[]\n", "'[]'"),
+    ("garbage\n", "'garbage'"),
+    ("bnn\t1\t0.5\t0.25\nbnn\t2\t0.5\n", "'bnn\\t2\\t0.5'"),
+    ("bnn\tone\t0.5\t0.25\n", "'bnn\\tone\\t0.5\\t0.25'"),
+], ids=["json-list", "word", "three-fields", "epoch-not-int"])
+def test_report_refuses_a_malformed_metrics_log(tmp_path, capsys, text, line):
+    p = tmp_path / "bad.txt"  # not a .log: sniffed as a log, not a checkpoint
+    p.write_text(text)
+    assert main(["report", str(p)]) == 1
+    captured = capsys.readouterr()
+    n = text.count("\n")
+    assert captured.out == ""
+    assert captured.err == (f"error: {p} line {n} is not a metrics line (phase, epoch, "
+                            f"train_err, test_err, tab-separated): {line}\n")
+
+
 def test_simulate_command(pipeline_dir, tmp_path, capsys):
     vecs = tmp_path / "vecs.txt"
     np.savetxt(vecs, np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]]), fmt="%d")

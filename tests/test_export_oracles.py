@@ -7,9 +7,13 @@ the token-by-token sum parser they replaced. The oracles below are copies
 of that code and must not be edited to follow the library. The fixpoint
 oracle adds one step the old passes did not have: folding thresholds that
 their sum cannot reach, the rule ``simplify`` now applies. It is written
-here on its own, so the old passes stay verbatim.
+here on its own, so the old passes stay verbatim. The table helpers the
+old passes called (``table_view``, ``_cofactor``, ``_flip_axis``, the wire
+and inverter tests, the fan-in merge) are frozen here too, and
+``lutcore.rewire`` and ``project`` are checked against them.
 """
 
+import itertools
 import re
 
 import numpy as np
@@ -18,14 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lutshrink import netlist
-from lutshrink.lutcore import ContractError, table_view
+from lutshrink.lutcore import ContractError, project, rewire
 from lutshrink.netlist import (
     Netlist,
     NetlistError,
-    _cofactor,
-    _flip_axis,
-    _is_inverter,
-    _is_wire,
+    Node,
     simplify,
     simulate,
 )
@@ -34,6 +35,41 @@ from lutshrink.verilog import _parse_sum, emit_verilog, parse_verilog
 from test_netlist import all_patterns, netlist_state, random_netlist, sum_netlist
 
 # -- frozen oracles -----------------------------------------------------------
+
+
+def table_view(bits: np.ndarray, k: int) -> np.ndarray:
+    """Reshape a 2^k table to shape (2,)*k with axis j = input j."""
+    return np.asarray(bits).reshape((2,) * k, order="F")
+
+
+def _flip_axis(bits: np.ndarray, k: int, j: int) -> np.ndarray:
+    view = table_view(bits.copy(), k)
+    view[:] = np.flip(view, axis=j)
+    return view.reshape(-1, order="F")
+
+
+def _cofactor(bits: np.ndarray, k: int, j: int, value: int) -> np.ndarray | int:
+    view = table_view(bits, k)
+    view = np.take(view, 1 if value > 0 else 0, axis=j)
+    if k == 1:
+        return int(view)
+    return np.asarray(view.reshape(-1, order="F"), dtype=np.int8)
+
+
+def _is_wire(node: Node) -> bool:
+    return node.kind == "lut" and node.k == 1 and node.bits[0] == -1 and node.bits[1] == 1
+
+
+def _is_inverter(node: Node) -> bool:
+    return node.kind == "lut" and node.k == 1 and node.bits[0] == 1 and node.bits[1] == -1
+
+
+def oracle_merge(bits: np.ndarray, fanin: list[int]) -> tuple[np.ndarray, list[int]]:
+    """Merge fan-ins that name the same wire (the table's diagonal)."""
+    uniq = list(dict.fromkeys(fanin))
+    idx = np.arange(2 ** len(uniq))
+    old = sum(((idx >> uniq.index(w)) & 1) << j for j, w in enumerate(fanin))
+    return bits[old], uniq
 
 
 def oracle_simulate(nl: Netlist, x: np.ndarray) -> dict[str, np.ndarray]:
@@ -275,6 +311,59 @@ def oracle_parse_sum(expr: str):
         if not want_operand and not open_:
             return terms, offset
     raise NetlistError(f"cannot parse sum expression: {expr!r}")
+
+
+# -- table rewiring ----------------------------------------------------------
+
+
+def random_tables(k: int, count: int = 8):
+    rng = np.random.default_rng(k)
+    return [rng.choice([-1, 1], size=2**k).astype(np.int8) for _ in range(count)]
+
+
+def assert_same_table(got: np.ndarray, want) -> None:
+    assert got.dtype == np.int8
+    assert np.array_equal(got, np.atleast_1d(want))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_rewire_matches_frozen_cofactor_and_flip(k):
+    for bits in random_tables(k):
+        for j in range(k):
+            rest = [m - (m > j) for m in range(k)]  # the others keep their order
+            for value in (-1, 1):
+                pos = [-1 if m == j else rest[m] for m in range(k)]
+                flip = [m == j and value > 0 for m in range(k)]
+                assert_same_table(rewire(bits, k, pos, flip), _cofactor(bits, k, j, value))
+            flip = [m == j for m in range(k)]
+            assert_same_table(rewire(bits, k, range(k), flip), _flip_axis(bits, k, j))
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_rewire_matches_frozen_merge_of_every_pair(k):
+    for bits in random_tables(k):
+        for i, j in itertools.combinations(range(k), 2):
+            fanin = [10 + m for m in range(k)]
+            fanin[j] = fanin[i]
+            want, uniq = oracle_merge(bits, fanin)
+            got = rewire(bits, k, [uniq.index(w) for w in fanin], [0] * k)
+            assert_same_table(got, want)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_project_matches_frozen_oracle(k):
+    rng = np.random.default_rng(100 + k)
+    idx = np.arange(2**k)
+    for bits in random_tables(k, 30):
+        for j in np.flatnonzero(rng.random(k) < 0.5):
+            bits = bits[idx & ~(1 << j)]  # input j no longer matters
+        keep = oracle_support(bits, k)
+        keep += [j for j in range(k) if j not in keep and rng.random() < 0.5]
+        got, want = project(bits, k, keep), oracle_project(bits, k, keep)
+        if keep:
+            assert_same_table(got, want)
+        else:  # the constant itself
+            assert type(got) is int and got == want
 
 
 # -- simulate -----------------------------------------------------------------

@@ -380,6 +380,17 @@ def test_emit_rejects_lut_reading_one_wire_twice():
     assert "\n" not in str(exc.value)
 
 
+def test_emit_rejects_a_threshold_over_a_non_sum():
+    nl = Netlist(n_inputs=1)
+    a = nl.add("input", pos=0)
+    th = nl.add("th", src=a.id, tau=0)
+    nl.outputs.append(nl.add("out", src=th.id, name="y").id)
+    with pytest.raises(NetlistError, match="threshold n1 compares node 0 of kind "
+                       "'input'; only a sum can be compared") as exc:
+        emit_verilog(nl)
+    assert "\n" not in str(exc.value)
+
+
 # -- area report --------------------------------------------------------------
 
 

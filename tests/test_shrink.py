@@ -3,7 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from lutshrink.lutcore import LutMask, binarize_mask, index_pattern, pattern_index
+from lutshrink.lutcore import (
+    LutMask,
+    binarize_mask,
+    index_pattern,
+    pair_indices,
+    pattern_index,
+)
 from lutshrink.shrink import (
     PruneMask,
     SalienceMatrix,
@@ -29,6 +35,25 @@ def brute_salience(params, k):
                 d_lo[i] = -1
                 s[i] += abs(params[pattern_index(d)] - params[pattern_index(d_lo)])
     return s
+
+
+def loop_salience_rows(params, k):
+    """The per-input loop salience_rows was, frozen."""
+    params = np.atleast_2d(np.asarray(params, dtype=np.float64))
+    s = np.empty((params.shape[0], k))
+    for i in range(k):
+        lo, hi = pair_indices(k, i)
+        s[:, i] = np.abs(params[:, hi] - params[:, lo]).sum(axis=1)
+    return s
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 820, 5000])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_salience_rows_matches_frozen_loop(k, n):
+    params = np.random.default_rng(10 * k + n).normal(size=(n, 2**k))
+    got = salience_rows(params, k)
+    assert got.shape == (n, k)
+    assert np.array_equal(got, loop_salience_rows(params, k))
 
 
 def test_salience_and_gate_table_values():
