@@ -26,13 +26,25 @@ PHASES = ["init", "trained", "expanded", "shrunk", "final"]
 
 _BN_FIELDS = ("gamma", "beta", "running_mean", "running_var")
 
-# the top-level fields of a checkpoint and their JSON types
+# the JSON types of the top-level fields of a checkpoint, of the scalar
+# fields of every layer, and of those of each layer kind
 _FIELDS = {"phase": str, "config": dict, "rng_state": dict, "num_classes": int,
            "layers": list, "shrink_plan": (dict, type(None))}
+_LAYER_FIELDS = {"kind": str, "name": str, "n_in": int, "n_out": int,
+                 "is_output": bool, "alpha": (int, float), "bn": (dict, type(None))}
+_KIND_FIELDS = {"dense": {"shrinkable": bool}, "lut": {"k": int}}
 
 
 class CheckpointError(RuntimeError):
     pass
+
+
+def _check_types(doc: dict, types: dict) -> None:
+    """Refuse a field of ``doc`` whose JSON type is not the one ``types``
+    gives it; a missing field raises KeyError."""
+    for key, kind in types.items():
+        if not isinstance(doc[key], kind):
+            raise CheckpointError(f"field {key!r} has type {type(doc[key]).__name__}")
 
 
 def _enc(a, dtype: str) -> dict:
@@ -95,6 +107,10 @@ def _enc_layer(lay) -> dict:
 
 
 def _dec_layer(d: dict):
+    _check_types(d, _LAYER_FIELDS)
+    if d["kind"] not in _KIND_FIELDS:
+        raise CheckpointError(f"field 'kind' is {d['kind']!r}, not 'dense' or 'lut'")
+    _check_types(d, _KIND_FIELDS[d["kind"]])
     bn = _dec_bn(d["bn"], d["n_out"])
     if d["kind"] == "dense":
         lay = DenseLayer(d["n_in"], d["n_out"], np.random.default_rng(0), d["name"],
@@ -144,12 +160,13 @@ def load(path: str):
             f"unsupported checkpoint version {version!r} in {path} (this build "
             f"reads version {FORMAT_VERSION}); re-run from `lutshrink train`"
         )
-    for key, kind in _FIELDS.items():
-        if key not in doc:
-            raise CheckpointError(f"{path} is not a checkpoint: no field {key!r}")
-        if not isinstance(doc[key], kind):
-            raise CheckpointError(f"{path} is not a checkpoint: field {key!r} "
-                                  f"has type {type(doc[key]).__name__}")
+    try:
+        _check_types(doc, _FIELDS)
+    except KeyError as e:
+        raise CheckpointError(f"{path} is not a checkpoint: no field "
+                              f"{e.args[0]!r}") from None
+    except CheckpointError as e:
+        raise CheckpointError(f"{path} is not a checkpoint: {e}") from None
     cfg = TrainConfig(**doc["config"])
     layers = []
     for i, d in enumerate(doc["layers"]):

@@ -31,11 +31,11 @@ class PhaseError(RuntimeError):
     pass
 
 
-def _require_phase(phase: str, required: tuple[str, ...], command: str) -> None:
-    if phase not in required:
+def _require_phase(phase: str, required: str, command: str) -> None:
+    if phase != required:
         raise PhaseError(
             f"cannot run {command!r}: checkpoint is at phase {phase!r}, "
-            f"requires {' or '.join(repr(r) for r in required)}"
+            f"requires {required!r}"
         )
 
 
@@ -71,65 +71,31 @@ def cmd_train(args) -> None:
     print(f"wrote {path}")
 
 
-def _log_for(ckpt_path: str):
-    from .train import MetricLog
-
-    return MetricLog(os.path.join(os.path.dirname(ckpt_path) or ".", "metrics.log"))
-
-
-def cmd_expand(args) -> None:
+def cmd_stage(args) -> None:
+    """Advance a checkpoint by one stage, with its INI section's flags
+    applied to the config it saves."""
     from . import checkpoint
     from .config import load_datasets
-    from .train import logic_expand
+    from .train import (SETTINGS, STAGES, MetricLog, finalize_binarized, logic_expand,
+                        logic_shrink)
 
+    required, written, _ = STAGES[args.command]
     net, cfg, phase, rng, plan = checkpoint.load(args.checkpoint)
-    _require_phase(phase, ("trained",), "expand")
-    if args.k is not None:
-        cfg.k = args.k
-    if args.epochs is not None:
-        cfg.epochs_post_expand = args.epochs
+    _require_phase(phase, required, args.command)
+    for (section, key), f in SETTINGS.items():
+        if section == args.command and getattr(args, key) is not None:
+            setattr(cfg, f.name, getattr(args, key))
     cfg.validate()
     train, test = load_datasets(cfg)
-    logic_expand(net, cfg.k, train, test, cfg, rng, _log_for(args.checkpoint))
-    checkpoint.save(args.out or args.checkpoint, net, cfg, "expanded", rng)
-    print(f"wrote {args.out or args.checkpoint}")
-
-
-def cmd_shrink(args) -> None:
-    from . import checkpoint
-    from .config import load_datasets
-    from .train import logic_shrink
-
-    net, cfg, phase, rng, plan = checkpoint.load(args.checkpoint)
-    _require_phase(phase, ("expanded",), "shrink")
-    if args.delta is not None:
-        cfg.delta = args.delta
-    if args.iterations is not None:
-        cfg.shrink_iters = args.iterations
-    if args.epochs_per_iter is not None:
-        cfg.epochs_per_iter = args.epochs_per_iter
-    if args.random_prune:
-        cfg.random_prune = True
-    cfg.validate()
-    train, test = load_datasets(cfg)
-    plan = logic_shrink(net, train, test, cfg, rng, _log_for(args.checkpoint))
-    checkpoint.save(args.out or args.checkpoint, net, cfg, "shrunk", rng, plan)
-    print(f"wrote {args.out or args.checkpoint}")
-
-
-def cmd_finalize(args) -> None:
-    from . import checkpoint
-    from .config import load_datasets
-    from .train import finalize_binarized
-
-    net, cfg, phase, rng, plan = checkpoint.load(args.checkpoint)
-    _require_phase(phase, ("shrunk",), "finalize")
-    if args.epochs is not None:
-        cfg.epochs_final = args.epochs
-    cfg.validate()
-    train, test = load_datasets(cfg)
-    finalize_binarized(net, train, test, cfg, rng, _log_for(args.checkpoint))
-    checkpoint.save(args.out or args.checkpoint, net, cfg, "final", rng, plan)
+    log = MetricLog(os.path.join(os.path.dirname(args.checkpoint) or ".",
+                                 "metrics.log"))
+    if args.command == "expand":
+        logic_expand(net, cfg.k, train, test, cfg, rng, log)
+    elif args.command == "shrink":
+        plan = logic_shrink(net, train, test, cfg, rng, log)
+    else:
+        finalize_binarized(net, train, test, cfg, rng, log)
+    checkpoint.save(args.out or args.checkpoint, net, cfg, written, rng, plan)
     print(f"wrote {args.out or args.checkpoint}")
 
 
@@ -144,7 +110,7 @@ def cmd_export(args) -> None:
     if args.cert_samples < 1:
         raise ValueError(f"--cert-samples must be >= 1, got {args.cert_samples}")
     net, cfg, phase, rng, plan = checkpoint.load(args.checkpoint)
-    _require_phase(phase, ("final",), "export")
+    _require_phase(phase, "final", "export")
     os.makedirs(args.out, exist_ok=True)
     pre = extract_netlist(net)
     post = simplify(pre)
@@ -290,27 +256,21 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int)
     t.set_defaults(fn=cmd_train)
 
-    e = sub.add_parser("expand", help="replace surviving connections with k-LUTs")
-    e.add_argument("checkpoint")
-    e.add_argument("--k", type=int)
-    e.add_argument("--epochs", type=int)
-    e.add_argument("--out")
-    e.set_defaults(fn=cmd_expand)
+    from .train import SETTINGS, STAGES, stage_flag
 
-    s = sub.add_parser("shrink", help="iteratively sever low-salience LUT inputs")
-    s.add_argument("checkpoint")
-    s.add_argument("--delta", type=float)
-    s.add_argument("--iterations", type=int)
-    s.add_argument("--epochs-per-iter", type=int)
-    s.add_argument("--random-prune", action="store_true")
-    s.add_argument("--out")
-    s.set_defaults(fn=cmd_shrink)
-
-    f = sub.add_parser("finalize", help="binarized retraining and mask folding")
-    f.add_argument("checkpoint")
-    f.add_argument("--epochs", type=int)
-    f.add_argument("--out")
-    f.set_defaults(fn=cmd_finalize)
+    for command, (_, _, text) in STAGES.items():
+        s = sub.add_parser(command, help=text)
+        s.add_argument("checkpoint")
+        for (section, key), f in SETTINGS.items():
+            if section != command:
+                continue
+            flag = stage_flag(section, key)
+            if isinstance(f.default, bool):  # absent keeps the checkpoint's value
+                s.add_argument(flag, action="store_true", default=None)
+            else:
+                s.add_argument(flag, type=f.metadata["parse"])
+        s.add_argument("--out")
+        s.set_defaults(fn=cmd_stage)
 
     x = sub.add_parser("export", help="emit Verilog, area report and certificate")
     x.add_argument("checkpoint")
@@ -334,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _set_threads(argv)
+    _set_threads(argv)  # before build_parser, which imports numpy
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)

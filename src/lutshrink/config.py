@@ -7,7 +7,7 @@ import os
 from importlib import resources
 
 from .data import Dataset, load_idx, synth_boolean
-from .train import TrainConfig
+from .train import SETTINGS, TrainConfig
 
 DATA_DIR_ENV = "LUTSHRINK_DATA_DIR"
 # The four MNIST IDX files, in (train images, train labels, test images,
@@ -22,59 +22,6 @@ MNIST_FILES = (
 
 class ConfigError(ValueError):
     pass
-
-
-# section -> key -> (TrainConfig attribute, parser)
-_SCHEMA = {
-    "data": {
-        "dataset": ("data_kind", str),
-        "dir": ("data_dir", str),
-        "function": ("synth_function", str),
-        "inputs": ("synth_inputs", int),
-        "samples": ("synth_samples", int),
-    },
-    "model": {
-        "hidden": ("hidden", lambda s: [int(v) for v in s.split(",") if v.strip()]),
-        "shrink_layers": (
-            "shrink_layers",
-            lambda s: [v.strip() for v in s.split(",") if v.strip()],
-        ),
-    },
-    "train": {
-        "seed": ("seed", int),
-        "lr": ("lr", float),
-        "lr_decay": ("lr_decay", float),
-        "momentum": ("momentum", float),
-        "batch_size": ("batch_size", int),
-        "epochs": ("epochs_bnn", int),
-        "lr_schedule": (
-            "lr_schedule",
-            lambda s: [
-                [float(seg.split(":")[0]), int(seg.split(":")[1])]
-                for seg in s.split(",")
-                if seg.strip()
-            ],
-        ),
-        "eval_train_cap": ("eval_train_cap", int),
-    },
-    "prune": {
-        "theta": ("theta", float),
-        "epochs": ("epochs_post_prune", int),
-    },
-    "expand": {
-        "k": ("k", int),
-        "epochs": ("epochs_post_expand", int),
-    },
-    "shrink": {
-        "delta": ("delta", float),
-        "iterations": ("shrink_iters", int),
-        "epochs_per_iter": ("epochs_per_iter", int),
-        "random_prune": ("random_prune", lambda s: s.lower() == "true"),
-    },
-    "finalize": {
-        "epochs": ("epochs_final", int),
-    },
-}
 
 
 def preset_path(name: str) -> str:
@@ -92,19 +39,19 @@ def load_config(path: str) -> TrainConfig:
     cfg = TrainConfig()
     bad = []
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if not any(s == section for s, _ in SETTINGS):
             bad.append(f"[{section}]")
             continue
         for key, raw in parser.items(section):
             if (section, key) == ("model", "binarize_inputs"):
                 raise ConfigError(
                     f"[model] binarize_inputs was removed; delete it from {path}")
-            if key not in _SCHEMA[section]:
+            f = SETTINGS.get((section, key))
+            if f is None:
                 bad.append(f"[{section}] {key}")
                 continue
-            attr, parse = _SCHEMA[section][key]
             try:
-                setattr(cfg, attr, parse(raw))
+                setattr(cfg, f.name, f.metadata["parse"](raw))
             except ValueError as e:
                 raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from e
     if bad:

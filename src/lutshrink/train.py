@@ -4,8 +4,11 @@ retraining."""
 
 from __future__ import annotations
 
+import configparser
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
+from typing import Any
 
 import numpy as np
 
@@ -19,73 +22,125 @@ class TrainingDivergedError(RuntimeError):
     pass
 
 
+def _list(item: Callable[[str], Any]) -> Callable[[str], list]:
+    """A parser of comma-separated items; blank items are skipped."""
+    return lambda s: [item(v.strip()) for v in s.split(",") if v.strip()]
+
+
+def _rate_epochs(s: str) -> list:
+    rate, epochs = s.split(":")
+    return [float(rate), int(epochs)]
+
+
+def _bool(s: str) -> bool:
+    """One of configparser's boolean words (1/yes/true/on, 0/no/false/off)."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[s.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {s!r}") from None
+
+
+def _range(ok: Callable[[Any], bool], valid: str):
+    """A setting check that names the range ``valid`` for a value ``ok``
+    refuses."""
+    return lambda value, cfg: None if ok(value) else valid
+
+
+def _layer_name(name: str, cfg: TrainConfig) -> str | None:
+    n = len(cfg.hidden) + 1
+    names = [f"fc{i}" for i in range(1, n + 1)]
+    return None if name in names else f"one of fc1 to fc{n}"
+
+
+_RATE = _range(lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+_EPOCHS = _range(lambda v: v >= 0, ">= 0")
+_POSITIVE = _range(lambda v: v >= 1, ">= 1")
+_FRACTION = _range(lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+
+
+def setting(section: str, key: str, parse: Callable[[str], Any], default,
+            check: Callable[[Any, TrainConfig], str | None] | None = None):
+    """A ``TrainConfig`` field set by INI ``[section] key`` through ``parse``.
+    ``check(value, cfg)`` returns the valid range when the value (each item,
+    for a list) lies outside it, and None otherwise."""
+    meta = {"ini": (section, key), "parse": parse, "check": check}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class TrainConfig:
-    """All knobs of the pipeline. Epoch defaults are generous (50
-    high-precision epochs after expansion, 3 x 20 during shrinkage, 200
-    binarized at the end); presets scale these down."""
+    """All knobs of the pipeline, each declared once with its INI key, parser
+    and range. Epoch defaults are generous (50 high-precision epochs after
+    expansion, 3 x 20 during shrinkage, 200 binarized at the end); presets
+    scale these down."""
 
-    hidden: list[int] = field(default_factory=lambda: [256])
-    shrink_layers: list[str] = field(default_factory=lambda: ["fc2"])
-    theta: float = 0.9
-    delta: float = 0.75
-    k: int = 4
-    shrink_iters: int = 3  # T
-    epochs_per_iter: int = 20  # P
-    epochs_bnn: int = 50
-    epochs_post_prune: int = 20
-    epochs_post_expand: int = 50
-    epochs_final: int = 200
-    lr: float = 0.01
+    hidden: list[int] = setting("model", "hidden", _list(int), [256],
+                                _range(lambda v: v >= 1, ">= 1 per layer"))
+    shrink_layers: list[str] = setting("model", "shrink_layers", _list(str), ["fc2"],
+                                       _layer_name)
+    theta: float = setting("prune", "theta", float, 0.9, _FRACTION)
+    delta: float = setting("shrink", "delta", float, 0.75, _FRACTION)
+    k: int = setting("expand", "k", int, 4,
+                     _range(lambda v: 1 <= v <= MAX_K, f"in [1, {MAX_K}]"))
+    shrink_iters: int = setting("shrink", "iterations", int, 3, _POSITIVE)  # T
+    epochs_per_iter: int = setting("shrink", "epochs_per_iter", int, 20,
+                                   _POSITIVE)  # P
+    epochs_bnn: int = setting("train", "epochs", int, 50, _EPOCHS)
+    epochs_post_prune: int = setting("prune", "epochs", int, 20, _EPOCHS)
+    epochs_post_expand: int = setting("expand", "epochs", int, 50, _EPOCHS)
+    epochs_final: int = setting("finalize", "epochs", int, 200, _EPOCHS)
+    lr: float = setting("train", "lr", float, 0.01, _RATE)
     # optional piecewise (lr, epochs) schedule for the initial phase;
     # when empty, (lr, epochs_bnn) is used
-    lr_schedule: list = field(default_factory=list)
-    lr_decay: float = 0.5  # multiplier applied at each later phase
-    momentum: float = 0.9
-    batch_size: int = 256
-    seed: int = 0
-    random_prune: bool = False
-    eval_train_cap: int = 10000
-    data_kind: str = "synth"
-    data_dir: str = ""
-    synth_function: str = "parity"
-    synth_inputs: int = 8
-    synth_samples: int = 256
+    lr_schedule: list = setting(
+        "train", "lr_schedule", _list(_rate_epochs), [],
+        _range(lambda v: math.isfinite(v[0]) and v[0] > 0 and v[1] >= 0,
+               "rate:epochs with a rate finite and > 0 and epochs >= 0"))
+    # multiplier applied at each later phase
+    lr_decay: float = setting("train", "lr_decay", float, 0.5, _RATE)
+    momentum: float = setting("train", "momentum", float, 0.9,
+                              _range(lambda v: 0.0 <= v < 1.0, "in [0, 1)"))
+    batch_size: int = setting("train", "batch_size", int, 256, _POSITIVE)
+    seed: int = setting("train", "seed", int, 0)
+    random_prune: bool = setting("shrink", "random_prune", _bool, False)
+    eval_train_cap: int = setting("train", "eval_train_cap", int, 10000, _POSITIVE)
+    data_kind: str = setting("data", "dataset", str, "synth")
+    data_dir: str = setting("data", "dir", str, "")
+    synth_function: str = setting("data", "function", str, "parity")
+    synth_inputs: int = setting("data", "inputs", int, 8, _POSITIVE)
+    synth_samples: int = setting("data", "samples", int, 256, _POSITIVE)
 
     def validate(self) -> None:
-        """One line per bad value: its ``[section] key`` (and CLI flag), the
-        valid range and the value."""
-        def need(ok: bool, key: str, valid: str, got) -> None:
-            if not ok:
-                raise ValueError(f"{key} must be {valid}, got {got}")
+        """Raise one line for the first bad value: its ``[section] key`` (and
+        CLI flag), the valid range and the value."""
+        for (section, key), f in SETTINGS.items():
+            check, value = f.metadata["check"], getattr(self, f.name)
+            for item in value if isinstance(value, list) else [value]:
+                valid = check and check(item, self)
+                if valid:
+                    flag = stage_flag(section, key)
+                    where = f"[{section}] {key}" + (f" ({flag})" if flag else "")
+                    got = ":".join(map(str, item)) if isinstance(item, list) else item
+                    raise ValueError(f"{where} must be {valid}, got {got}")
 
-        rate = "finite and > 0"
-        need(math.isfinite(self.lr) and self.lr > 0, "[train] lr", rate, self.lr)
-        need(math.isfinite(self.lr_decay) and self.lr_decay > 0, "[train] lr_decay",
-             rate, self.lr_decay)
-        for lr, epochs in self.lr_schedule:
-            need(math.isfinite(lr) and lr > 0 and epochs >= 0, "[train] lr_schedule",
-                 f"rate:epochs with a rate {rate} and epochs >= 0", f"{lr}:{epochs}")
-        need(0.0 <= self.momentum < 1.0, "[train] momentum", "in [0, 1)", self.momentum)
-        for width in self.hidden:
-            need(width >= 1, "[model] hidden", ">= 1 per layer", width)
-        need(self.synth_samples >= 1, "[data] samples", ">= 1", self.synth_samples)
-        need(self.eval_train_cap >= 1, "[train] eval_train_cap", ">= 1",
-             self.eval_train_cap)
-        need(self.batch_size >= 1, "[train] batch_size", ">= 1", self.batch_size)
-        for key, epochs in (("[train] epochs", self.epochs_bnn),
-                            ("[prune] epochs", self.epochs_post_prune),
-                            ("[expand] epochs (--epochs)", self.epochs_post_expand),
-                            ("[finalize] epochs (--epochs)", self.epochs_final)):
-            need(epochs >= 0, key, ">= 0", epochs)
-        need(0.0 <= self.theta <= 1.0, "[prune] theta", "in [0, 1]", self.theta)
-        need(1 <= self.k <= MAX_K, "[expand] k (--k)", f"in [1, {MAX_K}]", self.k)
-        need(0.0 <= self.delta <= 1.0, "[shrink] delta (--delta)", "in [0, 1]",
-             self.delta)
-        need(self.shrink_iters >= 1, "[shrink] iterations (--iterations)", ">= 1",
-             self.shrink_iters)
-        need(self.epochs_per_iter >= 1, "[shrink] epochs_per_iter (--epochs-per-iter)",
-             ">= 1", self.epochs_per_iter)
+
+# (section, key) -> the TrainConfig field it sets
+SETTINGS = {f.metadata["ini"]: f for f in fields(TrainConfig)}
+
+# stage command -> (phase it requires, phase it writes, help line); each
+# stage takes a flag for every key of the INI section of its name
+STAGES = {
+    "expand": ("trained", "expanded", "replace surviving connections with k-LUTs"),
+    "shrink": ("expanded", "shrunk", "iteratively sever low-salience LUT inputs"),
+    "finalize": ("shrunk", "final", "binarized retraining and mask folding"),
+}
+
+
+def stage_flag(section: str, key: str) -> str | None:
+    """The CLI flag of ``[section] key``: one exists for a stage's section."""
+    return "--" + key.replace("_", "-") if section in STAGES else None
 
 
 @dataclass

@@ -129,8 +129,17 @@ def edit_layer(i, edit):
      "layer 1 has no field 'masks'"),
     (edit_layer(0, lambda d: {**d, "shadow": {**d["shadow"], "dtype": "<f4"}}),
      "layer 0: field 'shadow' is not a <f8 array: it has dtype '<f4'"),
+    (edit_layer(0, lambda d: {**d, "n_out": "8"}),
+     "layer 0: field 'n_out' has type str"),
+    (edit_layer(1, lambda d: {**d, "k": "2"}), "layer 1: field 'k' has type str"),
+    (edit_layer(0, lambda d: {**d, "bn": []}), "layer 0: field 'bn' has type list"),
+    (edit_layer(0, lambda d: {**d, "is_output": "no"}),
+     "layer 0: field 'is_output' has type str"),
+    (edit_layer(0, lambda d: {**d, "kind": "conv"}),
+     "layer 0: field 'kind' is 'conv', not 'dense' or 'lut'"),
 ], ids=["list", "no-layers", "int-layers", "null-config", "layer-no-kind",
-        "layer-list", "lut-no-masks", "shadow-f4"])
+        "layer-list", "lut-no-masks", "shadow-f4", "n_out-str", "k-str", "bn-list",
+        "is_output-str", "kind-conv"])
 def test_malformed_checkpoint_names_the_file_and_field(tmp_path, capsys, edit, field):
     net, cfg, rng, _ = expanded_net()
     p = str(tmp_path / "m.json")

@@ -1,12 +1,17 @@
+import argparse
+import configparser
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import lutshrink
-from lutshrink.cli import THREAD_VARS, _set_threads, main
+from lutshrink import checkpoint
+from lutshrink.cli import THREAD_VARS, _set_threads, build_parser, main
+from lutshrink.config import load_config, preset_path
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +168,7 @@ def test_expand_fan_in_flag_names_its_range(tmp_path, capsys):
     ("train", "eval_train_cap", "0", ">= 1"),
     ("model", "hidden", "0", ">= 1"),
     ("data", "samples", "0", ">= 1"),
+    ("data", "inputs", "0", ">= 1"),
     ("prune", "theta", "1.5", "[0, 1]"),
     ("prune", "epochs", "-1", ">= 0"),
     ("expand", "epochs", "-2", ">= 0"),
@@ -170,6 +176,7 @@ def test_expand_fan_in_flag_names_its_range(tmp_path, capsys):
     ("shrink", "iterations", "0", ">= 1"),
     ("shrink", "epochs_per_iter", "0", ">= 1"),
     ("finalize", "epochs", "-1", ">= 0"),
+    ("model", "shrink_layers", "fc9", "one of fc1 to fc2"),
 ])
 def test_out_of_range_config_value_names_key_and_range(tmp_path, capsys, section,
                                                        key, value, bound):
@@ -182,6 +189,29 @@ def test_out_of_range_config_value_names_key_and_range(tmp_path, capsys, section
     assert err.count("\n") == 1
     assert f"[{section}] {key}" in err and bound in err and f"got {value}" in err
     assert not (tmp_path / "checkpoint.json").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("shrink", "random_prune", "treu"),
+    ("train", "lr", "fast"),
+    ("train", "lr_schedule", "0.1"),
+])
+def test_unparseable_config_value_names_key(tmp_path, capsys, section, key, value):
+    cfgp = tmp_path / "bad.ini"
+    cfgp.write_text(f"[data]\ndataset = synth\n[{section}]\n{key} = {value}\n")
+    assert main(["train", "--config", str(cfgp), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: bad value for [{section}] {key}: {value!r}\n"
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("true", True), ("Yes", True), ("on", True), ("1", True),
+    ("false", False), ("NO", False), ("off", False), ("0", False),
+])
+def test_boolean_config_value_takes_configparser_words(tmp_path, value, expected):
+    cfgp = tmp_path / "b.ini"
+    cfgp.write_text(f"[data]\ndataset = synth\n[shrink]\nrandom_prune = {value}\n")
+    assert load_config(str(cfgp)).random_prune is expected
 
 
 def test_stage_flags_name_their_range(tmp_path, capsys):
@@ -202,6 +232,52 @@ def test_stage_flags_name_their_range(tmp_path, capsys):
         assert err.count("\n") == 1
         assert flag in err and bound in err and f"got {argv[-1]}" in err
     assert not os.path.exists(os.path.join(out, "certificate.txt"))
+
+
+STAGE_FLAGS = {
+    "expand": {"--k": "3", "--epochs": "2"},
+    "shrink": {"--delta": "0.25", "--iterations": "1", "--epochs-per-iter": "2",
+               "--random-prune": None},
+    "finalize": {"--epochs": "3"},
+}
+
+
+def test_stage_flags_are_the_keys_of_their_section():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, flags in STAGE_FLAGS.items():
+        got = {opt for a in sub.choices[command]._actions for opt in a.option_strings}
+        assert got == {"-h", "--help", "--out", *flags}, command
+
+
+def test_stage_flags_are_saved_as_their_ini_keys(tmp_path):
+    out = str(tmp_path)
+    ckpt = os.path.join(out, "checkpoint.json")
+    assert main(["train", "--preset", "xor-smoke", "--out", out]) == 0
+    # the same values as INI keys, each in its command's section
+    ini = configparser.ConfigParser()
+    ini.read(preset_path("xor-smoke"))
+    src = ckpt
+    for n, (command, flags) in enumerate(STAGE_FLAGS.items()):
+        dst = str(tmp_path / f"{command}.json")
+        before = open(src, "rb").read()
+        argv = [command, src, "--out", dst]
+        for flag, value in flags.items():
+            argv += [flag] if value is None else [flag, value]
+            ini[command][flag[2:].replace("-", "_")] = value or "true"
+        assert main(argv) == 0
+        assert open(src, "rb").read() == before, command
+        _, cfg, phase, _, plan = checkpoint.load(dst)
+        assert phase == ("expanded", "shrunk", "final")[n]
+        src = dst
+    ini_path = str(tmp_path / "flags.ini")
+    with open(ini_path, "w") as f:
+        ini.write(f)
+    assert asdict(cfg) == asdict(load_config(ini_path))
+    assert (cfg.k, cfg.epochs_post_expand, cfg.delta, cfg.shrink_iters,
+            cfg.epochs_per_iter, cfg.random_prune, cfg.epochs_final) == (
+        3, 2, 0.25, 1, 2, True, 3)
+    assert plan.random_mode and plan.deltas[-1] == 0.25
 
 
 def test_cli_import_leaves_numpy_unloaded():
