@@ -71,6 +71,18 @@ def _array(doc: dict, key: str, dtype: str) -> np.ndarray:
         raise CheckpointError(f"field {key!r} is not a {dtype} array: {e}") from None
 
 
+def _shadow(doc: dict) -> np.ndarray:
+    """The dense shadows, which training keeps finite and within [-1, 1]:
+    the backward relies on it (its straight-through gate is always open)."""
+    shadow = _array(doc, "shadow", "<f8")
+    bad = ~(np.abs(shadow) <= 1.0)  # NaN compares false
+    if bad.any():
+        raise CheckpointError(
+            f"field 'shadow' of {doc['name']!r} holds {float(shadow[bad][0])}, "
+            "not a finite value in [-1, 1]; re-run from `lutshrink train`")
+    return shadow
+
+
 def _enc_bn(bn: BatchNorm | None):
     if bn is None:
         return None
@@ -116,7 +128,7 @@ def _dec_layer(d: dict):
         lay = DenseLayer(d["n_in"], d["n_out"], np.random.default_rng(0), d["name"],
                          is_output=d["is_output"], shrinkable=d["shrinkable"])
         lay.alpha, lay.bn = d["alpha"], bn
-        lay.shadow, lay.alive = _array(d, "shadow", "<f8"), _array(d, "alive", "|b1")
+        lay.shadow, lay.alive = _shadow(d), _array(d, "alive", "|b1")
         return lay
     lay = LutLayer(d["n_in"], d["n_out"], d["k"], _array(d, "inputs", "<i8"),
                    _array(d, "channel", "<i8"), _array(d, "masks", "<f8"), d["name"],

@@ -211,7 +211,6 @@ def train_phase(net: Network, train: Dataset, test: Dataset, *, mode: str,
                 epochs: int, lr: float, cfg: TrainConfig,
                 rng: np.random.Generator, log: MetricLog, phase: str) -> None:
     train_eval = _subsample(train, cfg.eval_train_cap)
-    eval_mode = mode
     for epoch in range(epochs):
         order = rng.permutation(len(train))
         for lo in range(0, len(train), cfg.batch_size):
@@ -224,12 +223,10 @@ def train_phase(net: Network, train: Dataset, test: Dataset, *, mode: str,
                 )
             net.backward(dlogits)
             net.step(lr, cfg.momentum)
-        log.add(
-            phase,
-            epoch,
-            evaluate(net, train_eval, eval_mode),
-            evaluate(net, test, eval_mode),
-        )
+        train_err = evaluate(net, train_eval, mode)
+        # one set serves as both (every synth config): evaluate it once
+        test_err = train_err if test is train_eval else evaluate(net, test, mode)
+        log.add(phase, epoch, train_err, test_err)
 
 
 def train_bnn(net: Network, train: Dataset, test: Dataset, cfg: TrainConfig,

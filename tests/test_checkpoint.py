@@ -117,6 +117,18 @@ def edit_layer(i, edit):
                                           for n, d in enumerate(doc["layers"])]}
 
 
+def with_shadow(value):
+    """A dense-layer edit that stores ``value`` as one of its shadows."""
+    def edit(d):
+        shadow = checkpoint._dec(d["shadow"])
+        shadow[1, 2] = value
+        return {**d, "shadow": checkpoint._enc(shadow, "<f8")}
+    return edit
+
+
+_SHADOW_RANGE = "not a finite value in [-1, 1]; re-run from `lutshrink train`"
+
+
 @pytest.mark.parametrize("edit, field", [
     (lambda doc: [], "its top level has type list, not dict"),
     (lambda doc: {k: v for k, v in doc.items() if k != "layers"}, "no field 'layers'"),
@@ -137,9 +149,16 @@ def edit_layer(i, edit):
      "layer 0: field 'is_output' has type str"),
     (edit_layer(0, lambda d: {**d, "kind": "conv"}),
      "layer 0: field 'kind' is 'conv', not 'dense' or 'lut'"),
+    (edit_layer(0, with_shadow(np.nan)),
+     f"layer 0: field 'shadow' of 'fc1' holds nan, {_SHADOW_RANGE}"),
+    (edit_layer(0, with_shadow(-np.inf)),
+     f"layer 0: field 'shadow' of 'fc1' holds -inf, {_SHADOW_RANGE}"),
+    (edit_layer(0, with_shadow(np.nextafter(1.0, 2.0))),
+     f"layer 0: field 'shadow' of 'fc1' holds 1.0000000000000002, {_SHADOW_RANGE}"),
 ], ids=["list", "no-layers", "int-layers", "null-config", "layer-no-kind",
         "layer-list", "lut-no-masks", "shadow-f4", "n_out-str", "k-str", "bn-list",
-        "is_output-str", "kind-conv"])
+        "is_output-str", "kind-conv", "shadow-nan", "shadow-neg-inf",
+        "shadow-above-1"])
 def test_malformed_checkpoint_names_the_file_and_field(tmp_path, capsys, edit, field):
     net, cfg, rng, _ = expanded_net()
     p = str(tmp_path / "m.json")
@@ -153,6 +172,16 @@ def test_malformed_checkpoint_names_the_file_and_field(tmp_path, capsys, edit, f
         checkpoint.load(p)
     assert main(["export", p, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_shadow_at_the_clip_bounds_loads(tmp_path):
+    net, cfg, rng, _ = expanded_net()
+    shadow = net.layers[0].shadow.copy()
+    shadow[0, :2] = [-1.0, 1.0]
+    net.layers[0].shadow = shadow
+    p = str(tmp_path / "b.json")
+    checkpoint.save(p, net, cfg, "expanded", rng)
+    assert checkpoint.load(p)[0].layers[0].shadow.tobytes() == shadow.tobytes()
 
 
 _F8_SPECIALS = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2e-308,

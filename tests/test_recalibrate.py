@@ -28,7 +28,7 @@ def bn_calibrate_ref(bn, s):
 def calibrate_ref(lay, x):
     """Frozen DenseLayer.calibrate and LutLayer.calibrate (do not optimize)."""
     if lay.kind == "dense":
-        s = x @ lay.weights_bin().T
+        s = x @ (np.where(lay.shadow >= 0, 1.0, -1.0) * lay.alive).T
     else:
         s = sign_pm1(lay._outputs(x)[0]) @ lay._chmat
     if lay.is_output:

@@ -1,13 +1,16 @@
 import copy
+import math
 
 import numpy as np
 import pytest
 
-from lutshrink.data import synth_boolean
+from lutshrink import train
+from lutshrink.data import Dataset, synth_boolean
 from lutshrink.model import DenseLayer, LutLayer, Network, softmax_xent
 from lutshrink.train import (
     MetricLog,
     TrainConfig,
+    _subsample,
     build_network,
     evaluate,
     finalize_binarized,
@@ -309,3 +312,47 @@ def test_monotone_schedule():
     deltas = [cfg.delta * t / cfg.shrink_iters for t in range(1, cfg.shrink_iters + 1)]
     assert deltas == sorted(deltas) and deltas[-1] == cfg.delta
     assert all(a < b for a, b in zip(deltas, deltas[1:]))
+
+
+def train_phase_ref(net, train_ds, test, *, mode, epochs, lr, cfg, rng, log, phase):
+    """Frozen train_phase that evaluates both sets every epoch (do not
+    optimize)."""
+    train_eval = _subsample(train_ds, cfg.eval_train_cap)
+    for epoch in range(epochs):
+        order = rng.permutation(len(train_ds))
+        for lo in range(0, len(train_ds), cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            logits = net.forward(train_ds.features[idx], mode, training=True)
+            loss, dlogits = softmax_xent(logits, train_ds.labels[idx])
+            assert math.isfinite(loss)
+            net.backward(dlogits)
+            net.step(lr, cfg.momentum)
+        log.add(phase, epoch, evaluate(net, train_eval, mode), evaluate(net, test, mode))
+
+
+@pytest.mark.parametrize("mode", ["bin", "hp"])
+@pytest.mark.parametrize("test_set, cap, calls", [
+    ("same", 10000, 1),  # the synth configs: one set for both
+    ("copy", 10000, 2),  # equal contents, another object
+    ("same", 12, 2),  # the train set is subsampled for its evaluation
+])
+def test_train_phase_evaluates_a_shared_set_once(monkeypatch, mode, test_set, cap,
+                                                 calls):
+    ds = synth_boolean("parity", 4, 16)
+    test = ds if test_set == "same" else Dataset(ds.features.copy(),
+                                                  ds.labels.copy(), ds.num_classes)
+    cfg = tiny_cfg(hidden=[8], eval_train_cap=cap)
+    rng = np.random.default_rng(5)
+    net = build_network(cfg, 4, 2, rng)
+    ref_net, ref_rng, ref_log = copy.deepcopy(net), copy.deepcopy(rng), MetricLog()
+    train_phase_ref(ref_net, ds, test, mode=mode, epochs=6, lr=0.05, cfg=cfg,
+                    rng=ref_rng, log=ref_log, phase="p")
+    seen = []
+    monkeypatch.setattr(train, "evaluate",
+                        lambda net, ds, mode: seen.append(ds) or evaluate(net, ds, mode))
+    log = MetricLog()
+    train_phase(net, ds, test, mode=mode, epochs=6, lr=0.05, cfg=cfg, rng=rng, log=log,
+                phase="p")
+    assert len(seen) == 6 * calls
+    assert log.records == ref_log.records
+    assert len({r[2] for r in log.records}) > 1  # the errors move
