@@ -7,9 +7,9 @@ import importlib
 
 _EXPORTS = {
     "data": ["Dataset", "load_idx", "synth_boolean"],
-    "lutcore": ["LutMask", "TruthTable", "binarize_mask", "lut_forward"],
+    "lutcore": ["CornerBatch", "project", "rewire", "support"],
     "model": ["Network"],
-    "shrink": ["build_U", "build_prune_mask", "compose_transforms", "salience"],
+    "shrink": ["build_U", "build_prune_mask", "compose_transforms", "salience_rows"],
     "train": ["TrainConfig"],
 }
 

@@ -16,13 +16,22 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 def _set_threads(argv: list[str]) -> None:
     """Honor --threads before numpy is imported (BLAS pools are set once).
-    An explicit flag overrides the environment; the default is 1."""
+    An explicit flag overrides the environment; the default is 1. A count
+    below 1 is refused before any variable is set: BLAS reads 0 as "every
+    core"."""
     n = None
     for i, a in enumerate(argv):
         if a == "--threads" and i + 1 < len(argv):
             n = argv[i + 1]
         elif a.startswith("--threads="):
             n = a.split("=", 1)[1]
+    if n is not None:
+        try:
+            ok = int(n) >= 1
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"--threads must be an integer >= 1, got {n}")
     for var in THREAD_VARS:
         os.environ[var] = os.environ.get(var, "1") if n is None else n
 
@@ -294,9 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _set_threads(argv)  # before build_parser, which imports numpy
-    args = build_parser().parse_args(argv)
     try:
+        _set_threads(argv)  # before build_parser, which imports numpy
+        args = build_parser().parse_args(argv)
         args.fn(args)
     except Exception as e:  # noqa: BLE001 - single-line machine-parsable exit
         print(f"error: {e}", file=sys.stderr)

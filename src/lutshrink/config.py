@@ -31,18 +31,40 @@ def preset_path(name: str) -> str:
     return str(path)
 
 
+def _syntax_error(path: str, e: configparser.Error) -> ConfigError:
+    """One line for an INI file that configparser refuses: the file, the
+    line and what is wrong there."""
+    if isinstance(e, configparser.MissingSectionHeaderError):
+        what = "a setting comes before the first [section] header"
+    elif isinstance(e, configparser.DuplicateOptionError):
+        what = f"[{e.section}] {e.option} is set twice"
+    elif isinstance(e, configparser.DuplicateSectionError):
+        what = f"[{e.section}] appears twice"
+    elif isinstance(e, configparser.ParsingError):
+        return ConfigError(f"{path}, line {e.errors[0][0]}: "
+                           "neither a [section] header nor key = value")
+    else:  # a bad %-reference, found when a value is read
+        return ConfigError(f"{path}: {str(e).splitlines()[0]}")
+    return ConfigError(f"{path}, line {e.lineno}: {what}")
+
+
 def load_config(path: str) -> TrainConfig:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
-    parser.read(path)
+    try:
+        with open(path) as f:  # parser.read would skip a file it cannot open
+            parser.read_file(f)
+        sections = {s: parser.items(s) for s in parser.sections()}
+    except configparser.Error as e:
+        raise _syntax_error(path, e) from None
     cfg = TrainConfig()
     bad = []
-    for section in parser.sections():
+    for section, items in sections.items():
         if not any(s == section for s, _ in SETTINGS):
             bad.append(f"[{section}]")
             continue
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if (section, key) == ("model", "binarize_inputs"):
                 raise ConfigError(
                     f"[model] binarize_inputs was removed; delete it from {path}")

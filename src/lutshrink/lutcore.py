@@ -31,16 +31,16 @@ On +/-1 inputs the two paths agree bit for bit, because every bincount bin
 receives its terms in the order the interpolating sums add them: samples
 ascending for a table entry, (node, input) ascending for an input. (One
 exception: numpy sums a single-LUT layer's batch pairwise when
-interpolating; the corner path keeps sample order.) The single-LUT
-functions below are one-sample, one-node calls of the same kernel.
+interpolating; the corner path keeps sample order.) One LUT at one point
+is a batch of one: ``CornerBatch(x[None], np.arange(k)[None])``.
 
+A table binarizes to its signs, with sign(0) = +1 (``model.sign_bits``).
 A binarized table has one set of helpers: ``support``, ``project`` (drop
 inputs outside the support) and ``rewire`` (any re-indexing, one gather).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -55,58 +55,6 @@ class ContractError(ValueError):
 def _check_k(k: int) -> None:
     if not 1 <= k <= MAX_K:
         raise ContractError(f"LUT fan-in must be in [1, {MAX_K}], got {k}")
-
-
-@dataclass(frozen=True)
-class LutMask:
-    """Trainable parameters of one k-input LUT: 2^k reals, corner-indexed."""
-
-    k: int
-    params: np.ndarray
-
-    def __post_init__(self):
-        _check_k(self.k)
-        p = np.asarray(self.params, dtype=np.float64)
-        if p.shape != (2**self.k,):
-            raise ContractError(
-                f"mask for k={self.k} needs {2**self.k} entries, got {p.shape}"
-            )
-        if not np.all(np.isfinite(p)):
-            raise ContractError("mask entries must be finite")
-        object.__setattr__(self, "params", p)
-
-
-@dataclass(frozen=True)
-class TruthTable:
-    """Binarized LUT contents: 2^k entries in {-1, 1}, same indexing."""
-
-    k: int
-    bits: np.ndarray
-
-    def __post_init__(self):
-        _check_k(self.k)
-        b = np.asarray(self.bits, dtype=np.int8)
-        if b.shape != (2**self.k,):
-            raise ContractError(
-                f"table for k={self.k} needs {2**self.k} entries, got {b.shape}"
-            )
-        if not np.all(np.abs(b) == 1):
-            raise ContractError("truth table entries must be +/-1")
-        object.__setattr__(self, "bits", b)
-
-
-def pattern_index(d) -> int:
-    """Corner index of sign pattern d in {-1,1}^k (input 0 = LSB)."""
-    idx = 0
-    for j, dj in enumerate(d):
-        if dj > 0:
-            idx |= 1 << j
-    return idx
-
-
-def index_pattern(idx: int, k: int) -> np.ndarray:
-    """Inverse of pattern_index."""
-    return np.array([1 if (idx >> j) & 1 else -1 for j in range(k)], dtype=np.int8)
 
 
 def pair_indices(k: int, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,44 +189,6 @@ class CornerBatch:
         return _bincount(rows, g, b * self.n_in).reshape(b, self.n_in)
 
 
-def _one_sample(x, mask: LutMask | None = None) -> CornerBatch:
-    """A batch of one sample and one node reading x[j] as input j."""
-    x = np.asarray(x, dtype=np.float64)
-    if mask is not None and x.shape != (mask.k,):
-        raise ContractError(f"expected {mask.k} inputs, got shape {x.shape}")
-    return CornerBatch(x[None, :], np.arange(len(x))[None, :])
-
-
-def corner_weights(x: np.ndarray) -> np.ndarray:
-    """Interpolation weights 2^-k * prod_j (1 + d_j x_j) for all 2^k corners.
-
-    This is simultaneously the forward kernel and the exact gradient of
-    lut_forward with respect to the mask entries.
-    """
-    return _one_sample(x).grad_table(np.ones((1, 1)))[:, 0]
-
-
-def lut_forward(mask: LutMask, x) -> float:
-    """Interpolated LUT output at x in [-1,1]^k."""
-    return float(_one_sample(x, mask).interpolate(mask.params[:, None])[0, 0])
-
-
-def lut_grad_params(mask: LutMask, x) -> np.ndarray:
-    """d f / d c, one entry per corner (equals the interpolation weights)."""
-    return _one_sample(x, mask).grad_table(np.ones((1, 1)))[:, 0]
-
-
-def lut_grad_inputs(mask: LutMask, x) -> np.ndarray:
-    """d f / d x_j for each input j."""
-    return _one_sample(x, mask).grad_inputs(mask.params[:, None], np.ones((1, 1)))[0]
-
-
-def binarize_mask(mask: LutMask) -> TruthTable:
-    """Sign of each entry, with sign(0) = +1 (fixed tie rule)."""
-    bits = np.where(mask.params >= 0.0, 1, -1).astype(np.int8)
-    return TruthTable(mask.k, bits)
-
-
 def support(bits: np.ndarray, k: int) -> list[int]:
     """Boolean support of a 2^k table: the inputs whose flip changes the
     output somewhere, ascending. One fancy-index compare over the corner
@@ -330,14 +240,3 @@ def project(bits: np.ndarray, k: int, keep) -> np.ndarray | int:
     slot = {j: m for m, j in enumerate(sorted(keep))}  # dropped inputs read 0
     table = rewire(bits, k, [slot.get(j, -1) for j in range(k)], [0] * k)
     return table if keep else int(table[0])
-
-
-def effective_inputs(tt: TruthTable) -> set[int]:
-    """Boolean support: inputs whose flip changes the output somewhere."""
-    return set(support(tt.bits, tt.k))
-
-
-def project_table(tt: TruthTable, keep: list[int]) -> TruthTable | int:
-    """``project`` of a TruthTable; the constant (+/-1) when keep is empty."""
-    bits = project(tt.bits, tt.k, keep)
-    return bits if isinstance(bits, int) else TruthTable(len(set(keep)), bits)

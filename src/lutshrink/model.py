@@ -90,15 +90,17 @@ def _infer_out(layer, s: np.ndarray) -> np.ndarray:
 
 
 def _momentum_step(p: np.ndarray, v: np.ndarray, d: np.ndarray, lr: float,
-                   momentum: float) -> None:
-    """In place: v = momentum * v - lr * d, then p = clip(p + v, -1, 1), and
-    the gradient d is zeroed."""
+                   momentum: float, lo: float | None = -1.0,
+                   hi: float | None = 1.0) -> None:
+    """In place: v = momentum * v - lr * d, then p = clip(p + v, lo, hi)
+    (a None bound is open), and the gradient d is zeroed."""
     v *= momentum
     d *= lr
     v -= d
     d.fill(0.0)
     p += v
-    p.clip(-1.0, 1.0, out=p)  # the method skips np.clip's dispatch
+    if lo is not None or hi is not None:
+        p.clip(lo, hi, out=p)  # the method skips np.clip's dispatch
 
 
 class BatchNorm:
@@ -154,12 +156,11 @@ class BatchNorm:
         return np.ceil(self.running_mean - self.beta / a).astype(np.int64)
 
     def step(self, lr: float, momentum: float) -> None:
-        self._v_gamma = momentum * self._v_gamma - lr * self.dgamma
-        self._v_beta = momentum * self._v_beta - lr * self.dbeta
-        self.gamma = np.maximum(self.gamma + self._v_gamma, GAMMA_MIN)
-        self.beta = self.beta + self._v_beta
-        self.dgamma[:] = 0.0
-        self.dbeta[:] = 0.0
+        """In place; gamma stays at or above GAMMA_MIN, beta is unbounded."""
+        _momentum_step(self.gamma, self._v_gamma, self.dgamma, lr, momentum,
+                       GAMMA_MIN, None)
+        _momentum_step(self.beta, self._v_beta, self.dbeta, lr, momentum,
+                       None, None)
 
 
 class DenseLayer:
@@ -272,7 +273,6 @@ class LutLayer:
         self.inputs = inputs[order].astype(np.int64)
         self.channel = channel[order].astype(np.int64)
         self.masks = masks[order].astype(np.float64)
-        self.pruned = np.zeros((len(self.channel), k), dtype=bool)
         self.is_output = is_output
         self.shrinkable = True
         self.bn = bn if not is_output else None
@@ -281,36 +281,30 @@ class LutLayer:
         self._v_masks = np.zeros_like(self.masks)
         self._chmat = np.zeros((len(self.channel), n_out))
         self._chmat[np.arange(len(self.channel)), self.channel] = 1.0
-        self._groups_version = -1
-        self._pruned_version = 0
+        self.pruned = np.zeros((len(self.channel), k), dtype=bool)
+        self.set_pruned(self.pruned)
 
     @property
     def n_nodes(self) -> int:
         return len(self.channel)
 
     def set_pruned(self, pruned: np.ndarray) -> None:
+        """Record the severed inputs, and group the rows by their severed
+        pattern, with one averaging operator V per group."""
         if not np.all(pruned[self.pruned]):
             raise ModelError("severed LUT inputs cannot be revived")
         self.pruned = pruned.astype(bool)
-        self._pruned_version += 1
-
-    def _groups(self):
-        if self._groups_version != self._pruned_version:
-            pats = (self.pruned.astype(np.int64) * (1 << np.arange(self.k))).sum(axis=1)
-            groups = []
-            for pat in np.unique(pats):
-                rows = np.nonzero(pats == pat)[0]
-                pos = [i for i in range(self.k) if (pat >> i) & 1]
-                v = compose_transforms(self.k, pos).entries
-                groups.append((rows, v))
-            self._group_list = groups
-            self._groups_version = self._pruned_version
-        return self._group_list
+        pats = (self.pruned.astype(np.int64) * (1 << np.arange(self.k))).sum(axis=1)
+        self._groups = []
+        for pat in np.unique(pats):
+            pos = [i for i in range(self.k) if (pat >> i) & 1]
+            self._groups.append((np.nonzero(pats == pat)[0],
+                                 compose_transforms(self.k, pos)))
 
     def _transform(self, a: np.ndarray) -> np.ndarray:
         """Row-wise severance transform, in place (v is symmetric, so it maps
         raw masks to effective ones and effective gradients to raw ones)."""
-        for rows, v in self._groups():
+        for rows, v in self._groups:
             a[rows] = a[rows] @ v
         return a
 

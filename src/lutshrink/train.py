@@ -15,7 +15,7 @@ import numpy as np
 from .data import Dataset
 from .lutcore import MAX_K
 from .model import DenseLayer, LutLayer, ModelError, Network, softmax_xent
-from .shrink import PruneMask, SalienceMatrix, build_prune_mask
+from .shrink import build_prune_mask
 
 
 class TrainingDivergedError(RuntimeError):
@@ -325,19 +325,15 @@ def logic_shrink(net: Network, train: Dataset, test: Dataset, cfg: TrainConfig,
     if any(l.k != k for l in layers):
         raise ModelError("mixed fan-ins across shrinkable layers")
     plan = ShrinkPlan(random_mode=cfg.random_prune)
-    prev: PruneMask | None = None
-    sizes = [l.n_nodes for l in layers]
-    bounds = np.cumsum([0, *sizes])
+    bounds = np.cumsum([0, *(l.n_nodes for l in layers)])
     for t in range(1, cfg.shrink_iters + 1):
         if cfg.random_prune:
             scores = rng.uniform(1e-9, 1.0, size=(bounds[-1], k))
         else:
             scores = np.concatenate([l.salience() for l in layers], axis=0)
-        cur_pruned = np.concatenate([l.pruned for l in layers], axis=0)
-        if prev is None and cur_pruned.any():
-            prev = PruneMask(cur_pruned, 0.0)
         delta_t = cfg.delta * t / cfg.shrink_iters
-        mask = build_prune_mask(SalienceMatrix(scores), delta_t, prev)
+        severed = np.concatenate([l.pruned for l in layers], axis=0)
+        mask = build_prune_mask(scores, delta_t, severed)
         for li, lay in enumerate(layers):
             lay.set_pruned(mask.mask[bounds[li] : bounds[li + 1]])
         plan.deltas.append(delta_t)
@@ -346,7 +342,6 @@ def logic_shrink(net: Network, train: Dataset, test: Dataset, cfg: TrainConfig,
                     lr=cfg.lr * cfg.lr_decay**2, cfg=cfg, rng=rng, log=log,
                     phase=f"shrink-{t}")
         net.recalibrate(train.features)
-        prev = mask
     return plan
 
 

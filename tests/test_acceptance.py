@@ -26,24 +26,10 @@ import pytest
 from lutshrink import checkpoint
 from lutshrink.config import DATA_DIR_ENV, MNIST_FILES, load_datasets
 from lutshrink.data import synth_boolean
-from lutshrink.lutcore import (
-    LutMask,
-    binarize_mask,
-    corner_weights,
-    index_pattern,
-    lut_forward,
-    lut_grad_inputs,
-    lut_grad_params,
-)
-from lutshrink.model import Network
+from lutshrink.lutcore import CornerBatch
+from lutshrink.model import Network, sign_bits
 from lutshrink.netlist import area_report, classify, extract_netlist, simplify
-from lutshrink.shrink import (
-    apply_transform,
-    build_U,
-    compose_transforms,
-    salience,
-    salience_rows,
-)
+from lutshrink.shrink import build_U, compose_transforms, salience_rows
 from lutshrink.train import (
     MetricLog,
     TrainConfig,
@@ -90,22 +76,22 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_golden_salience_example():
-    mask = LutMask(2, np.array([-0.90, -0.01, -0.85, 0.05]))
-    s = salience(mask)
+    mask = np.array([-0.90, -0.01, -0.85, 0.05])
+    s = salience_rows(mask, 2)[0]
     ok = np.allclose(s, [1.79, 0.11], rtol=0, atol=1e-12)
 
-    merged = apply_transform(build_U(2, 1), mask)
-    ok &= np.allclose(merged.params, [-0.875, 0.02, -0.875, 0.02],
+    merged = mask @ build_U(2, 1)
+    ok &= np.allclose(merged, [-0.875, 0.02, -0.875, 0.02],
                       rtol=0, atol=1e-12)
     # rounded values as published: (-0.88, 0.02)
-    ok &= np.allclose(np.round(merged.params, 2), [-0.88, 0.02, -0.88, 0.02])
+    ok &= np.allclose(np.round(merged, 2), [-0.88, 0.02, -0.88, 0.02])
 
-    tt = binarize_mask(merged)
+    tt = sign_bits(merged)
     # wire y = x_0: table equals the sign of input 0 for all four corners
     wire = np.array([-1, 1, -1, 1])
-    ok &= np.array_equal(tt.bits, wire)
+    ok &= np.array_equal(tt, wire)
     report("criterion 1: golden salience/merge/binarize values", ok,
-           f"salience={s}, merged={merged.params}")
+           f"salience={s}, merged={merged}")
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +102,7 @@ def test_criterion_1_golden_salience_example():
 def test_criterion_2_operator_suite():
     ok = True
     for k in range(1, 7):
-        mats = [build_U(k, i).entries for i in range(k)]
+        mats = [build_U(k, i) for i in range(k)]
         for u in mats:
             ok &= np.array_equal(u.sum(axis=1), np.ones(2**k))  # row-stochastic
             ok &= np.array_equal(u, u.T)  # symmetric
@@ -129,8 +115,8 @@ def test_criterion_2_operator_suite():
                    [0, 0, half, half], [0, 0, half, half]])
     u1 = np.array([[half, 0, half, 0], [0, half, 0, half],
                    [half, 0, half, 0], [0, half, 0, half]])
-    ok &= np.array_equal(build_U(2, 0).entries, u0)
-    ok &= np.array_equal(build_U(2, 1).entries, u1)
+    ok &= np.array_equal(build_U(2, 0), u0)
+    ok &= np.array_equal(build_U(2, 1), u1)
     report("criterion 2: averaging operators row-stochastic/symmetric/"
            "idempotent/commuting for k<=6, k=2 forms exact", ok)
 
@@ -151,13 +137,13 @@ def test_criterion_3_function_preservation():
             zero = [i for i in range(k) if s[i] == 0.0]
             before = np.where(params >= 0, 1, -1)
             if zero:
-                v = compose_transforms(k, zero).entries
+                v = compose_transforms(k, zero)
                 after = np.where(params @ v >= 0, 1, -1)
                 if not np.array_equal(before, after):
                     ok = False
             # severing the minimum-salience input flips at most 2^(k-1) entries
             i_min = int(np.argmin(s))
-            v = compose_transforms(k, [i_min]).entries
+            v = compose_transforms(k, [i_min])
             after = np.where(params @ v >= 0, 1, -1)
             flips = int((before != after).sum())
             worst = max(worst, flips)
@@ -173,33 +159,42 @@ def test_criterion_3_function_preservation():
 # ---------------------------------------------------------------------------
 
 
+def _one_lut(x: np.ndarray) -> CornerBatch:
+    """One sample of one LUT that reads x[j] as its input j."""
+    return CornerBatch(x[None], np.arange(len(x))[None])
+
+
+def _lut_out(params: np.ndarray, x: np.ndarray) -> float:
+    return _one_lut(x).interpolate(params[:, None])[0, 0]
+
+
 def test_criterion_4_gradient_checks():
     rng = np.random.default_rng(7)
     eps = 1e-5
     ok = True
     worst = 0.0
+    one = np.ones((1, 1))  # d loss / d f of the single output
     for k in range(1, 5):
         for _ in range(100):
-            mask = LutMask(k, rng.uniform(-1, 1, size=2**k))
+            params = rng.uniform(-1, 1, size=2**k)
             x = rng.uniform(-0.95, 0.95, size=k)
-            gp = lut_grad_params(mask, x)
+            gp = _one_lut(x).grad_table(one)[:, 0]
             for d in range(2**k):
-                up = mask.params.copy()
-                dn = mask.params.copy()
+                up = params.copy()
+                dn = params.copy()
                 up[d] += eps
                 dn[d] -= eps
-                fd = (lut_forward(LutMask(k, up), x)
-                      - lut_forward(LutMask(k, dn), x)) / (2 * eps)
+                fd = (_lut_out(up, x) - _lut_out(dn, x)) / (2 * eps)
                 rel = abs(gp[d] - fd) / max(abs(fd), 1e-8)
                 worst = max(worst, rel)
                 ok &= rel < 1e-5 or abs(gp[d] - fd) < 1e-8
-            gx = lut_grad_inputs(mask, x)
+            gx = _one_lut(x).grad_inputs(params[:, None], one)[0]
             for j in range(k):
                 up = x.copy()
                 dn = x.copy()
                 up[j] += eps
                 dn[j] -= eps
-                fd = (lut_forward(mask, up) - lut_forward(mask, dn)) / (2 * eps)
+                fd = (_lut_out(params, up) - _lut_out(params, dn)) / (2 * eps)
                 rel = abs(gx[j] - fd) / max(abs(fd), 1e-8)
                 worst = max(worst, rel)
                 ok &= rel < 1e-5 or abs(gx[j] - fd) < 1e-8

@@ -301,3 +301,31 @@ def test_threads_flag_overrides_environment(monkeypatch):
         monkeypatch.delenv(var)
     _set_threads(["report", "x"])
     assert [os.environ[v] for v in THREAD_VARS] == ["1"] * 3
+
+
+@pytest.mark.parametrize("argv", [["--threads", "0"], ["--threads=-1"]])
+def test_threads_below_one_is_refused_before_any_variable_is_set(argv, monkeypatch,
+                                                                 capsys):
+    for var in THREAD_VARS:
+        monkeypatch.setenv(var, "4")
+    assert main([*argv, "report", "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--threads" in err and ">= 1" in err
+    assert [os.environ[v] for v in THREAD_VARS] == ["4"] * 3
+
+
+def test_config_that_is_not_a_file_fails(tmp_path, capsys):
+    assert main(["train", "--config", str(tmp_path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: config file not found: {tmp_path}\n"
+
+
+@pytest.mark.parametrize("text, where", [
+    ("hidden = 3\n[data]\ndataset = synth\n", "line 1"),
+    ("[expand]\nk = 3\nk = 4\n", "line 3: [expand] k is set twice"),
+])
+def test_malformed_ini_fails_in_one_line(tmp_path, capsys, text, where):
+    cfgp = tmp_path / "bad.ini"
+    cfgp.write_text(text)
+    assert main(["train", "--config", str(cfgp), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{cfgp}, {where}" in err

@@ -5,7 +5,9 @@ Random sequences of training steps, forward, backward, step, reassignment
 of ``alive`` or ``shadow``, ``infer_bin`` and checkpoint round-trips run on
 both. Every output, ``dx``, ``dshadow`` and the shadows after ``step`` must
 agree to the byte: a stale cache would show as a difference after an update
-or a reassignment.
+or a reassignment. ``BatchNorm.step``, which now runs in place through the
+same momentum helper as the layers, is checked against its frozen
+out-of-place form.
 """
 
 import copy
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from lutshrink import checkpoint
 from lutshrink.model import (
+    GAMMA_MIN,
     BatchNorm,
     DenseLayer,
     Network,
@@ -182,3 +185,37 @@ def test_cached_layer_matches_frozen_layer(seed, n_in, n_out, batch, is_output, 
         same_bytes(lay.alive, ref.alive)
         same_bytes(lay.weights_bin(), ref.weights_bin())
         same_bytes(lay.infer_bin(probe), ref.infer_bin(probe))
+
+
+def frozen_bn_step(bn, lr, momentum):
+    """The out-of-place BatchNorm.step it replaced (frozen; do not optimize)."""
+    bn._v_gamma = momentum * bn._v_gamma - lr * bn.dgamma
+    bn._v_beta = momentum * bn._v_beta - lr * bn.dbeta
+    bn.gamma = np.maximum(bn.gamma + bn._v_gamma, GAMMA_MIN)
+    bn.beta = bn.beta + bn._v_beta
+    bn.dgamma[:] = 0.0
+    bn.dbeta[:] = 0.0
+
+
+def test_batchnorm_step_matches_frozen_out_of_place_step():
+    """gamma clamped at GAMMA_MIN, beta unbounded, to the byte."""
+    rng = np.random.default_rng(5)
+    n = 16
+    bn = BatchNorm(n)
+    bn.gamma = rng.uniform(GAMMA_MIN, 0.05, n)
+    bn.gamma[:3] = GAMMA_MIN
+    bn.beta = rng.normal(0.0, 3.0, n)
+    ref = copy.deepcopy(bn)
+    clamped = 0
+    for _ in range(50):
+        dgamma, dbeta = rng.normal(0.5, 1.0, n), rng.normal(0.0, 5.0, n)
+        lr, momentum = rng.uniform(0.001, 0.2), rng.uniform(0.0, 0.95)
+        for b in (bn, ref):
+            b.dgamma += dgamma
+            b.dbeta += dbeta
+        bn.step(lr, momentum)
+        frozen_bn_step(ref, lr, momentum)
+        for f in ("gamma", "beta", "_v_gamma", "_v_beta", "dgamma", "dbeta"):
+            same_bytes(getattr(bn, f), getattr(ref, f))
+        clamped += int(np.sum(bn.gamma == GAMMA_MIN))
+    assert clamped > 0 and np.abs(bn.beta).max() > 1.0

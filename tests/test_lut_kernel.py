@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lutshrink import lutcore
-from lutshrink.lutcore import CornerBatch, _halve, index_pattern
+from lutshrink.lutcore import CornerBatch, _halve
 from lutshrink.model import BatchNorm, LutLayer, sign_pm1
 
 
@@ -265,7 +265,8 @@ def test_interpolation_is_exact_at_every_corner(table):
     """The interpolating path itself, called directly: CornerBatch would
     take its corner path on these inputs."""
     k = table.shape[0].bit_length() - 1
-    corners = np.array([index_pattern(d, k) for d in range(2**k)], dtype=np.float64)
+    # row d is corner d: input j is +1 where bit j of d is set
+    corners = np.where((np.arange(2**k)[:, None] >> np.arange(k)) & 1, 1.0, -1.0)
     n = table.shape[1]
     lo = [np.repeat((1.0 - corners[:, j : j + 1]) * 0.5, n, axis=1) for j in range(k)]
     hi = [np.repeat((1.0 + corners[:, j : j + 1]) * 0.5, n, axis=1) for j in range(k)]

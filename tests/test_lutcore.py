@@ -3,26 +3,24 @@ import itertools
 import numpy as np
 import pytest
 
-from lutshrink.lutcore import (
-    ContractError,
-    LutMask,
-    TruthTable,
-    binarize_mask,
-    effective_inputs,
-    index_pattern,
-    lut_forward,
-    lut_grad_inputs,
-    lut_grad_params,
-    pattern_index,
-    project,
-    project_table,
-    support,
-)
+from lutshrink.lutcore import ContractError, CornerBatch, project, rewire, support
+from lutshrink.model import sign_bits
+from lutshrink.shrink import build_U, salience_rows
 
 # Table-1-style AND mask, indexed (-1,-1),(1,-1),(-1,1),(1,1)
-AND_MASK = LutMask(2, [-0.90, -0.01, -0.85, 0.05])
+AND_MASK = np.array([-0.90, -0.01, -0.85, 0.05])
 # x0 XOR x2 as a 3-input table: input 1 is outside the support
 XOR02 = np.array([-1, 1, -1, 1, 1, -1, 1, -1], dtype=np.int8)
+
+
+def pattern_index(d) -> int:
+    """Corner index of sign pattern d in {-1,1}^k (input 0 = LSB)."""
+    return sum(1 << j for j, dj in enumerate(d) if dj > 0)
+
+
+def index_pattern(idx: int, k: int) -> np.ndarray:
+    """Inverse of pattern_index."""
+    return np.array([1 if (idx >> j) & 1 else -1 for j in range(k)], dtype=np.int8)
 
 
 def brute_forward(params, x):
@@ -35,6 +33,25 @@ def brute_forward(params, x):
             term *= 1 + dj * xj
         total += term
     return total / 2**k
+
+
+def one_lut(x) -> CornerBatch:
+    """One sample of one LUT that reads x[j] as its input j."""
+    x = np.asarray(x, dtype=np.float64)
+    return CornerBatch(x[None], np.arange(len(x))[None])
+
+
+def forward(params, x) -> float:
+    return float(one_lut(x).interpolate(np.asarray(params)[:, None])[0, 0])
+
+
+def grad_params(x) -> np.ndarray:
+    """d f / d c: the interpolation weights of every corner."""
+    return one_lut(x).grad_table(np.ones((1, 1)))[:, 0]
+
+
+def grad_inputs(params, x) -> np.ndarray:
+    return one_lut(x).grad_inputs(np.asarray(params)[:, None], np.ones((1, 1)))[0]
 
 
 def central_diff(f, x, step=1e-5):
@@ -50,42 +67,46 @@ def central_diff(f, x, step=1e-5):
 def test_pattern_index_roundtrip():
     for k in range(1, 7):
         for idx in range(2**k):
-            assert pattern_index(index_pattern(idx, k)) == idx
+            d = index_pattern(idx, k)
+            assert pattern_index(d) == idx
+            # the kernel reads the same entry at that corner
+            batch = one_lut(d.astype(np.float64))
+            assert batch.flat.tolist() == [[idx]]
 
 
 def test_forward_corner_k1():
-    mask = LutMask(1, [0.5, -0.5])
-    assert lut_forward(mask, [1.0]) == -0.5
-    assert lut_forward(mask, [-1.0]) == 0.5
+    mask = [0.5, -0.5]
+    assert forward(mask, [1.0]) == -0.5
+    assert forward(mask, [-1.0]) == 0.5
 
 
 def test_forward_and_corner():
-    assert lut_forward(AND_MASK, [1.0, 1.0]) == pytest.approx(0.05, abs=1e-15)
+    assert forward(AND_MASK, [1.0, 1.0]) == pytest.approx(0.05, abs=1e-15)
 
 
 def test_forward_origin_is_mean():
-    # frozen from brute_forward(AND_MASK.params, (0,0)) = mean of entries
-    assert lut_forward(AND_MASK, [0.0, 0.0]) == pytest.approx(-0.4275, abs=1e-15)
+    # frozen from brute_forward(AND_MASK, (0,0)) = mean of entries
+    assert forward(AND_MASK, [0.0, 0.0]) == pytest.approx(-0.4275, abs=1e-15)
 
 
 def test_forward_matches_brute_force():
     rng = np.random.default_rng(0)
     for k in range(1, 7):
         for _ in range(20):
-            mask = LutMask(k, rng.uniform(-1, 1, 2**k))
+            params = rng.uniform(-1, 1, 2**k)
             x = rng.uniform(-1, 1, k)
-            assert lut_forward(mask, x) == pytest.approx(
-                brute_forward(mask.params, x), rel=1e-12
+            assert forward(params, x) == pytest.approx(
+                brute_forward(params, x), rel=1e-12
             )
 
 
 def test_corner_identity():
     rng = np.random.default_rng(1)
     for k in range(1, 7):
-        mask = LutMask(k, rng.uniform(-1, 1, 2**k))
+        params = rng.uniform(-1, 1, 2**k)
         for idx in range(2**k):
             a = index_pattern(idx, k).astype(float)
-            assert abs(lut_forward(mask, a) - mask.params[idx]) <= 1e-12
+            assert abs(forward(params, a) - params[idx]) <= 1e-12
 
 
 def test_linearity_in_params():
@@ -95,28 +116,25 @@ def test_linearity_in_params():
         c2 = rng.uniform(-1, 1, 2**k)
         x = rng.uniform(-1, 1, k)
         a, b = 0.3, -1.7
-        lhs = lut_forward(LutMask(k, a * c1 + b * c2), x)
-        rhs = a * lut_forward(LutMask(k, c1), x) + b * lut_forward(LutMask(k, c2), x)
+        lhs = forward(a * c1 + b * c2, x)
+        rhs = a * forward(c1, x) + b * forward(c2, x)
         assert abs(lhs - rhs) <= 1e-12
 
 
 def test_grad_params_trivial_cases():
-    mask = LutMask(1, [0.3, 0.7])
-    np.testing.assert_allclose(lut_grad_params(mask, [1.0]), [0.0, 1.0])
-    mask2 = LutMask(2, [1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_allclose(lut_grad_params(mask2, [0.0, 0.0]), [0.25] * 4)
+    np.testing.assert_allclose(grad_params([1.0]), [0.0, 1.0])
+    np.testing.assert_allclose(grad_params([0.0, 0.0]), [0.25] * 4)
 
 
 def test_grad_inputs_k1_linear():
     a, b = -0.4, 0.9
-    mask = LutMask(1, [a, b])
     for x in (-1.0, 0.0, 0.7):
-        np.testing.assert_allclose(lut_grad_inputs(mask, [x]), [(b - a) / 2])
+        np.testing.assert_allclose(grad_inputs([a, b], [x]), [(b - a) / 2])
 
 
 def test_grad_inputs_and_mask_corner():
     # hand expansion: df/dx1 at (1,1) = (c11 - c01)/2 = (0.05 + 0.85)/2
-    g = lut_grad_inputs(AND_MASK, [1.0, 1.0])
+    g = grad_inputs(AND_MASK, [1.0, 1.0])
     assert g[0] == pytest.approx(0.45, abs=1e-15)
 
 
@@ -125,47 +143,35 @@ def test_gradients_match_finite_differences(k):
     rng = np.random.default_rng(10 + k)
     for _ in range(100):
         params = rng.uniform(-1, 1, 2**k)
-        mask = LutMask(k, params)
         x = rng.uniform(-0.9, 0.9, k)
 
-        gx = lut_grad_inputs(mask, x)
-        fd_x = central_diff(lambda xv: lut_forward(mask, xv), x)
+        gx = grad_inputs(params, x)
+        fd_x = central_diff(lambda xv: forward(params, xv), x)
         np.testing.assert_allclose(gx, fd_x, rtol=1e-5, atol=1e-9)
 
-        gp = lut_grad_params(mask, x)
-        fd_p = central_diff(
-            lambda pv: lut_forward(LutMask(k, pv), x), params.copy()
-        )
+        gp = grad_params(x)
+        fd_p = central_diff(lambda pv: forward(pv, x), params.copy())
         np.testing.assert_allclose(gp, fd_p, rtol=1e-5, atol=1e-9)
 
 
 def test_binarize_and_gate():
-    tt = binarize_mask(AND_MASK)
-    np.testing.assert_array_equal(tt.bits, [-1, -1, -1, 1])
+    np.testing.assert_array_equal(sign_bits(AND_MASK), [-1, -1, -1, 1])
 
 
 def test_binarize_tie_rule():
-    tt = binarize_mask(LutMask(2, [0.0, 0.0, 0.0, 0.0]))
-    np.testing.assert_array_equal(tt.bits, [1, 1, 1, 1])
+    np.testing.assert_array_equal(sign_bits(np.zeros(4)), [1, 1, 1, 1])
 
 
 def test_binarize_after_input_removal_gives_wire():
     # AND mask with input 1 (0-based) mean-merged: c' = (-0.875, 0.02)x2
-    merged = LutMask(2, [-0.875, 0.02, -0.875, 0.02])
-    tt = binarize_mask(merged)
-    np.testing.assert_array_equal(tt.bits, [-1, 1, -1, 1])  # y = x_0, a wire
+    merged = np.array([-0.875, 0.02, -0.875, 0.02])
+    np.testing.assert_array_equal(sign_bits(merged), [-1, 1, -1, 1])  # y = x_0
 
 
 def test_effective_inputs_examples():
-    and_tt = TruthTable(2, [-1, -1, -1, 1])
-    assert effective_inputs(and_tt) == {0, 1}
-    assert support(and_tt.bits, 2) == [0, 1]
-    wire = TruthTable(2, [-1, 1, -1, 1])
-    assert effective_inputs(wire) == {0}
-    assert support(wire.bits, 2) == [0]
-    const = TruthTable(2, [1, 1, 1, 1])
-    assert effective_inputs(const) == set()
-    assert support(const.bits, 2) == []
+    assert support([-1, -1, -1, 1], 2) == [0, 1]  # AND
+    assert support([-1, 1, -1, 1], 2) == [0]  # wire
+    assert support([1, 1, 1, 1], 2) == []  # constant
     assert support(XOR02, 3) == [0, 2]
 
 
@@ -177,13 +183,10 @@ def test_support_soundness_exhaustive():
             bits = rng.choice([-1, 1], 2**k).astype(np.int8)
             for j in np.flatnonzero(rng.random(k) < 0.4):
                 bits = bits[idx & ~(1 << j)]  # input j no longer matters
-            tt = TruthTable(k, bits)
-            dead = set(range(k)) - effective_inputs(tt)
-            for j in dead:
+            keep = support(bits, k)
+            for j in set(range(k)) - set(keep):
                 for i in range(2**k):
                     assert bits[i] == bits[i ^ (1 << j)]
-            keep = support(bits, k)
-            assert set(keep) == effective_inputs(tt)
             assert all(np.any(bits != bits[idx ^ (1 << j)]) for j in keep)
             # the projection reads input keep[m] as its input m
             proj = project(bits, k, keep)
@@ -192,29 +195,24 @@ def test_support_soundness_exhaustive():
 
 
 def test_project_table():
-    wire = TruthTable(2, [-1, 1, -1, 1])
-    proj = project_table(wire, [0])
-    np.testing.assert_array_equal(proj.bits, [-1, 1])
-    const = TruthTable(2, [1, 1, 1, 1])
-    assert project_table(const, []) == 1
-    and_tt = TruthTable(2, [-1, -1, -1, 1])
-    with pytest.raises(ContractError):
-        project_table(and_tt, [0])
-    np.testing.assert_array_equal(project(wire.bits, 2, [0]), [-1, 1])
-    assert project(const.bits, 2, []) == 1
+    wire = np.array([-1, 1, -1, 1], dtype=np.int8)
+    const = np.ones(4, dtype=np.int8)
+    and_tt = np.array([-1, -1, -1, 1], dtype=np.int8)
+    np.testing.assert_array_equal(project(wire, 2, [0]), [-1, 1])
+    assert project(const, 2, []) == 1
     np.testing.assert_array_equal(project(XOR02, 3, [2, 0]), [-1, 1, 1, -1])
     with pytest.raises(ContractError, match=r"in the support: \[1\]"):
-        project(and_tt.bits, 2, [0])
+        project(and_tt, 2, [0])
     with pytest.raises(ContractError, match="out of range"):
-        project(wire.bits, 2, [0, 2])
+        project(wire, 2, [0, 2])
 
 
 def test_contract_errors():
-    with pytest.raises(ContractError):
-        LutMask(2, [1.0, 2.0, 3.0])
-    with pytest.raises(ContractError):
-        LutMask(1, [np.nan, 0.0])
-    with pytest.raises(ContractError):
-        LutMask(7, np.zeros(128))
-    with pytest.raises(ContractError):
-        lut_forward(AND_MASK, [1.0])
+    with pytest.raises(ContractError, match=r"fan-in must be in \[1, 6\], got 7"):
+        CornerBatch(np.zeros((1, 7)), np.arange(7)[None])
+    with pytest.raises(ContractError, match="needs 4 entries"):
+        rewire([1, -1, 1], 2, [0, 1], [0, 0])
+    with pytest.raises(ContractError, match="expected 4 columns"):
+        salience_rows(np.zeros((1, 3)), 2)
+    with pytest.raises(ContractError, match="out of range"):
+        build_U(2, 2)

@@ -3,26 +3,32 @@ import itertools
 import numpy as np
 import pytest
 
-from lutshrink.lutcore import (
-    LutMask,
-    binarize_mask,
-    index_pattern,
-    pair_indices,
-    pattern_index,
-)
+from lutshrink.lutcore import ContractError, pair_indices
+from lutshrink.model import sign_bits
 from lutshrink.shrink import (
-    PruneMask,
-    SalienceMatrix,
-    TransformMatrix,
-    apply_transform,
     build_U,
     build_prune_mask,
     compose_transforms,
-    salience,
     salience_rows,
 )
 
-AND_MASK = LutMask(2, [-0.90, -0.01, -0.85, 0.05])
+AND_MASK = np.array([-0.90, -0.01, -0.85, 0.05])
+
+
+def pattern_index(d) -> int:
+    """Corner index of sign pattern d in {-1,1}^k (input 0 = LSB)."""
+    return sum(1 << j for j, dj in enumerate(d) if dj > 0)
+
+
+def salience(params) -> np.ndarray:
+    """Salience of each input of one mask."""
+    return salience_rows(params, len(params).bit_length() - 1)[0]
+
+
+def kron_U(k, i):
+    """The single-input operator as the Kronecker product it is defined by
+    (frozen; do not optimize)."""
+    return np.kron(np.kron(np.eye(2 ** (k - i - 1)), np.ones((2, 2))), np.eye(2**i)) / 2.0
 
 
 def brute_salience(params, k):
@@ -63,8 +69,7 @@ def test_salience_and_gate_table_values():
 
 
 def test_salience_constant_mask_is_zero():
-    s = salience(LutMask(3, np.full(8, 0.37)))
-    np.testing.assert_array_equal(s, np.zeros(3))
+    np.testing.assert_array_equal(salience(np.full(8, 0.37)), np.zeros(3))
 
 
 def test_salience_matches_brute_force():
@@ -73,32 +78,30 @@ def test_salience_matches_brute_force():
         for _ in range(25):
             params = rng.uniform(-1, 1, 2**k)
             np.testing.assert_allclose(
-                salience(LutMask(k, params)), brute_salience(params, k), atol=1e-12
+                salience(params), brute_salience(params, k), atol=1e-12
             )
 
 
 def test_U_k2_matches_displayed_matrices():
     # input 0: averages index pairs {0,1} and {2,3}
-    u0 = build_U(2, 0).entries
     expected0 = 0.5 * np.array(
         [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]], dtype=float
     )
-    np.testing.assert_array_equal(u0, expected0)
+    np.testing.assert_array_equal(build_U(2, 0), expected0)
     # input 1: averages index pairs {0,2} and {1,3}
-    u1 = build_U(2, 1).entries
     expected1 = 0.5 * np.array(
         [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]], dtype=float
     )
-    np.testing.assert_array_equal(u1, expected1)
+    np.testing.assert_array_equal(build_U(2, 1), expected1)
 
 
 def test_U_k1_collapses_to_constant():
-    np.testing.assert_array_equal(build_U(1, 0).entries, np.full((2, 2), 0.5))
+    np.testing.assert_array_equal(build_U(1, 0), np.full((2, 2), 0.5))
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_U_operator_properties(k):
-    us = [build_U(k, i).entries for i in range(k)]
+    us = [build_U(k, i) for i in range(k)]
     for u in us:
         np.testing.assert_allclose(u.sum(axis=1), 1.0, atol=1e-12)  # row-stochastic
         np.testing.assert_allclose(u.sum(axis=0), 1.0, atol=1e-12)  # doubly
@@ -108,32 +111,52 @@ def test_U_operator_properties(k):
         np.testing.assert_allclose(a @ b, b @ a, atol=1e-12)  # commute
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_compose_matches_frozen_kron_product(k):
+    """Every subset of positions, in every order given: the same dtype,
+    shape and bits as the sorted product of Kronecker-built operators."""
+    for m in range(k + 1):
+        for pos in itertools.permutations(range(k), m):
+            want = np.eye(2**k)
+            for i in sorted(pos):
+                want = want @ kron_U(k, i)
+            got = compose_transforms(k, pos)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), pos
+
+
+def test_compose_refuses_out_of_range():
+    for k, pos in ((0, []), (7, []), (2, [2]), (3, [-1]), (3, [0, 3])):
+        with pytest.raises(ContractError, match="out of range"):
+            compose_transforms(k, pos)
+
+
 def test_compose_empty_is_identity():
-    v = compose_transforms(3, [])
-    np.testing.assert_array_equal(v.entries, np.eye(8))
+    np.testing.assert_array_equal(compose_transforms(3, []), np.eye(8))
 
 
 def test_compose_all_is_global_mean():
-    v = compose_transforms(2, [0, 1])
-    np.testing.assert_allclose(v.entries, np.full((4, 4), 0.25), atol=1e-12)
+    np.testing.assert_allclose(compose_transforms(2, [0, 1]), np.full((4, 4), 0.25),
+                               atol=1e-12)
 
 
 def test_compose_order_independent():
-    a = build_U(2, 0).entries @ build_U(2, 1).entries
-    b = build_U(2, 1).entries @ build_U(2, 0).entries
+    a = build_U(2, 0) @ build_U(2, 1)
+    b = build_U(2, 1) @ build_U(2, 0)
     np.testing.assert_allclose(a, b, atol=1e-12)
-    np.testing.assert_allclose(compose_transforms(2, [0, 1]).entries, a, atol=1e-12)
+    np.testing.assert_allclose(compose_transforms(2, [0, 1]), a, atol=1e-12)
+    np.testing.assert_array_equal(compose_transforms(2, [1, 0]),
+                                  compose_transforms(2, [0, 1]))
 
 
 def test_compose_zeroes_targeted_salience_only():
     rng = np.random.default_rng(5)
     v = compose_transforms(4, [1, 3])
-    np.testing.assert_allclose(v.entries @ v.entries, v.entries, atol=1e-12)
+    np.testing.assert_allclose(v @ v, v, atol=1e-12)
     for _ in range(20):
-        mask = LutMask(4, rng.uniform(-1, 1, 16))
-        out = apply_transform(v, mask)
-        s_before = salience(mask)
-        s_after = salience(out)
+        params = rng.uniform(-1, 1, 16)
+        s_before = salience(params)
+        s_after = salience(params @ v)
         assert s_after[1] == 0.0 and s_after[3] == 0.0
         # averaging merges signed differences, so untouched positions can
         # only lose salience, never gain it
@@ -142,30 +165,26 @@ def test_compose_zeroes_targeted_salience_only():
 
 def test_apply_transform_table_example():
     # severing input 1 (0-based) of the AND mask, rounds to -0.88 / 0.02
-    v = compose_transforms(2, [1])
-    out = apply_transform(v, AND_MASK)
-    np.testing.assert_allclose(out.params, [-0.875, 0.02, -0.875, 0.02], atol=1e-12)
+    out = AND_MASK @ compose_transforms(2, [1])
+    np.testing.assert_allclose(out, [-0.875, 0.02, -0.875, 0.02], atol=1e-12)
 
 
 def test_apply_transform_identity_and_idempotence():
     rng = np.random.default_rng(6)
     ident = compose_transforms(3, [])
     v = compose_transforms(3, [0, 2])
-    for _ in range(1000):
-        mask = LutMask(3, rng.uniform(-1, 1, 8))
-        np.testing.assert_array_equal(apply_transform(ident, mask).params, mask.params)
-        once = apply_transform(v, mask)
-        twice = apply_transform(v, once)
-        np.testing.assert_allclose(twice.params, once.params, atol=1e-12)
+    masks = rng.uniform(-1, 1, (1000, 8))  # one mask per row
+    np.testing.assert_array_equal(masks @ ident, masks)
+    once = masks @ v
+    np.testing.assert_allclose(once @ v, once, atol=1e-12)
 
 
 def test_mean_preservation():
     rng = np.random.default_rng(7)
     for k in range(1, 6):
         v = compose_transforms(k, rng.choice(k, size=max(1, k // 2), replace=False))
-        mask = LutMask(k, rng.uniform(-1, 1, 2**k))
-        out = apply_transform(v, mask)
-        assert abs(out.params.mean() - mask.params.mean()) <= 1e-12
+        params = rng.uniform(-1, 1, 2**k)
+        assert abs((params @ v).mean() - params.mean()) <= 1e-12
 
 
 def test_zero_salience_severance_preserves_function():
@@ -175,31 +194,28 @@ def test_zero_salience_severance_preserves_function():
             params = rng.uniform(-1, 1, 2**k)
             # plant a dead input by pre-averaging a random position
             dead = int(rng.integers(k))
-            params = build_U(k, dead).apply(params)
-            mask = LutMask(k, params)
-            s = salience(mask)
+            params = params @ build_U(k, dead)
+            s = salience(params)
             zero_pos = [i for i in range(k) if s[i] == 0.0]
             assert dead in zero_pos
-            out = apply_transform(compose_transforms(k, zero_pos), mask)
-            np.testing.assert_array_equal(
-                binarize_mask(out).bits, binarize_mask(mask).bits
-            )
+            out = params @ compose_transforms(k, zero_pos)
+            np.testing.assert_array_equal(sign_bits(out), sign_bits(params))
 
 
 def test_min_salience_severance_bounded_table_change():
     rng = np.random.default_rng(9)
     for k in range(2, 7):
         for _ in range(100):
-            mask = LutMask(k, rng.uniform(-1, 1, 2**k))
-            i = int(np.argmin(salience(mask)))
-            out = apply_transform(compose_transforms(k, [i]), mask)
-            diff = binarize_mask(out).bits != binarize_mask(mask).bits
+            params = rng.uniform(-1, 1, 2**k)
+            i = int(np.argmin(salience(params)))
+            out = params @ compose_transforms(k, [i])
+            diff = sign_bits(out) != sign_bits(params)
             assert diff.sum() <= 2 ** (k - 1)
 
 
 def test_prune_mask_trivial_fractions():
-    s = SalienceMatrix(np.array([[1.79, 0.11], [0.50, 0.40]]))
-    prev = PruneMask(np.zeros((2, 2), dtype=bool), 0.0)
+    s = np.array([[1.79, 0.11], [0.50, 0.40]])
+    prev = np.zeros((2, 2), dtype=bool)
     assert build_prune_mask(s, 0.0, prev).count == 0
     np.testing.assert_array_equal(
         build_prune_mask(s, 1.0, prev).mask, np.ones((2, 2), dtype=bool)
@@ -207,7 +223,7 @@ def test_prune_mask_trivial_fractions():
 
 
 def test_prune_mask_ranks_ascending():
-    s = SalienceMatrix(np.array([[1.79, 0.11], [0.50, 0.40]]))
+    s = np.array([[1.79, 0.11], [0.50, 0.40]])
     m = build_prune_mask(s, 0.5, None)
     # hand sort: 0.11 < 0.40 < 0.50 < 1.79 -> (0,1) and (1,1) pruned
     np.testing.assert_array_equal(m.mask, [[False, True], [False, True]])
@@ -223,18 +239,27 @@ def test_prune_mask_monotone_and_exact_count():
         # severed entries report zero salience from then on
         sc = scores.copy()
         if prev is not None:
-            sc[prev.mask] = 0.0
-        cur = build_prune_mask(SalienceMatrix(sc), delta_t, prev)
-        assert cur.count == int(np.floor(delta_t * 200))
+            sc[prev] = 0.0
+        cur = build_prune_mask(sc, delta_t, prev).mask
+        assert cur.sum() == int(np.floor(delta_t * 200))
         if prev is not None:
-            assert np.all(cur.mask[prev.mask])
+            assert np.all(cur[prev])
         prev = cur
 
 
 def test_prune_mask_stable_tiebreak():
-    s = SalienceMatrix(np.zeros((2, 3)))
-    m = build_prune_mask(s, 0.5, None)  # floor(3) of 6 all-equal entries
+    m = build_prune_mask(np.zeros((2, 3)), 0.5, None)  # floor(3) of 6 equal
     np.testing.assert_array_equal(m.mask, [[True, True, True], [False, False, False]])
+
+
+def test_prune_mask_refuses_bad_arguments():
+    s = np.array([[0.5, 0.1]])
+    for args, match in (((s, 1.5), r"delta_t must be in \[0,1\]"),
+                        ((-s, 0.5), "non-negative"),
+                        ((s[0], 0.5), "2-D"),
+                        ((s, 0.5, np.zeros((2, 1), dtype=bool)), "shape mismatch")):
+        with pytest.raises(ContractError, match=match):
+            build_prune_mask(*args)
 
 
 def test_salience_rows_matches_single():
@@ -242,4 +267,5 @@ def test_salience_rows_matches_single():
     params = rng.uniform(-1, 1, (10, 8))
     rows = salience_rows(params, 3)
     for n in range(10):
-        np.testing.assert_allclose(rows[n], salience(LutMask(3, params[n])), atol=1e-15)
+        np.testing.assert_array_equal(rows[n], salience_rows(params[n], 3)[0])
+        np.testing.assert_allclose(rows[n], brute_salience(params[n], 3), atol=1e-15)
