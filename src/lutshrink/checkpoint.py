@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
+from .lutcore import MAX_K
 from .model import BatchNorm, DenseLayer, LutLayer, Network
 from .train import ShrinkPlan, TrainConfig
 
 FORMAT_VERSION = 2
 
-PHASES = ["init", "trained", "expanded", "shrunk", "final"]
+PHASES = ["trained", "expanded", "shrunk", "final"]
 
 _BN_FIELDS = ("gamma", "beta", "running_mean", "running_var")
 
@@ -60,21 +61,30 @@ def _dec(d: dict) -> np.ndarray:
     return a.reshape(d["shape"]).copy()
 
 
-def _array(doc: dict, key: str, dtype: str) -> np.ndarray:
-    """The array stored as doc[key], which must have ``dtype``."""
+def _array(doc: dict, key: str, dtype: str, shape: tuple,
+           bound: int | None = None) -> np.ndarray:
+    """The array stored as doc[key], of ``dtype`` and ``shape`` (a None length
+    matches any), and, given a ``bound``, with entries in [0, bound)."""
     d = doc[key]
     try:
         if d["dtype"] != dtype:
             raise ValueError(f"it has dtype {d['dtype']!r}")
-        return _dec(d)
+        a = _dec(d)
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"field {key!r} is not a {dtype} array: {e}") from None
+    if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
+        raise CheckpointError(f"field {key!r} has shape {a.shape}, not "
+                              + str(shape).replace("None", "N"))
+    if bound is not None and a.size and not 0 <= a.min() <= a.max() < bound:
+        bad = a.min() if a.min() < 0 else a.max()
+        raise CheckpointError(f"field {key!r} holds {bad}, not in [0, {bound})")
+    return a
 
 
 def _shadow(doc: dict) -> np.ndarray:
     """The dense shadows, which training keeps finite and within [-1, 1]:
     the backward relies on it (its straight-through gate is always open)."""
-    shadow = _array(doc, "shadow", "<f8")
+    shadow = _array(doc, "shadow", "<f8", (doc["n_out"], doc["n_in"]))
     bad = ~(np.abs(shadow) <= 1.0)  # NaN compares false
     if bad.any():
         raise CheckpointError(
@@ -94,7 +104,7 @@ def _dec_bn(d, n: int) -> BatchNorm | None:
         return None
     bn = BatchNorm(n)
     for f in _BN_FIELDS:
-        setattr(bn, f, _array(d, f, "<f8"))
+        setattr(bn, f, _array(d, f, "<f8", (n,)))
     return bn
 
 
@@ -128,13 +138,28 @@ def _dec_layer(d: dict):
         lay = DenseLayer(d["n_in"], d["n_out"], np.random.default_rng(0), d["name"],
                          is_output=d["is_output"], shrinkable=d["shrinkable"])
         lay.alpha, lay.bn = d["alpha"], bn
-        lay.shadow, lay.alive = _shadow(d), _array(d, "alive", "|b1")
+        lay.shadow = _shadow(d)
+        lay.alive = _array(d, "alive", "|b1", lay.shadow.shape)
         return lay
-    lay = LutLayer(d["n_in"], d["n_out"], d["k"], _array(d, "inputs", "<i8"),
-                   _array(d, "channel", "<i8"), _array(d, "masks", "<f8"), d["name"],
+    if not 1 <= d["k"] <= MAX_K:
+        raise CheckpointError(f"field 'k' is {d['k']}, not in [1, {MAX_K}]")
+    masks = _array(d, "masks", "<f8", (None, 2 ** d["k"]))
+    n = len(masks)
+    inputs = _array(d, "inputs", "<i8", (n, d["k"]), d["n_in"])
+    lay = LutLayer(d["n_in"], d["n_out"], d["k"], inputs,
+                   _array(d, "channel", "<i8", (n,), d["n_out"]), masks, d["name"],
                    is_output=d["is_output"], bn=bn, alpha=d["alpha"])
-    lay.set_pruned(_array(d, "pruned", "|b1"))
+    lay.set_pruned(_array(d, "pruned", "|b1", (n, d["k"])))
     return lay
+
+
+def _dataclass(cls, doc: dict, key: str):
+    """cls(**doc[key]), where doc[key] must hold exactly the fields of cls."""
+    odd = sorted({f.name for f in fields(cls)} ^ doc[key].keys())
+    if odd:
+        what = "an unknown field" if odd[0] in doc[key] else "no field"
+        raise CheckpointError(f"field {key!r} has {what} {odd[0]!r}")
+    return cls(**doc[key])
 
 
 def save(path: str, net: Network, cfg: TrainConfig, phase: str,
@@ -174,12 +199,15 @@ def load(path: str):
         )
     try:
         _check_types(doc, _FIELDS)
+        cfg = _dataclass(TrainConfig, doc, "config")
+        cfg.validate()
+        plan = None if doc["shrink_plan"] is None else _dataclass(ShrinkPlan, doc,
+                                                                  "shrink_plan")
     except KeyError as e:
         raise CheckpointError(f"{path} is not a checkpoint: no field "
                               f"{e.args[0]!r}") from None
-    except CheckpointError as e:
+    except (CheckpointError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path} is not a checkpoint: {e}") from None
-    cfg = TrainConfig(**doc["config"])
     layers = []
     for i, d in enumerate(doc["layers"]):
         where = f"{path} is not a checkpoint: layer {i}"
@@ -194,5 +222,4 @@ def load(path: str):
     net = Network(layers, doc["num_classes"])
     rng = np.random.default_rng(0)
     rng.bit_generator.state = doc["rng_state"]
-    plan = doc["shrink_plan"]
-    return net, cfg, doc["phase"], rng, None if plan is None else ShrinkPlan(**plan)
+    return net, cfg, doc["phase"], rng, plan

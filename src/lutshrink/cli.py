@@ -116,8 +116,6 @@ def cmd_export(args) -> None:
     from .netlist import area_report, extract_netlist, scores, simplify
     from .verilog import emit_verilog, parse_verilog
 
-    if args.cert_samples < 1:
-        raise ValueError(f"--cert-samples must be >= 1, got {args.cert_samples}")
     net, cfg, phase, rng, plan = checkpoint.load(args.checkpoint)
     _require_phase(phase, "final", "export")
     os.makedirs(args.out, exist_ok=True)
@@ -133,22 +131,21 @@ def cmd_export(args) -> None:
     with open(os.path.join(args.out, "area_report.tsv"), "w") as f:
         f.write(report.to_tsv())
 
-    _, test = load_datasets(cfg)
-    n = min(len(test), args.cert_samples)
-    x = test.features[:n]
+    x = load_datasets(cfg)[1].features
     # every class score, not just the argmax: a wrong sum can keep its class
     model_scores = net.infer_bin(x)
     sim_scores = scores(parse_verilog(text), np.where(x >= 0, 1, -1))
     mismatches = int(np.any(model_scores != sim_scores, axis=1).sum())
     cert = (
-        f"samples\t{n}\nmismatches\t{mismatches}\n"
+        f"samples\t{len(x)}\nmismatches\t{mismatches}\n"
         f"status\t{'PASS' if mismatches == 0 else 'FAIL'}\n"
     )
     with open(os.path.join(args.out, "certificate.txt"), "w") as f:
         f.write(cert)
     print(cert, end="")
     if mismatches:
-        raise RuntimeError(f"netlist/model mismatch on {mismatches} of {n} samples")
+        raise RuntimeError(
+            f"netlist/model mismatch on {mismatches} of {len(x)} samples")
     print(f"wrote {v_path}")
 
 
@@ -199,12 +196,13 @@ def cmd_report(args) -> None:
         return
 
     from . import checkpoint
+    from .lutcore import MAX_K
 
     net, cfg, phase, rng, plan = checkpoint.load(args.path)
     print(f"phase: {phase}")
     total_conns = alive_conns = 0
     lut_total = lut_surv = 0
-    hist = np.zeros(8, dtype=np.int64)
+    hist = np.zeros(MAX_K + 1, dtype=np.int64)
     for lay in net.layers:
         if lay.kind == "dense":
             flag = " (shrinkable)" if lay.shrinkable else ""
@@ -216,9 +214,7 @@ def cmd_report(args) -> None:
                 total_conns += lay.alive.size
                 alive_conns += int(lay.alive.sum())
         else:
-            sizes = lay.k - lay.pruned.sum(axis=1)
-            for s in sizes:
-                hist[int(s)] += 1
+            hist += np.bincount(lay.k - lay.pruned.sum(axis=1), minlength=MAX_K + 1)
             lut_total += lay.n_nodes * lay.k
             lut_surv += int((~lay.pruned).sum())
             print(
@@ -231,7 +227,7 @@ def cmd_report(args) -> None:
         print(f"delta achieved: {1 - lut_surv / lut_total:.4f}")
         print(
             "effective-size histogram: "
-            + " ".join(f"{s}:{hist[s]}" for s in range(8) if hist[s])
+            + " ".join(f"{s}:{c}" for s, c in enumerate(hist) if c)
         )
     if plan is not None:
         print(
@@ -285,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("checkpoint")
     x.add_argument("--out", required=True)
     x.add_argument("--top", default="top")
-    x.add_argument("--cert-samples", type=int, default=10000)
     x.set_defaults(fn=cmd_export)
 
     m = sub.add_parser("simulate", help="simulate an emitted netlist on vectors")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.features.ndim != 2 or len(self.features) != len(self.labels):
@@ -67,7 +66,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     pixels = np.frombuffer(img_raw, dtype=np.uint8, offset=16).reshape(n, rows * cols)
     features = pixels.astype(np.float32) / 127.5 - 1.0
     labels = np.frombuffer(lab_raw, dtype=np.uint8, offset=8).astype(np.int64)
-    return Dataset(features, labels, 10, {"rows": rows, "cols": cols})
+    return Dataset(features, labels, 10)
 
 
 def _boolean_label(fn: str, patterns: np.ndarray, rng: np.random.Generator):
@@ -99,5 +98,5 @@ def synth_boolean(fn: str, m: int, n_samples: int, seed: int = 0) -> Dataset:
     else:
         patterns = rng.choice([-1.0, 1.0], size=(n_samples, m))
     labels = _boolean_label(fn, patterns, rng)
-    return Dataset(patterns.astype(np.float32), labels, 2, {"function": fn, "m": m})
+    return Dataset(patterns.astype(np.float32), labels, 2)
 

@@ -42,6 +42,7 @@ from .shrink import compose_transforms, salience_rows
 
 GAMMA_MIN = 1e-3  # keeps the folded threshold comparison direction fixed
 EXACT_SUM_LIMIT = 2**24  # float32 holds every integer of smaller magnitude
+RECALIBRATE_PASSES, RECALIBRATE_BATCH = 20, 256  # batch-norm refresh extent
 
 
 class ModelError(RuntimeError):
@@ -131,16 +132,15 @@ class BatchNorm:
             mu, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (s - mu) * inv_std
-        self._cache = (xhat, inv_std, stats == "batch")
+        self._cache = (xhat, inv_std)
         return self.gamma * xhat + self.beta
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        xhat, inv_std, by_batch = self._cache
+        """Gradient through the last forward, which must be a "batch" one."""
+        xhat, inv_std = self._cache
         self.dgamma += (dy * xhat).sum(axis=0)
         self.dbeta += dy.sum(axis=0)
         dxhat = dy * self.gamma
-        if not by_batch:
-            return dxhat * inv_std
         b = dy.shape[0]
         return (
             inv_std
@@ -274,7 +274,6 @@ class LutLayer:
         self.channel = channel[order].astype(np.int64)
         self.masks = masks[order].astype(np.float64)
         self.is_output = is_output
-        self.shrinkable = True
         self.bn = bn if not is_output else None
         self.alpha = alpha if alpha is not None else 1.0 / math.sqrt(max(n_in, 1))
         self.dmasks = np.zeros_like(self.masks)
@@ -398,11 +397,11 @@ class Network:
         """Exact integer inference; ties resolved to the lowest class."""
         return np.argmax(self.infer_bin(x), axis=1)
 
-    def recalibrate(self, x: np.ndarray, passes: int = 20, batch: int = 256) -> None:
+    def recalibrate(self, x: np.ndarray) -> None:
         """Refresh batch-norm running stats under binarized forward."""
-        n = min(len(x), passes * batch)
-        for lo in range(0, n, batch):
-            h = sign_pm1(np.asarray(x[lo : lo + batch], dtype=np.float64))
+        n = min(len(x), RECALIBRATE_PASSES * RECALIBRATE_BATCH)
+        for lo in range(0, n, RECALIBRATE_BATCH):
+            h = sign_pm1(np.asarray(x[lo : lo + RECALIBRATE_BATCH], dtype=np.float64))
             for lay in self.layers:
                 h = lay.forward(h, "bin", "refresh")
 

@@ -32,7 +32,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .lutcore import project, rewire, support
+from .lutcore import MAX_K, project, rewire, support
 from .model import EXACT_SUM_LIMIT, Network
 
 
@@ -107,20 +107,10 @@ class Netlist:
         return sum(n.k for n in self.lut_nodes())
 
 
-def _fold_check(net: Network) -> None:
-    for lay in net.layers:
-        if lay.kind == "lut" and not np.allclose(
-            lay.effective_masks(), lay.masks, rtol=0, atol=1e-9
-        ):
-            raise NetlistError(
-                f"layer {lay.name!r} has unfolded severance transforms; "
-                "finalize the model before extraction"
-            )
-
-
 def extract_netlist(net: Network) -> Netlist:
-    """Build the pre-simplification netlist of a finalized network."""
-    _fold_check(net)
+    """Build the pre-simplification netlist of a network. LUTs are read
+    through their effective truth tables, so severance need not be folded
+    into the raw masks first."""
     nl = Netlist(n_inputs=net.layers[0].n_in)
     wires = [nl.add("input", pos=i).id for i in range(nl.n_inputs)]
     for lay in net.layers:
@@ -361,12 +351,10 @@ def classify(nl: Netlist, x: np.ndarray) -> np.ndarray:
 @dataclass
 class AreaReport:
     layers: list[str]
-    pre: dict[str, np.ndarray]  # layer -> counts by size class 0..6
+    pre: dict[str, np.ndarray]  # layer -> counts by size class 0..MAX_K
     post: dict[str, np.ndarray]
     pre_inputs: int
     post_inputs: int
-
-    MAX_SIZE = 6
 
     @property
     def pre_total(self) -> np.ndarray:
@@ -378,28 +366,19 @@ class AreaReport:
 
     @staticmethod
     def majority_class(counts: np.ndarray) -> int:
-        if counts.sum() == 0:
-            return 0
-        return int(np.argmax(counts))
-
-    def mean_size(self, which: str = "pre") -> float:
-        counts = self.pre_total if which == "pre" else self.post_total
-        total = counts.sum()
-        if total == 0:
-            return 0.0
-        return float((counts * np.arange(len(counts))).sum() / total)
+        return int(np.argmax(counts))  # ties, all-zero counts too, go to the smallest
 
     def to_tsv(self) -> str:
         lines = ["layer\tsize_class\tpre_count\tpost_count"]
         for layer in self.layers:
-            for size in range(self.MAX_SIZE + 1):
+            for size in range(MAX_K + 1):
                 lines.append(
                     f"{layer}\t{size}\t{self.pre[layer][size]}\t{self.post[layer][size]}"
                 )
         return "\n".join(lines) + "\n"
 
     def to_table(self) -> str:
-        head = "layer      " + "".join(f"{s}-LUT".rjust(9) for s in range(self.MAX_SIZE + 1))
+        head = "layer      " + "".join(f"{s}-LUT".rjust(9) for s in range(MAX_K + 1))
         lines = [head + "  (pre / post)"]
         for layer in self.layers:
             pre = " ".join(str(int(c)).rjust(8) for c in self.pre[layer])
@@ -418,24 +397,21 @@ class AreaReport:
 
 
 def _count_by_size(nl: Netlist) -> tuple[dict[str, np.ndarray], int]:
-    counts: dict[str, np.ndarray] = {}
-    n_inputs = 0
-    for nid in nl.order:
-        node = nl.nodes[nid]
+    """LUT counts of each layer by size (a constant of a layer has size 0),
+    and the total size."""
+    sizes: dict[str, list[int]] = {}
+    for node in nl.nodes.values():
         if node.kind == "lut" or (node.kind == "const" and node.layer):
-            size = node.k if node.kind == "lut" else 0
-            layer = node.layer
-            counts.setdefault(layer, np.zeros(AreaReport.MAX_SIZE + 1, dtype=np.int64))
-            counts[layer][size] += 1
-            n_inputs += size
-    return counts, n_inputs
+            sizes.setdefault(node.layer, []).append(node.k)
+    return ({layer: np.bincount(s, minlength=MAX_K + 1) for layer, s in sizes.items()},
+            sum(map(sum, sizes.values())))
 
 
 def area_report(pre: Netlist, post: Netlist) -> AreaReport:
     pre_counts, pre_inputs = _count_by_size(pre)
     post_counts, post_inputs = _count_by_size(post)
     layers = sorted(set(pre_counts) | set(post_counts))
-    zero = np.zeros(AreaReport.MAX_SIZE + 1, dtype=np.int64)
+    zero = np.zeros(MAX_K + 1, dtype=np.int64)
     return AreaReport(
         layers,
         {l: pre_counts.get(l, zero.copy()) for l in layers},

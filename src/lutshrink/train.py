@@ -17,6 +17,8 @@ from .lutcore import MAX_K
 from .model import DenseLayer, LutLayer, ModelError, Network, softmax_xent
 from .shrink import build_prune_mask
 
+EVAL_BATCH = 1024
+
 
 class TrainingDivergedError(RuntimeError):
     pass
@@ -42,8 +44,13 @@ def _bool(s: str) -> bool:
 
 def _range(ok: Callable[[Any], bool], valid: str):
     """A setting check that names the range ``valid`` for a value ``ok``
-    refuses."""
-    return lambda value, cfg: None if ok(value) else valid
+    refuses, or cannot compare (a string from an edited checkpoint)."""
+    def check(value, cfg):
+        try:
+            return None if ok(value) else valid
+        except TypeError:
+            return valid
+    return check
 
 
 def _layer_name(name: str, cfg: TrainConfig) -> str | None:
@@ -185,13 +192,13 @@ def build_network(cfg: TrainConfig, n_features: int, n_classes: int,
     return Network(layers, n_classes)
 
 
-def evaluate(net: Network, ds: Dataset, mode: str, batch: int = 1024) -> float:
+def evaluate(net: Network, ds: Dataset, mode: str) -> float:
     """Top-1 error fraction. The bin mode is the exact inference path: its
     sums are integer-valued, run on float32 BLAS and are exact below 2^24."""
     wrong = 0
-    for lo in range(0, len(ds), batch):
-        x = ds.features[lo : lo + batch]
-        y = ds.labels[lo : lo + batch]
+    for lo in range(0, len(ds), EVAL_BATCH):
+        x = ds.features[lo : lo + EVAL_BATCH]
+        y = ds.labels[lo : lo + EVAL_BATCH]
         if mode == "bin":
             pred = net.predict_bin(x)
         else:
@@ -230,16 +237,15 @@ def train_phase(net: Network, train: Dataset, test: Dataset, *, mode: str,
 
 
 def train_bnn(net: Network, train: Dataset, test: Dataset, cfg: TrainConfig,
-              rng: np.random.Generator, log: MetricLog) -> Network:
+              rng: np.random.Generator, log: MetricLog) -> None:
     segments = cfg.lr_schedule or [(cfg.lr, cfg.epochs_bnn)]
     for lr, epochs in segments:
         train_phase(net, train, test, mode="bin", epochs=int(epochs), lr=float(lr),
                     cfg=cfg, rng=rng, log=log, phase="bnn")
-    return net
 
 
 def prune_nodes(net: Network, theta: float, train: Dataset, test: Dataset,
-                cfg: TrainConfig, rng: np.random.Generator, log: MetricLog) -> Network:
+                cfg: TrainConfig, rng: np.random.Generator, log: MetricLog) -> None:
     """Kill the floor(theta*N) lowest-|shadow| connections per shrinkable
     layer, then retrain binarized."""
     if not 0.0 <= theta <= 1.0:
@@ -261,11 +267,10 @@ def prune_nodes(net: Network, theta: float, train: Dataset, test: Dataset,
         train_phase(net, train, test, mode="bin", epochs=cfg.epochs_post_prune,
                     lr=cfg.lr * cfg.lr_decay, cfg=cfg, rng=rng, log=log,
                     phase="prune-retrain")
-    return net
 
 
 def logic_expand(net: Network, k: int, train: Dataset, test: Dataset,
-                 cfg: TrainConfig, rng: np.random.Generator, log: MetricLog) -> Network:
+                 cfg: TrainConfig, rng: np.random.Generator, log: MetricLog) -> None:
     """Replace each surviving connection of a shrinkable layer with a k-LUT
     initialized to reproduce its XNOR exactly, then retrain high-precision."""
     new_layers = []
@@ -303,7 +308,6 @@ def logic_expand(net: Network, k: int, train: Dataset, test: Dataset,
                     lr=cfg.lr * cfg.lr_decay, cfg=cfg, rng=rng, log=log,
                     phase="expand-retrain")
         net.recalibrate(train.features)
-    return net
 
 
 def _shrinkable_lut_layers(net: Network) -> list[LutLayer]:
@@ -347,13 +351,12 @@ def logic_shrink(net: Network, train: Dataset, test: Dataset, cfg: TrainConfig,
 
 def finalize_binarized(net: Network, train: Dataset, test: Dataset,
                        cfg: TrainConfig, rng: np.random.Generator,
-                       log: MetricLog) -> Network:
+                       log: MetricLog) -> None:
     """Binarized-forward retraining, then fold the severance transforms into
-    the raw masks and freeze."""
+    the raw masks."""
     if cfg.epochs_final > 0:
         train_phase(net, train, test, mode="bin", epochs=cfg.epochs_final,
                     lr=cfg.lr * cfg.lr_decay**3, cfg=cfg, rng=rng, log=log,
                     phase="final")
     for lay in _shrinkable_lut_layers(net):
         lay.fold_transforms()
-    return net

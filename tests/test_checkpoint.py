@@ -126,7 +126,36 @@ def with_shadow(value):
     return edit
 
 
+def with_array(key, edit):
+    """An edit of a layer (or of its ``bn``) that stores edit(array) as its
+    array ``key``, in the same dtype."""
+    return lambda d: {**d, key: checkpoint._enc(edit(checkpoint._dec(d[key])),
+                                                d[key]["dtype"])}
+
+
+def with_bn_array(key, edit):
+    return lambda d: {**d, "bn": with_array(key, edit)(d["bn"])}
+
+
+def with_first(value):
+    """An array edit that sets its first entry to ``value``."""
+    def edit(a):
+        a.flat[0] = value
+        return a
+    return edit
+
+
+def edit_section(key, edit):
+    """A checkpoint edit that replaces doc[key] by edit(doc[key])."""
+    return lambda doc: {**doc, key: edit(doc[key])}
+
+
+def without(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
 _SHADOW_RANGE = "not a finite value in [-1, 1]; re-run from `lutshrink train`"
+_PLAN = {"deltas": [0.5], "pruned_counts": [3], "random_mode": False}
 
 
 @pytest.mark.parametrize("edit, field", [
@@ -155,10 +184,53 @@ _SHADOW_RANGE = "not a finite value in [-1, 1]; re-run from `lutshrink train`"
      f"layer 0: field 'shadow' of 'fc1' holds -inf, {_SHADOW_RANGE}"),
     (edit_layer(0, with_shadow(np.nextafter(1.0, 2.0))),
      f"layer 0: field 'shadow' of 'fc1' holds 1.0000000000000002, {_SHADOW_RANGE}"),
+    (edit_section("config", without("delta")), "field 'config' has no field 'delta'"),
+    (edit_section("config", lambda c: {**c, "extra": 1}),
+     "field 'config' has an unknown field 'extra'"),
+    (edit_section("config", lambda c: {**c, "hidden": "abc"}),
+     "[model] hidden must be >= 1 per layer, got abc"),
+    (edit_section("config", lambda c: {**c, "delta": "0.5"}),
+     "[shrink] delta (--delta) must be in [0, 1], got 0.5"),
+    (edit_section("config", lambda c: {**c, "k": 9}),
+     "[expand] k (--k) must be in [1, 6], got 9"),
+    (lambda doc: {**doc, "shrink_plan": without("random_mode")(_PLAN)},
+     "field 'shrink_plan' has no field 'random_mode'"),
+    (lambda doc: {**doc, "shrink_plan": {**_PLAN, "seed": 1}},
+     "field 'shrink_plan' has an unknown field 'seed'"),
+    (edit_layer(1, with_array("masks", lambda a: a[:3, :2])),
+     "layer 1: field 'masks' has shape (3, 2), not (N, 8)"),
+    (edit_layer(1, with_array("masks", lambda a: a[0])),
+     "layer 1: field 'masks' has shape (8,), not (N, 8)"),
+    (edit_layer(1, with_array("inputs", lambda a: a[:, :2])),
+     "layer 1: field 'inputs' has shape ({n}, 2), not ({n}, 3)"),
+    (edit_layer(1, with_array("channel", lambda a: a[:-1])),
+     "layer 1: field 'channel' has shape ({n_less},), not ({n},)"),
+    (edit_layer(1, with_array("pruned", lambda a: a.T)),
+     "layer 1: field 'pruned' has shape (3, {n}), not ({n}, 3)"),
+    (edit_layer(1, with_array("channel", with_first(999))),
+     "layer 1: field 'channel' holds 999, not in [0, 2)"),
+    (edit_layer(1, with_array("inputs", with_first(-1))),
+     "layer 1: field 'inputs' holds -1, not in [0, 8)"),
+    (edit_layer(1, with_array("inputs", with_first(8))),
+     "layer 1: field 'inputs' holds 8, not in [0, 8)"),
+    (edit_layer(1, lambda d: {**d, "k": 7}), "layer 1: field 'k' is 7, not in [1, 6]"),
+    (edit_layer(1, lambda d: {**d, "k": 0}), "layer 1: field 'k' is 0, not in [1, 6]"),
+    (edit_layer(0, with_array("shadow", lambda a: a[:, :1])),
+     "layer 0: field 'shadow' has shape (8, 1), not (8, 4)"),
+    (edit_layer(0, with_array("alive", lambda a: a.T)),
+     "layer 0: field 'alive' has shape (4, 8), not (8, 4)"),
+    (edit_layer(0, with_bn_array("gamma", lambda a: a[:3])),
+     "layer 0: field 'gamma' has shape (3,), not (8,)"),
+    (edit_layer(0, with_bn_array("running_var", lambda a: a[:, None])),
+     "layer 0: field 'running_var' has shape (8, 1), not (8,)"),
 ], ids=["list", "no-layers", "int-layers", "null-config", "layer-no-kind",
         "layer-list", "lut-no-masks", "shadow-f4", "n_out-str", "k-str", "bn-list",
         "is_output-str", "kind-conv", "shadow-nan", "shadow-neg-inf",
-        "shadow-above-1"])
+        "shadow-above-1", "config-no-delta", "config-extra-key", "config-hidden-str",
+        "config-delta-str", "config-k-range", "plan-no-key", "plan-extra-key",
+        "masks-columns", "masks-1d", "inputs-columns", "channel-short", "pruned-T",
+        "channel-range", "inputs-negative", "inputs-range", "k-above-max", "k-zero",
+        "shadow-shape", "alive-T", "bn-gamma-shape", "bn-var-2d"])
 def test_malformed_checkpoint_names_the_file_and_field(tmp_path, capsys, edit, field):
     net, cfg, rng, _ = expanded_net()
     p = str(tmp_path / "m.json")
@@ -167,7 +239,8 @@ def test_malformed_checkpoint_names_the_file_and_field(tmp_path, capsys, edit, f
         doc = edit(json.load(f))
     with open(p, "w") as f:
         json.dump(doc, f)
-    message = f"{p} is not a checkpoint: {field}"
+    n = net.layers[1].n_nodes
+    message = f"{p} is not a checkpoint: {field.format(n=n, n_less=n - 1)}"
     with pytest.raises(CheckpointError, match=re.escape(message)):
         checkpoint.load(p)
     assert main(["export", p, "--out", str(tmp_path)]) == 1

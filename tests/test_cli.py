@@ -1,9 +1,11 @@
 import argparse
 import configparser
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import lutshrink
 from lutshrink import checkpoint
 from lutshrink.cli import THREAD_VARS, _set_threads, build_parser, main
 from lutshrink.config import load_config, preset_path
+from lutshrink.train import SETTINGS
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +27,7 @@ def pipeline_dir(tmp_path_factory):
     assert main(["expand", ckpt]) == 0
     assert main(["shrink", ckpt]) == 0
     assert main(["finalize", ckpt]) == 0
-    assert main(["export", ckpt, "--out", out, "--cert-samples", "256"]) == 0
+    assert main(["export", ckpt, "--out", out]) == 0
     return out
 
 
@@ -221,11 +224,7 @@ def test_stage_flags_name_their_range(tmp_path, capsys):
                     ["expand", ckpt], ["shrink", ckpt]):
         assert main(command) == 0
     capsys.readouterr()
-    cases = [(["finalize", ckpt, "--epochs", "-1"], "--epochs", ">= 0"),
-             (["export", ckpt, "--out", out, "--cert-samples", "-5"],
-              "--cert-samples", ">= 1"),
-             (["export", ckpt, "--out", out, "--cert-samples", "0"],
-              "--cert-samples", ">= 1")]
+    cases = [(["finalize", ckpt, "--epochs", "-1"], "--epochs", ">= 0")]
     for argv, flag, bound in cases:
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -248,6 +247,17 @@ def test_stage_flags_are_the_keys_of_their_section():
     for command, flags in STAGE_FLAGS.items():
         got = {opt for a in sub.choices[command]._actions for opt in a.option_strings}
         assert got == {"-h", "--help", "--out", *flags}, command
+
+
+def test_readme_knob_table_lists_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `\[(\w+)\]` *\|(.*)\|$", readme, flags=re.M)
+    table = {section: set(re.findall(r"`(\w+)`", keys)) for section, keys in rows}
+    assert len(table) == len(rows)  # no section listed twice
+    settings: dict[str, set[str]] = {}
+    for section, key in SETTINGS:
+        settings.setdefault(section, set()).add(key)
+    assert table == settings
 
 
 def test_stage_flags_are_saved_as_their_ini_keys(tmp_path):

@@ -37,7 +37,6 @@ def test_idx_round_trip_and_scaling(tmp_path):
     np.testing.assert_allclose(ds.features[1], 1.0)
     np.testing.assert_allclose(ds.features[2], 128 / 127.5 - 1.0, atol=1e-6)
     np.testing.assert_array_equal(ds.labels, labels)
-    assert ds.meta == {"rows": 2, "cols": 2}
 
 
 def test_idx_bad_magic(tmp_path):

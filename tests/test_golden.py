@@ -101,7 +101,7 @@ def _final_checkpoint(preset: str, out: str) -> str:
 def test_preset_pipeline_is_byte_identical(preset, tmp_path):
     out = str(tmp_path)
     ckpt = _final_checkpoint(preset, out)
-    assert main(["export", ckpt, "--out", out, "--cert-samples", "256"]) == 0
+    assert main(["export", ckpt, "--out", out]) == 0
     text, checkpoint = GOLDEN[preset]
     assert _sha256(os.path.join(out, "netlist.v")) == text
     assert _sha256(ckpt) == checkpoint
@@ -111,7 +111,7 @@ def test_old_xor_smoke_text_fails_the_certificate(tmp_path, monkeypatch):
     out = str(tmp_path)
     ckpt = _final_checkpoint("xor-smoke", out)
     monkeypatch.setattr(verilog, "emit_verilog", lambda nl, top: XOR_SMOKE_OLD)
-    assert main(["export", ckpt, "--out", out, "--cert-samples", "256"]) == 1
+    assert main(["export", ckpt, "--out", out]) == 1
     with open(os.path.join(out, "certificate.txt")) as f:
         assert f.read() == "samples\t4\nmismatches\t4\nstatus\tFAIL\n"
     # every score is off by two, yet no class changes: a certificate on

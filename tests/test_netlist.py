@@ -406,7 +406,6 @@ def test_area_report_counts_and_summary():
     rep = area_report(pre, post)
     assert rep.pre["fc2"][2] == 1 and rep.pre_inputs == 2
     assert rep.post_total.sum() == 0 and rep.post_inputs == 0
-    assert rep.mean_size("pre") == 2.0
     assert AreaReport.majority_class(rep.pre_total) == 2
     tsv = rep.to_tsv().strip().splitlines()
     assert tsv[0].split("\t") == ["layer", "size_class", "pre_count", "post_count"]

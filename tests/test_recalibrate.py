@@ -105,6 +105,6 @@ def test_network_recalibrate_matches_calibrate():
                    make_layer("lut", True, rng, n_in=8, n_out=4)], 4)
     ref = copy.deepcopy(net)
     x = rng.uniform(-1, 1, size=(600, 30))
-    net.recalibrate(x, passes=3, batch=256)
+    net.recalibrate(x)
     recalibrate_ref(ref, x, passes=3, batch=256)
     assert_same_stats(net.layers, ref.layers)

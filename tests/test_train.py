@@ -7,6 +7,7 @@ import pytest
 from lutshrink import train
 from lutshrink.data import Dataset, synth_boolean
 from lutshrink.model import DenseLayer, LutLayer, Network, softmax_xent
+from lutshrink.netlist import extract_netlist, scores, simplify
 from lutshrink.train import (
     MetricLog,
     TrainConfig,
@@ -21,6 +22,7 @@ from lutshrink.train import (
     train_bnn,
     train_phase,
 )
+from lutshrink.verilog import emit_verilog, parse_verilog
 
 
 def tiny_cfg(**kw) -> TrainConfig:
@@ -295,6 +297,53 @@ def test_finalize_folds_and_freezes():
     lay = net.layer("fc2")
     np.testing.assert_allclose(lay.effective_masks(), lay.masks, rtol=0, atol=1e-12)
     assert np.all(lay.salience()[lay.pruned] == 0.0)
+
+
+def _exported_scores(net, x):
+    """Class scores of the netlist that export writes: extracted, simplified,
+    emitted as Verilog and parsed back."""
+    text = emit_verilog(simplify(extract_netlist(net)))
+    return scores(parse_verilog(text), np.where(x >= 0, 1, -1))
+
+
+def test_unfolded_shrunk_model_exports_exactly():
+    # extraction reads the effective truth tables, so the raw masks need not
+    # be folded into them first
+    net, ds, cfg, rng = _expanded_parity_net()
+    logic_shrink(net, ds, ds, cfg, rng, MetricLog())
+    lay = net.layer("fc2")
+    assert np.abs(lay.effective_masks() - lay.masks).max() > 1e-6
+    assert len(ds) == 2**4  # every input pattern
+    np.testing.assert_array_equal(_exported_scores(net, ds.features),
+                                  net.infer_bin(ds.features))
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.0])
+def test_hidden_lut_layer_trains_its_batch_norm_and_exports(delta):
+    cfg = tiny_cfg(hidden=[8, 6], k=3, delta=delta, epochs_bnn=30)
+    ds = synth_boolean("parity", 4, 16)
+    rng = np.random.default_rng(2)
+    net = build_network(cfg, 4, 2, rng)
+    log = MetricLog()
+    train_bnn(net, ds, ds, cfg, rng, log)
+    prune_nodes(net, cfg.theta, ds, ds, cfg, rng, log)
+    bn = net.layer("fc2").bn
+    gamma, beta = bn.gamma.copy(), bn.beta.copy()
+    logic_expand(net, cfg.k, ds, ds, cfg, rng, log)
+    lay = net.layer("fc2")
+    assert lay.kind == "lut" and lay.bn is bn
+    assert not np.array_equal(bn.gamma, gamma) and not np.array_equal(bn.beta, beta)
+    logic_shrink(net, ds, ds, cfg, rng, log)
+    finalize_binarized(net, ds, ds, cfg, rng, log)
+    kinds = [n.kind for n in extract_netlist(net).nodes.values()
+             if n.layer == "fc2" and n.kind in ("lut", "const")]
+    assert len(kinds) == lay.n_nodes
+    if delta == 1.0:  # every input severed: each LUT extracts as a constant
+        assert set(kinds) == {"const"}
+    else:
+        assert "lut" in kinds
+    np.testing.assert_array_equal(_exported_scores(net, ds.features),
+                                  net.infer_bin(ds.features))
 
 
 def test_evaluate_constant_model_and_determinism():
