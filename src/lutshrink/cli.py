@@ -130,6 +130,13 @@ def cmd_export(args) -> None:
         f.write(report.to_table())
     with open(os.path.join(args.out, "area_report.tsv"), "w") as f:
         f.write(report.to_tsv())
+    multi = report.multi_input()
+    for layer, n in multi.items():
+        print(f"{layer}: {n} of {int(report.pre[layer].sum())} LUTs keep 2 or more "
+              "inputs after simplify")
+    if not any(multi.values()):
+        print("warning: no LUT keeps 2 or more inputs after simplify; the netlist "
+              "is a pruned XNOR/popcount network", file=sys.stderr)
 
     x = load_datasets(cfg)[1].features
     # every class score, not just the argmax: a wrong sum can keep its class

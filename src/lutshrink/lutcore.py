@@ -27,12 +27,19 @@ chosen by the data.
   weights are exactly 1 and 0, so f(a) == c[index(a)] holds bit for bit
   (lo + (hi - lo) * t would round).
 
+Severed inputs, when given, reach neither a node's output nor its input
+gradient: a node that keeps m of its k inputs reads its table only where
+the severed bits are 0. In a large enough batch the nodes interpolate in
+groups of equal m, each over its 2^m corners, so a node costs what an
+m-LUT does; in a small one every node interpolates over all k inputs with
+the severed ones held at -1, which gives the same bits. The
+high-precision forward pass passes the severance; the binarized one does
+not, because a corner lookup costs one gather whatever the fan-in.
+
 On +/-1 inputs the two paths agree bit for bit, because every bincount bin
 receives its terms in the order the interpolating sums add them: samples
-ascending for a table entry, (node, input) ascending for an input. (One
-exception: numpy sums a single-LUT layer's batch pairwise when
-interpolating; the corner path keeps sample order.) One LUT at one point
-is a batch of one: ``CornerBatch(x[None], np.arange(k)[None])``.
+ascending for a table entry, (node, input) ascending for an input. One LUT
+at one point is a batch of one: ``CornerBatch(x[None], np.arange(k)[None])``.
 
 A table binarizes to its signs, with sign(0) = +1 (``model.sign_bits``).
 A binarized table has one set of helpers: ``support``, ``project`` (drop
@@ -111,82 +118,194 @@ def _bincount(bins: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     return total.astype(np.float64, copy=False)
 
 
+def _sample_sum(basis: np.ndarray) -> np.ndarray:
+    """basis.sum(axis=1) of a (D, B, N) stack, adding the samples in order.
+    numpy does so when N > 1; a single column it would sum pairwise, so
+    that one is a bincount."""
+    d, b, n = basis.shape
+    if n != 1:
+        return basis.sum(axis=1)
+    return _bincount(np.repeat(np.arange(d), b), basis, d)[:, None]
+
+
+class _Fanin:
+    """LUTs of a ``CornerBatch`` interpolated over m inputs each, ``inputs``
+    (N_g, m) columns of x: all N nodes over all k inputs when ``rows`` is
+    None, else the nodes ``rows`` that keep m inputs, over those alone.
+    Node rows[i] then reads its table at the corners ``cols[:, i]``, those
+    whose severed bits are 0, and its input j is term ``terms[i * m + j]``
+    of the batch's kept inputs in (node, input) order."""
+
+    def __init__(self, inputs: np.ndarray, rows=None, cols=None, terms=None):
+        self.inputs, self.rows, self.cols, self.terms = inputs, rows, cols, terms
+        self.n, self.m = inputs.shape
+
+    def weigh(self, w) -> None:
+        """Gather each input as a contiguous (B, N_g) slab of the corner
+        weights w = (lo, hi) of x."""
+        b = len(w[0])
+        self.lo, self.hi = np.empty((2, self.m, b, self.n))
+        for wj, slabs in zip(w, (self.lo, self.hi)):
+            for j in range(self.m):
+                # mode="clip" writes straight into out; the default buffers it
+                np.take(wj, self.inputs[:, j], axis=1, out=slabs[j], mode="clip")
+        step = max(1, STEP_FLOATS // (self.n << max(self.m - 1, 0)))
+        self.steps = [slice(r, r + step) for r in range(0, max(b, 1), step)]
+
+    def columns(self, a: np.ndarray) -> np.ndarray:
+        """The group's columns of a (B, N) array, C-contiguous (a[:, rows]
+        would lay them out transposed)."""
+        return a if self.rows is None else np.take(a, self.rows, axis=1)
+
+    def table(self, table: np.ndarray) -> np.ndarray:
+        """The group's own (2^m, N_g) table."""
+        return table if self.rows is None else table[self.cols, self.rows]
+
+    def interpolate(self, table: np.ndarray) -> np.ndarray:
+        t = self.table(table)
+        if not self.m:  # every input severed: the constant
+            return np.repeat(t, self.lo.shape[1], axis=0)
+        return np.concatenate(
+            [_halve(t, self.lo[:, r], self.hi[:, r]) for r in self.steps]
+        )
+
+    def grad_table(self, df: np.ndarray) -> np.ndarray:
+        basis = np.empty((2**self.m, *df.shape))
+        basis[0] = df
+        for j in range(self.m):
+            h = 1 << j
+            np.multiply(basis[:h], self.hi[j], out=basis[h : 2 * h])
+            basis[:h] *= self.lo[j]
+        return _sample_sum(basis)
+
+    def grad_inputs(self, t: np.ndarray, df: np.ndarray, out: np.ndarray) -> None:
+        """d f / d x of every input, times df, into out (B, N_g, m)."""
+        pairs = [t[hi] - t[lo]
+                 for lo, hi in (pair_indices(self.m, j) for j in range(self.m))]
+        for r in self.steps:
+            lo, hi = self.lo[:, r], self.hi[:, r]
+            for j, d in enumerate(pairs):
+                dfdx = _halve(d, [*lo[:j], *lo[j + 1 :]], [*hi[:j], *hi[j + 1 :]])
+                out[r, :, j] = dfdx * 0.5 * df[r]
+
+
+# a batch with severed inputs interpolates in fan-in groups when its slabs
+# hold at least this many floats (B * N); in smaller ones the calls per
+# group cost more than the corners they skip. Both give the same bits.
+GROUP_FLOATS = 1 << 15
+
+
 class CornerBatch:
     """The k inputs of N LUTs over B samples; node n reads x[:, inputs[n, j]].
 
+    ``severed`` (N, k), when given, marks inputs that a node ignores: it
+    reads its table at the corners whose severed bits are 0, passes those
+    inputs no gradient, and its table gradient is 0 at every other corner.
+    A node with every input severed outputs its constant, table[0]. A
+    severed input reads an extra column of x held at -1, whose corner bit
+    is 0 and whose corner weights are exactly 1 and 0.
+
     When every input is +/-1, ``flat`` holds the table position each node
     reads and every operation gathers or bincounts over it. Otherwise
-    ``flat`` is None and each input slab is kept as its corner weights
-    lo = (1 - x)/2 and hi = (1 + x)/2, shared by the interpolating forward
-    pass and both gradients.
+    ``flat`` is None and the nodes interpolate over slabs of the corner
+    weights lo = (1 - x)/2 and hi = (1 + x)/2, computed once for x and
+    shared by the forward pass and both gradients: in one group over all k
+    inputs, or, with severance from ``GROUP_FLOATS`` on, in groups of equal
+    kept-input count, each over its kept inputs only.
     """
 
-    def __init__(self, x: np.ndarray, inputs: np.ndarray):
+    def __init__(self, x: np.ndarray, inputs: np.ndarray,
+                 severed: np.ndarray | None = None):
         x = np.asarray(x)
         self.inputs = np.asarray(inputs, dtype=np.int64)
         n_nodes, self.k = self.inputs.shape
         _check_k(self.k)
-        self.n_in = x.shape[1]
+        self.b, self.n_in = x.shape
+        self.kept, self.read = None, self.inputs  # every node reads all k inputs
+        if severed is not None and np.any(severed):
+            self.kept = ~np.asarray(severed, dtype=bool)
+            x = np.concatenate([x, np.full((self.b, 1), -1, dtype=x.dtype)], axis=1)
+            self.read = np.where(self.kept, self.inputs, self.n_in)
         if _at_corners(x):
-            self.flat = _corner_flat(x, self.inputs)
+            self.flat = _corner_flat(x, self.read)
             return
         self.flat = None
         x = x.astype(np.float64, copy=False)
-        self.lo, self.hi = np.empty((2, self.k, len(x), n_nodes))
-        for w, slabs in (((1.0 - x) * 0.5, self.lo), ((1.0 + x) * 0.5, self.hi)):
-            for j in range(self.k):
-                # mode="clip" writes straight into out; the default buffers it
-                np.take(w, self.inputs[:, j], axis=1, out=slabs[j], mode="clip")
-        step = max(1, STEP_FLOATS // (n_nodes << (self.k - 1)))
-        self.steps = [slice(r, r + step) for r in range(0, max(len(x), 1), step)]
+        w = (1.0 - x) * 0.5, (1.0 + x) * 0.5
+        if self.kept is None or self.b * n_nodes < GROUP_FLOATS:
+            self.groups = [_Fanin(self.read)]
+        else:
+            fan_in = self.kept.sum(axis=1)
+            term = (np.cumsum(self.kept) - 1).reshape(self.kept.shape)
+            self.groups = []
+            for m in np.unique(fan_in):
+                rows = np.flatnonzero(fan_in == m)
+                pos = np.nonzero(self.kept[rows])[1].reshape(len(rows), m)
+                bit = (np.arange(2**m)[:, None] >> np.arange(m)) & 1  # (2^m, m)
+                cols = (bit[:, :, None] << pos.T).sum(axis=1)
+                self.groups.append(_Fanin(
+                    np.take_along_axis(self.inputs[rows], pos, axis=1), rows, cols,
+                    np.take_along_axis(term[rows], pos, axis=1).ravel()))
+        for g in self.groups:
+            g.weigh(w)
 
     def interpolate(self, table: np.ndarray) -> np.ndarray:
         """LUT outputs f[b, n]; shape (B, N). At corners this is the table
         entry itself, in the table's dtype."""
         if self.flat is not None:
             return np.take(table, self.flat)
-        return np.concatenate(
-            [_halve(table, self.lo[:, r], self.hi[:, r]) for r in self.steps]
-        )
+        if len(self.groups) == 1:
+            return self.groups[0].interpolate(table)
+        f = np.empty((self.b, len(self.inputs)))
+        for g in self.groups:
+            f[:, g.rows] = g.interpolate(table)
+        return f
 
     def grad_table(self, df: np.ndarray) -> np.ndarray:
         """sum_b df[b, n] * d f[b, n] / d table[d, n]; shape (2^k, N). The
-        batch sum adds samples in order (except when interpolating with
-        N = 1, where numpy sums pairwise)."""
+        batch sum adds samples in order."""
+        n = df.shape[1]
         if self.flat is not None:
-            n = df.shape[1]
             return _bincount(self.flat, df, n << self.k).reshape(2**self.k, n)
-        basis = np.empty((2**self.k, *df.shape))
-        basis[0] = df
-        for j in range(self.k):
-            h = 1 << j
-            np.multiply(basis[:h], self.hi[j], out=basis[h : 2 * h])
-            basis[:h] *= self.lo[j]
-        return basis.sum(axis=1)
+        if self.groups[0].rows is None:
+            return self.groups[0].grad_table(df)
+        out = np.zeros((2**self.k, n))
+        for g in self.groups:
+            out[g.cols, g.rows] = g.grad_table(g.columns(df))
+        return out
 
     def grad_inputs(self, table: np.ndarray, df: np.ndarray) -> np.ndarray:
         """sum over the nodes reading x[b, i] of df * d f / d x_i; (B, n_in).
         d f / d x_j is half of table[hi_j] - table[lo_j]: at a corner, the
         slope row for the corner's index; elsewhere interpolated over the
-        other inputs. One bincount adds terms in (sample, node, input) order."""
+        other inputs. One bincount adds terms in (sample, node, input)
+        order; those of severed inputs go to the extra column, or, in fan-in
+        groups, are not made."""
         b, n = df.shape
-        g = np.empty((b, n, self.k))
+        read = self.read
         if self.flat is not None:
+            g = np.empty((b, n, self.k))
             d = np.arange(2**self.k)
             for j in range(self.k):
                 h = 1 << j
                 slope = table[d | h] - table[d & ~h]  # rows d and d ^ h agree
                 g[:, :, j] = np.take(slope, self.flat) * 0.5 * df
+        elif self.groups[0].rows is None:
+            g = np.empty((b, n, self.k))
+            self.groups[0].grad_inputs(table, df, g)
         else:
-            pairs = [table[hi] - table[lo]
-                     for lo, hi in (pair_indices(self.k, j) for j in range(self.k))]
-            for r in self.steps:
-                lo, hi = self.lo[:, r], self.hi[:, r]
-                for j, d in enumerate(pairs):
-                    dfdx = _halve(d, [*lo[:j], *lo[j + 1 :]], [*hi[:j], *hi[j + 1 :]])
-                    g[r, :, j] = dfdx * 0.5 * df[r]
-        rows = np.arange(b)[:, None, None] * self.n_in + self.inputs
-        return _bincount(rows, g, b * self.n_in).reshape(b, self.n_in)
+            read = self.inputs[self.kept]
+            g = np.empty((b, len(read)))
+            one = len(self.groups) == 1  # then its terms are all, in order
+            for grp in self.groups:
+                out = g.reshape(b, grp.n, grp.m) if one else np.empty((b, grp.n, grp.m))
+                grp.grad_inputs(grp.table(table), grp.columns(df), out)
+                if not one:
+                    g[:, grp.terms] = out.reshape(b, -1)
+        width = self.n_in + (self.kept is not None)
+        rows = np.arange(b)[:, None] * width + read.reshape(-1)
+        dx = _bincount(rows, g, b * width).reshape(b, width)
+        return dx if self.kept is None else np.ascontiguousarray(dx[:, : self.n_in])
 
 
 def support(bits: np.ndarray, k: int) -> list[int]:

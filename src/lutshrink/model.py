@@ -15,7 +15,11 @@ binarized forward, backward, batch-norm refresh and ``infer_bin``, and any hp
 call whose inputs happen to be saturated) a LUT output is a table lookup
 and its gradients are bincounts; otherwise it interpolates. The paths agree
 bit for bit on +/-1 inputs, so the binarized LUT output is the sign of the
-table entry that ``infer_bin`` and the netlist look up.
+table entry that ``infer_bin`` and the netlist look up. In hp mode each LUT
+reads only its kept (not severed) inputs: in a large enough batch, a LUT
+that keeps m of k inputs interpolates over its 2^m corners alone. Bin mode
+reads all k, since a lookup costs one gather at any fan-in and severance
+has averaged the table entries a severed input would choose between.
 
 A layer's ``forward`` also takes the batch-norm statistics to use:
 ``"batch"`` normalizes by the batch and folds it into the running stats
@@ -316,14 +320,17 @@ class LutLayer:
     def salience(self) -> np.ndarray:
         return salience_rows(self.effective_masks(), self.k)
 
-    def _outputs(self, x: np.ndarray):
-        """Real LUT outputs f[b, n] and what the backward pass needs."""
-        batch = CornerBatch(x, self.inputs)
+    def _outputs(self, x: np.ndarray, severed: np.ndarray | None = None):
+        """Real LUT outputs f[b, n] and what the backward pass needs; each
+        node reads its inputs not ``severed`` (by default all k)."""
+        batch = CornerBatch(x, self.inputs, severed)
         table = np.ascontiguousarray(self.effective_masks().T)  # (2^k, N)
         return batch.interpolate(table), batch, table
 
     def forward(self, x: np.ndarray, mode: str, stats: str) -> np.ndarray:
-        f_real, batch, table = self._outputs(x)
+        # hp reads the kept inputs only; a bin lookup costs one gather
+        # whatever the fan-in, so it reads all k
+        f_real, batch, table = self._outputs(x, self.pruned if mode == "hp" else None)
         self._cache_lut, self._cache_mode = (f_real, batch, table), mode
         # bin-mode inputs are +/-1, so f_real is exactly the table entry
         f = f_real if mode == "hp" else sign_pm1(f_real)

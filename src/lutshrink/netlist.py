@@ -364,6 +364,10 @@ class AreaReport:
     def post_total(self) -> np.ndarray:
         return np.sum(list(self.post.values()), axis=0)
 
+    def multi_input(self) -> dict[str, int]:
+        """LUTs of each layer that keep 2 or more inputs after simplify."""
+        return {layer: int(self.post[layer][2:].sum()) for layer in self.layers}
+
     @staticmethod
     def majority_class(counts: np.ndarray) -> int:
         return int(np.argmax(counts))  # ties, all-zero counts too, go to the smallest

@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -65,6 +66,35 @@ _POSITIVE = _range(lambda v: v >= 1, ">= 1")
 _FRACTION = _range(lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
+# what a value of a field type must be: alone, and as the items of a list
+_KINDS = {
+    bool: ("true or false", "booleans"),
+    int: ("an integer", "integers"),
+    float: ("a number", "numbers"),
+    str: ("a string", "strings"),
+}
+
+
+def _is(value, kind) -> bool:
+    """Whether ``value`` has the field type ``kind``; an int is a number,
+    but a bool is neither an int nor a number."""
+    if kind is int or kind is float:
+        abstract = numbers.Integral if kind is int else numbers.Real
+        return isinstance(value, abstract) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
+def _kind_error(value, hint) -> str | None:
+    """What a value of the field type ``hint`` must be, when ``value`` is
+    not one; a list type also checks each item when it names their type."""
+    if hint is list or get_origin(hint) is list:
+        (item,) = get_args(hint) or (None,)
+        if isinstance(value, list) and (item is None or all(_is(v, item) for v in value)):
+            return None
+        return "a list" + (f" of {_KINDS[item][1]}" if item else "")
+    return None if _is(value, hint) else _KINDS[hint][0]
+
+
 def setting(section: str, key: str, parse: Callable[[str], Any], default,
             check: Callable[[Any, TrainConfig], str | None] | None = None):
     """A ``TrainConfig`` field set by INI ``[section] key`` through ``parse``.
@@ -103,8 +133,9 @@ class TrainConfig:
     # when empty, (lr, epochs_bnn) is used
     lr_schedule: list = setting(
         "train", "lr_schedule", _list(_rate_epochs), [],
-        _range(lambda v: math.isfinite(v[0]) and v[0] > 0 and v[1] >= 0,
-               "rate:epochs with a rate finite and > 0 and epochs >= 0"))
+        _range(lambda v: len(v) == 2 and math.isfinite(v[0]) and v[0] > 0
+               and _is(v[1], int) and v[1] >= 0,
+               "rate:epochs with a rate finite and > 0 and whole epochs >= 0"))
     # multiplier applied at each later phase
     lr_decay: float = setting("train", "lr_decay", float, 0.5, _RATE)
     momentum: float = setting("train", "momentum", float, 0.9,
@@ -121,14 +152,18 @@ class TrainConfig:
 
     def validate(self) -> None:
         """Raise one line for the first bad value: its ``[section] key`` (and
-        CLI flag), the valid range and the value."""
+        CLI flag), the type or valid range, and the value."""
+        hints = get_type_hints(TrainConfig)
         for (section, key), f in SETTINGS.items():
+            flag = stage_flag(section, key)
+            where = f"[{section}] {key}" + (f" ({flag})" if flag else "")
             check, value = f.metadata["check"], getattr(self, f.name)
+            kind = _kind_error(value, hints[f.name])
+            if kind:
+                raise ValueError(f"{where} must be {kind}, got {value!r}")
             for item in value if isinstance(value, list) else [value]:
                 valid = check and check(item, self)
                 if valid:
-                    flag = stage_flag(section, key)
-                    where = f"[{section}] {key}" + (f" ({flag})" if flag else "")
                     got = ":".join(map(str, item)) if isinstance(item, list) else item
                     raise ValueError(f"{where} must be {valid}, got {got}")
 

@@ -188,11 +188,28 @@ _PLAN = {"deltas": [0.5], "pruned_counts": [3], "random_mode": False}
     (edit_section("config", lambda c: {**c, "extra": 1}),
      "field 'config' has an unknown field 'extra'"),
     (edit_section("config", lambda c: {**c, "hidden": "abc"}),
-     "[model] hidden must be >= 1 per layer, got abc"),
+     "[model] hidden must be a list of integers, got 'abc'"),
     (edit_section("config", lambda c: {**c, "delta": "0.5"}),
-     "[shrink] delta (--delta) must be in [0, 1], got 0.5"),
+     "[shrink] delta (--delta) must be a number, got '0.5'"),
     (edit_section("config", lambda c: {**c, "k": 9}),
      "[expand] k (--k) must be in [1, 6], got 9"),
+    (edit_section("config", lambda c: {**c, "delta": [0.5]}),
+     "[shrink] delta (--delta) must be a number, got [0.5]"),
+    (edit_section("config", lambda c: {**c, "shrink_iters": 1.5}),
+     "[shrink] iterations (--iterations) must be an integer, got 1.5"),
+    (edit_section("config", lambda c: {**c, "k": 2.5}),
+     "[expand] k (--k) must be an integer, got 2.5"),
+    (edit_section("config", lambda c: {**c, "seed": "x"}),
+     "[train] seed must be an integer, got 'x'"),
+    (edit_section("config", lambda c: {**c, "random_prune": "yes"}),
+     "[shrink] random_prune (--random-prune) must be true or false, got 'yes'"),
+    (edit_section("config", lambda c: {**c, "batch_size": True}),
+     "[train] batch_size must be an integer, got True"),
+    (edit_section("config", lambda c: {**c, "hidden": 5}),
+     "[model] hidden must be a list of integers, got 5"),
+    (edit_section("config", lambda c: {**c, "lr_schedule": [[0.1, 2.5]]}),
+     "[train] lr_schedule must be rate:epochs with a rate finite and > 0 and "
+     "whole epochs >= 0, got 0.1:2.5"),
     (lambda doc: {**doc, "shrink_plan": without("random_mode")(_PLAN)},
      "field 'shrink_plan' has no field 'random_mode'"),
     (lambda doc: {**doc, "shrink_plan": {**_PLAN, "seed": 1}},
@@ -227,7 +244,11 @@ _PLAN = {"deltas": [0.5], "pruned_counts": [3], "random_mode": False}
         "layer-list", "lut-no-masks", "shadow-f4", "n_out-str", "k-str", "bn-list",
         "is_output-str", "kind-conv", "shadow-nan", "shadow-neg-inf",
         "shadow-above-1", "config-no-delta", "config-extra-key", "config-hidden-str",
-        "config-delta-str", "config-k-range", "plan-no-key", "plan-extra-key",
+        "config-delta-str", "config-k-range", "config-delta-list",
+        "config-iterations-float", "config-k-float", "config-seed-str",
+        "config-random-prune-str", "config-batch-size-bool", "config-hidden-int",
+        "config-lr-schedule-float-epochs",
+        "plan-no-key", "plan-extra-key",
         "masks-columns", "masks-1d", "inputs-columns", "channel-short", "pruned-T",
         "channel-range", "inputs-negative", "inputs-range", "k-above-max", "k-zero",
         "shadow-shape", "alive-T", "bn-gamma-shape", "bn-var-2d"])

@@ -41,6 +41,18 @@ def test_pipeline_artifacts(pipeline_dir):
     assert v.startswith("module top (") and v.rstrip().endswith("endmodule")
 
 
+def test_export_counts_multi_input_luts(pipeline_dir, tmp_path, capsys):
+    """Every xor-smoke LUT keeps a single input after simplify: export says so
+    for its one LUT layer and warns in one line."""
+    ckpt = os.path.join(pipeline_dir, "checkpoint.json")
+    assert main(["export", ckpt, "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == (
+        "fc2: 0 of 12 LUTs keep 2 or more inputs after simplify")
+    assert captured.err == ("warning: no LUT keeps 2 or more inputs after "
+                            "simplify; the netlist is a pruned XNOR/popcount network\n")
+
+
 def test_report_checkpoint(pipeline_dir, capsys):
     assert main(["report", os.path.join(pipeline_dir, "checkpoint.json")]) == 0
     out = capsys.readouterr().out

@@ -182,18 +182,60 @@ def _kernel_run(x, inputs, table, df):
                    batch.grad_inputs(table, df))
 
 
-@pytest.mark.parametrize("batch", [0, 1, 7, 128])
+# a single LUT too: numpy would sum its batch pairwise, not in sample order
+@pytest.mark.parametrize("batch, n_nodes", [(0, N_NODES), (1, N_NODES), (7, N_NODES),
+                                            (128, N_NODES), (128, 1)],
+                         ids=["0", "1", "7", "128", "128-one-lut"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
-def test_corner_path_matches_interpolation(k, batch, monkeypatch):
+def test_corner_path_matches_interpolation(k, batch, n_nodes, monkeypatch):
     rng = np.random.default_rng(10 * k + batch)
-    inputs = rng.integers(0, N_IN, size=(N_NODES, k))  # repeats allowed
+    inputs = rng.integers(0, N_IN, size=(n_nodes, k))  # repeats allowed
     x = sign_pm1(rng.standard_normal((batch, N_IN)))
-    table = rng.uniform(-1.2, 1.2, size=(2**k, N_NODES))
-    df = rng.standard_normal((batch, N_NODES))
+    table = rng.uniform(-1.2, 1.2, size=(2**k, n_nodes))
+    df = rng.standard_normal((batch, n_nodes))
     corner, got = _kernel_run(x, inputs, table, df)
     with _interpolating(monkeypatch):
         interp, want = _kernel_run(x, inputs, table, df)
     assert corner.flat is not None and interp.flat is None
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("inputs_at", ["interior", "corners"])
+@pytest.mark.parametrize("batch", [1, 7, 128])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_fanin_groups_match_one_group(k, batch, inputs_at, monkeypatch):
+    """With severed inputs, the fan-in groups (each node over its kept
+    inputs) give the bits of one group over all k inputs with the severed
+    ones at -1, and of the corner path on +/-1 inputs."""
+    rng = np.random.default_rng(10 * k + batch)
+    inputs = rng.integers(0, N_IN, size=(N_NODES, k))
+    severed = rng.random((N_NODES, k)) < 0.4
+    severed[0], severed[1] = True, False
+    x = rng.uniform(-1.0, 1.0, size=(batch, N_IN))
+    if inputs_at == "corners":
+        x = sign_pm1(x)
+    table = rng.uniform(-1.2, 1.2, size=(2**k, N_NODES))
+    df = rng.standard_normal((batch, N_NODES))
+
+    def run():
+        batch_ = CornerBatch(x, inputs, severed)
+        return batch_, (batch_.interpolate(table), batch_.grad_table(df),
+                        batch_.grad_inputs(table, df))
+
+    monkeypatch.setattr(lutcore, "GROUP_FLOATS", 0)
+    if inputs_at == "corners":
+        corner, want = run()
+        assert corner.flat is not None
+        monkeypatch.setattr(lutcore, "_at_corners", lambda x: False)
+    else:
+        monkeypatch.setattr(lutcore, "GROUP_FLOATS", 1 << 62)
+        one, want = run()
+        assert one.groups[0].rows is None
+        monkeypatch.setattr(lutcore, "GROUP_FLOATS", 0)
+    grouped, got = run()
+    assert grouped.groups[0].rows is not None
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.dtype == w.dtype
         np.testing.assert_array_equal(g, w)
@@ -227,6 +269,39 @@ def test_layer_corner_path_matches_interpolation(mode, k, batch, is_output,
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
     assert got[1].tobytes() == want[1].tobytes()  # dmasks
+
+
+@pytest.mark.parametrize("inputs_at", ["interior", "interior-fanin-groups", "corners"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_severed_inputs_do_not_reach_the_hp_output(k, inputs_at, monkeypatch):
+    """Each (node, input) reads its own column, so changing only the severed
+    columns must leave the hp forward pass bit for bit and give them no
+    input gradient."""
+    if inputs_at == "interior-fanin-groups":
+        monkeypatch.setattr(lutcore, "GROUP_FLOATS", 0)
+    rng = np.random.default_rng(k)
+    n_in = N_NODES * k
+    inputs = np.arange(n_in).reshape(N_NODES, k)
+    pruned = rng.random((N_NODES, k)) < 0.5
+    pruned[0], pruned[1] = True, False  # a constant node and an untouched one
+    lay = LutLayer(n_in, N_OUT, k, inputs, rng.integers(0, N_OUT, size=N_NODES),
+                   rng.uniform(-1.2, 1.2, size=(N_NODES, 2**k)), "l", bn=BatchNorm(N_OUT))
+    lay.set_pruned(pruned)
+    x = rng.uniform(-1.0, 1.0, size=(32, n_in))
+    if inputs_at == "corners":
+        x = sign_pm1(x)
+    moved = x.copy()
+    cut = lay.inputs[lay.pruned]
+    moved[:, cut] = rng.uniform(-1.0, 1.0, size=(32, len(cut)))
+    if inputs_at == "corners":
+        moved = sign_pm1(moved)
+    dout = rng.standard_normal((32, N_OUT))
+    out, _, dx = _run(lay, x, dout, "hp")
+    moved_out, _, moved_dx = _run(lay, moved, dout, "hp")
+    assert out.tobytes() == moved_out.tobytes()
+    assert not np.any(dx[:, cut]) and not np.any(moved_dx[:, cut])
+    kept = lay.inputs[~lay.pruned]
+    assert dx[:, kept].tobytes() == moved_dx[:, kept].tobytes()
 
 
 def test_untouched_zero_sign_is_erased_by_dmasks(monkeypatch):

@@ -413,6 +413,17 @@ def test_area_report_counts_and_summary():
     assert "LUT inputs: pre 2, post 0" in rep.to_table()
 
 
+def test_area_report_counts_multi_input_luts():
+    pre = Netlist(n_inputs=2)
+    a = pre.add("input", pos=0)
+    b = pre.add("input", pos=1)
+    g = pre.add("lut", bits=np.array([-1, 1, 1, -1], dtype=np.int8),  # XOR
+                fanin=[a.id, b.id], layer="fc2")
+    s = pre.add("sum", terms=[(g.id, 1)], offset=0, layer="fc2")
+    pre.outputs.append(pre.add("out", src=s.id, name="score_0").id)
+    assert area_report(pre, simplify(pre)).multi_input() == {"fc2": 1}
+
+
 def test_fully_severed_lut_counts_as_zero_input():
     pre = Netlist(n_inputs=1)
     pre.add("input", pos=0)
