@@ -20,12 +20,24 @@ chosen by the data.
   is a gather, the table gradient one bincount over those positions, and
   the input gradient a gather of the slope rows table[d | 2^j] -
   table[d & ~2^j] followed by the same bincount as below.
-* Interpolating path, otherwise: input j of every node over B samples is
-  one contiguous (B, N) slab of corner weights, and the forward pass halves
-  the table per input, t <- t[0::2] * (1 - x_j)/2 + t[1::2] * (1 + x_j)/2
-  (rows 2i and 2i+1 differ only in the lowest input). At x_j = +/-1 the
-  weights are exactly 1 and 0, so f(a) == c[index(a)] holds bit for bit
-  (lo + (hi - lo) * t would round).
+* Interpolating path, otherwise: input j of every node over a block of
+  rows is one contiguous (rows, N) slab of corner weights, and the forward
+  pass halves the table per input, t <- t[0::2] * (1 - x_j)/2 + t[1::2] *
+  (1 + x_j)/2 (rows 2i and 2i+1 differ only in the lowest input). At
+  x_j = +/-1 the weights are exactly 1 and 0, so f(a) == c[index(a)] holds
+  bit for bit (lo + (hi - lo) * t would round).
+
+Every pass works in row blocks of about ``STEP_FLOATS`` floats per
+temporary. Besides its (B, N) output (and, at corners, the (B, N) flat
+index), a pass holds the (B, n_in) corner weights of x and one block's
+working set: its slabs, its (2^m, rows, N) table-gradient basis and its
+(rows, N * k) input-gradient terms and their bins. So memory grows with
+the block, not with 2^k * B * N. The backward pass is one pass per block:
+it gathers the block's slabs once (a batch of one block keeps those of the
+forward pass), adds the block's basis to the running table gradient, and
+bincounts the block's input terms into its own rows of dx. The running sum
+rides in as the first row of the next block's basis, so the samples are
+still added in order, and the block size changes no bit.
 
 Severed inputs, when given, reach neither a node's output nor its input
 gradient: a node that keeps m of its k inputs reads its table only where
@@ -85,9 +97,19 @@ def _halve(table: np.ndarray, lo, hi) -> np.ndarray:
     return t[0]
 
 
-# rows per interpolation step: its largest temporary, the (2^(k-1), rows, N)
-# first halving, holds about this many floats (512 KB, so it stays in cache)
+# rows per block: every pass works on one block of rows at a time, sized so
+# that its largest temporary holds about this many floats (512 KB, so it
+# stays in cache). Interpolating, that is the first halving of every group
+# together, (2^(m-1), rows, N_g) each; the block's slabs and table-gradient
+# basis are small multiples of it. At corners it is the (rows, N, k)
+# input-gradient terms.
 STEP_FLOATS = 1 << 16
+
+
+def _blocks(b: int, floats_per_row: int) -> list[slice]:
+    """Row blocks of a batch of b samples; one empty block when b is 0."""
+    rows = max(1, STEP_FLOATS // max(floats_per_row, 1))
+    return [slice(r, r + rows) for r in range(0, max(b, 1), rows)]
 
 
 def _at_corners(x: np.ndarray) -> bool:
@@ -134,23 +156,25 @@ class _Fanin:
     None, else the nodes ``rows`` that keep m inputs, over those alone.
     Node rows[i] then reads its table at the corners ``cols[:, i]``, those
     whose severed bits are 0, and its input j is term ``terms[i * m + j]``
-    of the batch's kept inputs in (node, input) order."""
+    of the batch's kept inputs in (node, input) order. ``w`` is the pair of
+    (B, n_in) corner weights (lo, hi) of x that each block's slabs are
+    gathered from."""
 
-    def __init__(self, inputs: np.ndarray, rows=None, cols=None, terms=None):
-        self.inputs, self.rows, self.cols, self.terms = inputs, rows, cols, terms
+    def __init__(self, w, inputs: np.ndarray, rows=None, cols=None, terms=None):
+        self.w, self.inputs = w, inputs
+        self.rows, self.cols, self.terms = rows, cols, terms
         self.n, self.m = inputs.shape
 
-    def weigh(self, w) -> None:
-        """Gather each input as a contiguous (B, N_g) slab of the corner
-        weights w = (lo, hi) of x."""
-        b = len(w[0])
-        self.lo, self.hi = np.empty((2, self.m, b, self.n))
-        for wj, slabs in zip(w, (self.lo, self.hi)):
+    def slabs(self, r: slice) -> np.ndarray:
+        """Input j of every node over the samples r as contiguous slabs of
+        corner weights: lo, hi = out[0, j], out[1, j], (rows, N_g) each."""
+        w = [wx[r] for wx in self.w]
+        out = np.empty((2, self.m, len(w[0]), self.n))
+        for wx, slabs in zip(w, out):
             for j in range(self.m):
                 # mode="clip" writes straight into out; the default buffers it
-                np.take(wj, self.inputs[:, j], axis=1, out=slabs[j], mode="clip")
-        step = max(1, STEP_FLOATS // (self.n << max(self.m - 1, 0)))
-        self.steps = [slice(r, r + step) for r in range(0, max(b, 1), step)]
+                np.take(wx, self.inputs[:, j], axis=1, out=slabs[j], mode="clip")
+        return out
 
     def columns(self, a: np.ndarray) -> np.ndarray:
         """The group's columns of a (B, N) array, C-contiguous (a[:, rows]
@@ -161,32 +185,58 @@ class _Fanin:
         """The group's own (2^m, N_g) table."""
         return table if self.rows is None else table[self.cols, self.rows]
 
-    def interpolate(self, table: np.ndarray) -> np.ndarray:
-        t = self.table(table)
-        if not self.m:  # every input severed: the constant
-            return np.repeat(t, self.lo.shape[1], axis=0)
-        return np.concatenate(
-            [_halve(t, self.lo[:, r], self.hi[:, r]) for r in self.steps]
-        )
+    def pairs(self, t: np.ndarray) -> list[np.ndarray]:
+        """Per input j, the (2^(m-1), N_g) differences t[hi_j] - t[lo_j]."""
+        return [t[hi] - t[lo]
+                for lo, hi in (pair_indices(self.m, j) for j in range(self.m))]
 
-    def grad_table(self, df: np.ndarray) -> np.ndarray:
-        basis = np.empty((2**self.m, *df.shape))
+    def grad_table(self, df: np.ndarray, slabs: np.ndarray, carry) -> np.ndarray:
+        """The running (2^m, N_g) table gradient after one block: the
+        block's corner weights times df, summed over its samples in order
+        after ``carry``, the sum of the blocks before (None on the first,
+        so that its sum is the one numpy would start)."""
+        c = carry is not None
+        buf = np.empty((2**self.m, c + len(df), self.n))
+        if c:
+            buf[:, 0] = carry
+        basis = buf[:, c:]
         basis[0] = df
-        for j in range(self.m):
+        for j, (lo, hi) in enumerate(zip(*slabs)):
             h = 1 << j
-            np.multiply(basis[:h], self.hi[j], out=basis[h : 2 * h])
-            basis[:h] *= self.lo[j]
-        return _sample_sum(basis)
+            np.multiply(basis[:h], hi, out=basis[h : 2 * h])
+            basis[:h] *= lo
+        return _sample_sum(buf)
 
-    def grad_inputs(self, t: np.ndarray, df: np.ndarray, out: np.ndarray) -> None:
-        """d f / d x of every input, times df, into out (B, N_g, m)."""
-        pairs = [t[hi] - t[lo]
-                 for lo, hi in (pair_indices(self.m, j) for j in range(self.m))]
-        for r in self.steps:
-            lo, hi = self.lo[:, r], self.hi[:, r]
-            for j, d in enumerate(pairs):
-                dfdx = _halve(d, [*lo[:j], *lo[j + 1 :]], [*hi[:j], *hi[j + 1 :]])
-                out[r, :, j] = dfdx * 0.5 * df[r]
+    def grad_inputs(self, pairs, df: np.ndarray, slabs: np.ndarray,
+                    out: np.ndarray) -> None:
+        """d f / d x of every input, times df, of one block into out
+        (rows, N_g, m): pair difference j interpolated over the other
+        inputs."""
+        lo, hi = slabs
+        for j, d in enumerate(pairs):
+            dfdx = _halve(d, [*lo[:j], *lo[j + 1 :]], [*hi[:j], *hi[j + 1 :]])
+            out[:, :, j] = dfdx * 0.5 * df
+
+
+class _InputGrad:
+    """The input gradient dx (B, n_in) of a ``CornerBatch``, filled block
+    by block: a block's terms (rows, T), where term t of a row reads column
+    read[t] of x, go into that block's rows of dx by one bincount, which
+    adds each sample's terms in order."""
+
+    def __init__(self, batch: CornerBatch, read: np.ndarray):
+        self.n_in, self.width = batch.n_in, batch.width
+        self.dx = np.empty((batch.b, batch.n_in))
+        rows = min(batch.blocks[0].stop, batch.b)
+        self.bins = np.arange(rows)[:, None] * self.width + read.reshape(-1)
+
+    def terms(self, rows: int) -> np.ndarray:
+        return np.empty((rows, self.bins.shape[1]))
+
+    def add(self, r: slice, terms: np.ndarray) -> None:
+        n = len(terms)
+        total = _bincount(self.bins[:n], terms, n * self.width)
+        self.dx[r] = total.reshape(n, self.width)[:, : self.n_in]
 
 
 # a batch with severed inputs interpolates in fan-in groups when its slabs
@@ -208,10 +258,15 @@ class CornerBatch:
     When every input is +/-1, ``flat`` holds the table position each node
     reads and every operation gathers or bincounts over it. Otherwise
     ``flat`` is None and the nodes interpolate over slabs of the corner
-    weights lo = (1 - x)/2 and hi = (1 + x)/2, computed once for x and
-    shared by the forward pass and both gradients: in one group over all k
-    inputs, or, with severance from ``GROUP_FLOATS`` on, in groups of equal
-    kept-input count, each over its kept inputs only.
+    weights lo = (1 - x)/2 and hi = (1 + x)/2 of x: in one group over all
+    k inputs, or, with severance from ``GROUP_FLOATS`` on, in groups of
+    equal kept-input count, each over its kept inputs only.
+
+    Every pass runs over the row blocks ``blocks`` (``STEP_FLOATS``). Apart
+    from its (B, N) output and index and the (B, n_in) corner weights of
+    x, a pass holds one block's slabs, table-gradient basis and input
+    terms, which each block gathers or builds for itself. A batch of one
+    block gathers its slabs once, for the forward and the backward pass.
     """
 
     def __init__(self, x: np.ndarray, inputs: np.ndarray,
@@ -226,14 +281,16 @@ class CornerBatch:
             self.kept = ~np.asarray(severed, dtype=bool)
             x = np.concatenate([x, np.full((self.b, 1), -1, dtype=x.dtype)], axis=1)
             self.read = np.where(self.kept, self.inputs, self.n_in)
+        self.width = x.shape[1]  # columns read, the extra one included
         if _at_corners(x):
             self.flat = _corner_flat(x, self.read)
+            self.blocks = _blocks(self.b, n_nodes * self.k)
             return
         self.flat = None
         x = x.astype(np.float64, copy=False)
         w = (1.0 - x) * 0.5, (1.0 + x) * 0.5
         if self.kept is None or self.b * n_nodes < GROUP_FLOATS:
-            self.groups = [_Fanin(self.read)]
+            self.groups = [_Fanin(w, self.read)]
         else:
             fan_in = self.kept.sum(axis=1)
             term = (np.cumsum(self.kept) - 1).reshape(self.kept.shape)
@@ -244,68 +301,92 @@ class CornerBatch:
                 bit = (np.arange(2**m)[:, None] >> np.arange(m)) & 1  # (2^m, m)
                 cols = (bit[:, :, None] << pos.T).sum(axis=1)
                 self.groups.append(_Fanin(
-                    np.take_along_axis(self.inputs[rows], pos, axis=1), rows, cols,
-                    np.take_along_axis(term[rows], pos, axis=1).ravel()))
-        for g in self.groups:
-            g.weigh(w)
+                    w, np.take_along_axis(self.inputs[rows], pos, axis=1), rows,
+                    cols, np.take_along_axis(term[rows], pos, axis=1).ravel()))
+        self.blocks = _blocks(self.b, sum(g.n << max(g.m - 1, 0) for g in self.groups))
+        self._slabs = None
+        if len(self.blocks) == 1:
+            self._slabs = [g.slabs(self.blocks[0]) for g in self.groups]
+
+    def _block_slabs(self):
+        """Each row block with the slabs of every group."""
+        for r in self.blocks:
+            yield r, self._slabs or [g.slabs(r) for g in self.groups]
 
     def interpolate(self, table: np.ndarray) -> np.ndarray:
         """LUT outputs f[b, n]; shape (B, N). At corners this is the table
         entry itself, in the table's dtype."""
         if self.flat is not None:
             return np.take(table, self.flat)
-        if len(self.groups) == 1:
-            return self.groups[0].interpolate(table)
+        tables = [g.table(table) for g in self.groups]
         f = np.empty((self.b, len(self.inputs)))
-        for g in self.groups:
-            f[:, g.rows] = g.interpolate(table)
+        for r, slabs in self._block_slabs():
+            for g, t, (lo, hi) in zip(self.groups, tables, slabs):
+                if g.rows is None:
+                    f[r] = _halve(t, lo, hi)
+                else:  # a node that keeps no input broadcasts its constant
+                    f[r, g.rows] = _halve(t, lo, hi)
         return f
 
-    def grad_table(self, df: np.ndarray) -> np.ndarray:
-        """sum_b df[b, n] * d f[b, n] / d table[d, n]; shape (2^k, N). The
-        batch sum adds samples in order."""
-        n = df.shape[1]
+    def backward(self, table: np.ndarray, df: np.ndarray,
+                 need_dx: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """Gradients of sum(df * f). The table's, sum_b df[b, n] * d f[b, n]
+        / d table[d, n], (2^k, N), adds the samples in order. The inputs',
+        when ``need_dx`` (else None), is the sum over the nodes reading
+        x[b, i] of df * d f / d x_i, (B, n_in). d f / d x_j is half of
+        table[hi_j] - table[lo_j]: at a corner, the slope row for the
+        corner's index; elsewhere interpolated over the other inputs. Each
+        block adds its terms to its own rows of dx by one bincount, in
+        (node, input) order; those of severed inputs go to the extra
+        column, or, in fan-in groups, are not made."""
         if self.flat is not None:
-            return _bincount(self.flat, df, n << self.k).reshape(2**self.k, n)
-        if self.groups[0].rows is None:
-            return self.groups[0].grad_table(df)
-        out = np.zeros((2**self.k, n))
-        for g in self.groups:
-            out[g.cols, g.rows] = g.grad_table(g.columns(df))
-        return out
-
-    def grad_inputs(self, table: np.ndarray, df: np.ndarray) -> np.ndarray:
-        """sum over the nodes reading x[b, i] of df * d f / d x_i; (B, n_in).
-        d f / d x_j is half of table[hi_j] - table[lo_j]: at a corner, the
-        slope row for the corner's index; elsewhere interpolated over the
-        other inputs. One bincount adds terms in (sample, node, input)
-        order; those of severed inputs go to the extra column, or, in fan-in
-        groups, are not made."""
-        b, n = df.shape
-        read = self.read
-        if self.flat is not None:
-            g = np.empty((b, n, self.k))
-            d = np.arange(2**self.k)
-            for j in range(self.k):
-                h = 1 << j
-                slope = table[d | h] - table[d & ~h]  # rows d and d ^ h agree
-                g[:, :, j] = np.take(slope, self.flat) * 0.5 * df
-        elif self.groups[0].rows is None:
-            g = np.empty((b, n, self.k))
-            self.groups[0].grad_inputs(table, df, g)
+            return self._corner_backward(table, df, need_dx)
+        whole = self.groups[0].rows is None  # one group over all k inputs
+        read = self.read if whole else self.inputs[self.kept]
+        tables = [g.table(table) for g in self.groups]
+        pairs = [g.pairs(t) for g, t in zip(self.groups, tables)] if need_dx else None
+        sums = [None] * len(self.groups)
+        dx = _InputGrad(self, read) if need_dx else None
+        in_order = len(self.groups) == 1  # then its terms are all, in order
+        for r, slabs in self._block_slabs():
+            dfr = df[r]
+            terms = dx.terms(len(dfr)) if need_dx else None
+            for i, (g, s) in enumerate(zip(self.groups, slabs)):
+                dfg = g.columns(dfr)
+                sums[i] = g.grad_table(dfg, s, sums[i])
+                if need_dx:
+                    out = (terms.reshape(len(dfr), g.n, g.m) if in_order
+                           else np.empty((len(dfr), g.n, g.m)))
+                    g.grad_inputs(pairs[i], dfg, s, out)
+                    if not in_order:
+                        terms[:, g.terms] = out.reshape(len(dfr), -1)
+            if need_dx:
+                dx.add(r, terms)
+        if whole:
+            dtable = sums[0]
         else:
-            read = self.inputs[self.kept]
-            g = np.empty((b, len(read)))
-            one = len(self.groups) == 1  # then its terms are all, in order
-            for grp in self.groups:
-                out = g.reshape(b, grp.n, grp.m) if one else np.empty((b, grp.n, grp.m))
-                grp.grad_inputs(grp.table(table), grp.columns(df), out)
-                if not one:
-                    g[:, grp.terms] = out.reshape(b, -1)
-        width = self.n_in + (self.kept is not None)
-        rows = np.arange(b)[:, None] * width + read.reshape(-1)
-        dx = _bincount(rows, g, b * width).reshape(b, width)
-        return dx if self.kept is None else np.ascontiguousarray(dx[:, : self.n_in])
+            dtable = np.zeros((2**self.k, df.shape[1]))
+            for g, s in zip(self.groups, sums):
+                dtable[g.cols, g.rows] = s
+        return dtable, dx.dx if need_dx else None
+
+    def _corner_backward(self, table, df, need_dx):
+        """``backward`` at corners: gathers of slope rows and bincounts."""
+        n = df.shape[1]
+        dtable = _bincount(self.flat, df, n << self.k).reshape(2**self.k, n)
+        if not need_dx:
+            return dtable, None
+        d = np.arange(2**self.k)
+        # rows d and d ^ h agree
+        slopes = [table[d | h] - table[d & ~h] for h in (1 << np.arange(self.k))]
+        dx = _InputGrad(self, self.read)
+        for r in self.blocks:
+            flat, dfr = self.flat[r], df[r]
+            terms = dx.terms(len(dfr)).reshape(len(dfr), n, self.k)
+            for j, slope in enumerate(slopes):
+                terms[:, :, j] = np.take(slope, flat) * 0.5 * dfr
+            dx.add(r, terms)
+        return dtable, dx.dx
 
 
 def support(bits: np.ndarray, k: int) -> list[int]:

@@ -19,7 +19,11 @@ table entry that ``infer_bin`` and the netlist look up. In hp mode each LUT
 reads only its kept (not severed) inputs: in a large enough batch, a LUT
 that keeps m of k inputs interpolates over its 2^m corners alone. Bin mode
 reads all k, since a lookup costs one gather at any fan-in and severance
-has averaged the table entries a severed input would choose between.
+has averaged the table entries a severed input would choose between. The
+kernel works in row blocks, so a LUT layer's forward and backward hold a
+few (B, N) arrays (output, gradient) and one block's temporaries, not
+2^k of them. Each LUT feeds one channel, so its gradient is a gather of
+that channel's.
 
 A layer's ``forward`` also takes the batch-norm statistics to use:
 ``"batch"`` normalizes by the batch and folds it into the running stats
@@ -33,6 +37,9 @@ batch-norm folded into integer thresholds; it is what the netlist must
 reproduce bit for bit. The sums run as float32 BLAS products: every partial
 sum is an integer below ``EXACT_SUM_LIMIT`` (2^24) in magnitude, so float32
 holds it exactly in any summation order and at any thread count.
+``Network.infer_bin`` runs ``INFER_ROWS`` samples at a time, so it holds
+one block's activations plus the (B, classes) scores; its integer sums make
+the block size invisible in the bits.
 """
 
 from __future__ import annotations
@@ -47,18 +54,32 @@ from .shrink import compose_transforms, salience_rows
 GAMMA_MIN = 1e-3  # keeps the folded threshold comparison direction fixed
 EXACT_SUM_LIMIT = 2**24  # float32 holds every integer of smaller magnitude
 RECALIBRATE_PASSES, RECALIBRATE_BATCH = 20, 256  # batch-norm refresh extent
+# samples per block of Network.infer_bin; its sums are exact integers, so
+# the block size changes no bit, only the memory held at once
+INFER_ROWS = 512
 
 
 class ModelError(RuntimeError):
     pass
 
 
+def _pm1(true: np.ndarray, dtype) -> np.ndarray:
+    """+1 where ``true``, else -1, in dtype: built in place from the boolean
+    array, with no wide temporary."""
+    s = true.astype(dtype)
+    s *= 2
+    s -= 1
+    return s
+
+
 def sign_pm1(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1.0, -1.0).astype(x.dtype, copy=False)
+    """+/-1 in x's dtype, with sign(0) = sign(-0.0) = +1 and sign(NaN) = -1."""
+    return _pm1(x >= 0, x.dtype)
 
 
 def sign_bits(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1, -1).astype(np.int8)
+    """sign_pm1 as int8."""
+    return _pm1(x >= 0, np.int8)
 
 
 def _check_exact(name: str, fan_in: int) -> None:
@@ -91,7 +112,7 @@ def _infer_out(layer, s: np.ndarray) -> np.ndarray:
     """Integer scores of an output layer, else the +/-1 bits of s >= tau."""
     if layer.is_output:
         return s.astype(np.int64)
-    return np.where(s >= layer.bn.fold_thresholds(), 1, -1).astype(np.int8)
+    return _pm1(s >= layer.bn.fold_thresholds(), np.int8)
 
 
 def _momentum_step(p: np.ndarray, v: np.ndarray, d: np.ndarray, lr: float,
@@ -284,6 +305,7 @@ class LutLayer:
         self._v_masks = np.zeros_like(self.masks)
         self._chmat = np.zeros((len(self.channel), n_out))
         self._chmat[np.arange(len(self.channel)), self.channel] = 1.0
+        self._chmat32 = self._chmat.astype(np.float32)  # for infer_bin
         self.pruned = np.zeros((len(self.channel), k), dtype=bool)
         self.set_pruned(self.pruned)
 
@@ -337,15 +359,14 @@ class LutLayer:
         return _activate(self, f @ self._chmat, mode, stats)
 
     def backward(self, dout: np.ndarray, need_dx: bool) -> np.ndarray | None:
-        df = _sum_grad(self, dout) @ self._chmat.T  # (B, N)
+        # each LUT feeds one channel: its gradient is that channel's
+        df = np.take(_sum_grad(self, dout), self.channel, axis=1)  # (B, N)
         f_real, batch, table = self._cache_lut
         if self._cache_mode == "bin":
-            df = df * (np.abs(f_real) <= 1.0)  # clipped straight-through
-        dceff = np.ascontiguousarray(batch.grad_table(df).T)
-        self.dmasks += self._transform(dceff)
-        if need_dx:
-            return batch.grad_inputs(table, df)
-        return None
+            df *= np.abs(f_real) <= 1.0  # clipped straight-through
+        dtable, dx = batch.backward(table, df, need_dx)
+        self.dmasks += self._transform(np.ascontiguousarray(dtable.T))
+        return dx
 
     def truth_tables(self) -> np.ndarray:
         return sign_bits(self.effective_masks())
@@ -354,7 +375,7 @@ class LutLayer:
         _check_exact(self.name, int(np.bincount(self.channel).max(initial=0)))
         tt = self.truth_tables().astype(np.float32).T  # (2^k, N)
         f = CornerBatch(xbits, self.inputs).interpolate(tt)
-        return _infer_out(self, f @ self._chmat.astype(np.float32))
+        return _infer_out(self, f @ self._chmat32)
 
     def step(self, lr: float, momentum: float) -> None:
         _momentum_step(self.masks, self._v_masks, self.dmasks, lr, momentum)
@@ -394,11 +415,18 @@ class Network:
             lay.step(lr, momentum)
 
     def infer_bin(self, x: np.ndarray) -> np.ndarray:
-        """Exact integer class scores, (B, classes)."""
-        h = sign_bits(np.asarray(x, dtype=np.float64))
-        for lay in self.layers:
-            h = lay.infer_bin(h)
-        return h
+        """Exact integer class scores, (B, classes), computed INFER_ROWS
+        samples at a time into one output array."""
+        x = np.asarray(x)
+        scores = None
+        for lo in range(0, max(len(x), 1), INFER_ROWS):
+            h = sign_bits(np.asarray(x[lo : lo + INFER_ROWS], dtype=np.float64))
+            for lay in self.layers:
+                h = lay.infer_bin(h)
+            if scores is None:
+                scores = np.empty((len(x), h.shape[1]), dtype=h.dtype)
+            scores[lo : lo + len(h)] = h
+        return scores
 
     def predict_bin(self, x: np.ndarray) -> np.ndarray:
         """Exact integer inference; ties resolved to the lowest class."""

@@ -178,8 +178,7 @@ def _interpolating(monkeypatch):
 
 def _kernel_run(x, inputs, table, df):
     batch = CornerBatch(x, inputs)
-    return batch, (batch.interpolate(table), batch.grad_table(df),
-                   batch.grad_inputs(table, df))
+    return batch, (batch.interpolate(table), *batch.backward(table, df))
 
 
 # a single LUT too: numpy would sum its batch pairwise, not in sample order
@@ -221,8 +220,7 @@ def test_fanin_groups_match_one_group(k, batch, inputs_at, monkeypatch):
 
     def run():
         batch_ = CornerBatch(x, inputs, severed)
-        return batch_, (batch_.interpolate(table), batch_.grad_table(df),
-                        batch_.grad_inputs(table, df))
+        return batch_, (batch_.interpolate(table), *batch_.backward(table, df))
 
     monkeypatch.setattr(lutcore, "GROUP_FLOATS", 0)
     if inputs_at == "corners":
@@ -315,9 +313,10 @@ def test_untouched_zero_sign_is_erased_by_dmasks(monkeypatch):
     x = sign_pm1(rng.standard_normal((batch, N_IN)))
     dout = -np.ones((batch, N_OUT))  # df < 0 on every node and sample
     df = dout @ live._chmat.T
-    got = CornerBatch(x, live.inputs).grad_table(df)
+    table = live.effective_masks().T
+    got = CornerBatch(x, live.inputs).backward(table, df, need_dx=False)[0]
     with _interpolating(monkeypatch):
-        want = CornerBatch(x, live.inputs).grad_table(df)
+        want = CornerBatch(x, live.inputs).backward(table, df, need_dx=False)[0]
         twin_dmasks = _run(twin, x, dout, "bin")[1]
     np.testing.assert_array_equal(got, want)
     untouched = got == 0.0

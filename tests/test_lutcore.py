@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lutshrink.lutcore import ContractError, CornerBatch, project, rewire, support
-from lutshrink.model import sign_bits
+from lutshrink.model import sign_bits, sign_pm1
 from lutshrink.shrink import build_U, salience_rows
 
 # Table-1-style AND mask, indexed (-1,-1),(1,-1),(-1,1),(1,1)
@@ -47,11 +47,12 @@ def forward(params, x) -> float:
 
 def grad_params(x) -> np.ndarray:
     """d f / d c: the interpolation weights of every corner."""
-    return one_lut(x).grad_table(np.ones((1, 1)))[:, 0]
+    table = np.zeros((2 ** len(x), 1))  # read for dx only
+    return one_lut(x).backward(table, np.ones((1, 1)), need_dx=False)[0][:, 0]
 
 
 def grad_inputs(params, x) -> np.ndarray:
-    return one_lut(x).grad_inputs(np.asarray(params)[:, None], np.ones((1, 1)))[0]
+    return one_lut(x).backward(np.asarray(params)[:, None], np.ones((1, 1)))[1][0]
 
 
 def central_diff(f, x, step=1e-5):
@@ -160,6 +161,25 @@ def test_binarize_and_gate():
 
 def test_binarize_tie_rule():
     np.testing.assert_array_equal(sign_bits(np.zeros(4)), [1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sign_helpers_zero_nan_and_dtype(dtype):
+    """-0.0 maps to +1 and NaN to -1, like np.where(x >= 0, 1, -1)."""
+    x = np.array([-0.0, 0.0, np.nan, -np.inf, np.inf, -1e-30, 1e-30, -2.5, 3.0],
+                 dtype=dtype)
+    want = [1, 1, -1, -1, 1, -1, 1, -1, 1]
+    pm1, bits = sign_pm1(x), sign_bits(x)
+    assert pm1.dtype == dtype and bits.dtype == np.int8
+    np.testing.assert_array_equal(pm1, want)
+    np.testing.assert_array_equal(bits, want)
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal((64, 33)).astype(dtype)
+    y[rng.random(y.shape) < 0.1] = -0.0
+    y[rng.random(y.shape) < 0.1] = np.nan
+    ref = np.where(y >= 0, 1, -1)
+    assert sign_pm1(y).tobytes() == ref.astype(dtype).tobytes()
+    assert sign_bits(y).tobytes() == ref.astype(np.int8).tobytes()
 
 
 def test_binarize_after_input_removal_gives_wire():
