@@ -7,6 +7,10 @@ readable and diff-able. Raw IEEE bytes make save -> load -> save
 byte-identical and let a resumed phase reproduce training bit for bit.
 Checkpoints are written at phase boundaries; the pipeline phase cursor and
 the RNG state travel with the model.
+
+It stores what training learned, and nothing that the config or the layer
+order fix: the last layer is the output layer, the only one without batch
+norm, and ``[model] shrink_layers`` names the layers to prune and expand.
 """
 
 from __future__ import annotations
@@ -21,19 +25,22 @@ from .lutcore import MAX_K
 from .model import BatchNorm, DenseLayer, LutLayer, Network
 from .train import ShrinkPlan, TrainConfig
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 PHASES = ["trained", "expanded", "shrunk", "final"]
 
 _BN_FIELDS = ("gamma", "beta", "running_mean", "running_var")
 
-# the JSON types of the top-level fields of a checkpoint, of the scalar
-# fields of every layer, and of those of each layer kind
-_FIELDS = {"phase": str, "config": dict, "rng_state": dict, "num_classes": int,
-           "layers": list, "shrink_plan": (dict, type(None))}
+# the JSON types of the top-level fields of a checkpoint, of the fields of
+# every layer, and of the other fields of each layer kind; a layer holds
+# these fields and no others
+_FIELDS = {"phase": str, "config": dict, "rng_state": dict, "layers": list,
+           "shrink_plan": (dict, type(None))}
 _LAYER_FIELDS = {"kind": str, "name": str, "n_in": int, "n_out": int,
-                 "is_output": bool, "alpha": (int, float), "bn": (dict, type(None))}
-_KIND_FIELDS = {"dense": {"shrinkable": bool}, "lut": {"k": int}}
+                 "bn": (dict, type(None))}
+_KIND_FIELDS = {"dense": {"shadow": dict, "alive": dict},
+                "lut": {"k": int, "inputs": dict, "channel": dict, "masks": dict,
+                        "pruned": dict}}
 
 
 class CheckpointError(RuntimeError):
@@ -46,6 +53,14 @@ def _check_types(doc: dict, types: dict) -> None:
     for key, kind in types.items():
         if not isinstance(doc[key], kind):
             raise CheckpointError(f"field {key!r} has type {type(doc[key]).__name__}")
+
+
+def _same_fields(doc: dict, names, where: str) -> None:
+    """Refuse ``doc`` unless its fields are exactly ``names``."""
+    odd = sorted(set(names) ^ doc.keys())
+    if odd:
+        what = "an unknown field" if odd[0] in doc else "no field"
+        raise CheckpointError(f"{where} has {what} {odd[0]!r}")
 
 
 def _enc(a, dtype: str) -> dict:
@@ -102,6 +117,7 @@ def _enc_bn(bn: BatchNorm | None):
 def _dec_bn(d, n: int) -> BatchNorm | None:
     if d is None:
         return None
+    _same_fields(d, _BN_FIELDS, "field 'bn'")
     bn = BatchNorm(n)
     for f in _BN_FIELDS:
         setattr(bn, f, _array(d, f, "<f8", (n,)))
@@ -109,18 +125,10 @@ def _dec_bn(d, n: int) -> BatchNorm | None:
 
 
 def _enc_layer(lay) -> dict:
-    doc = {
-        "kind": lay.kind,
-        "name": lay.name,
-        "n_in": lay.n_in,
-        "n_out": lay.n_out,
-        "is_output": lay.is_output,
-        "alpha": float(lay.alpha),
-        "bn": _enc_bn(lay.bn),
-    }
+    doc = {"kind": lay.kind, "name": lay.name, "n_in": lay.n_in, "n_out": lay.n_out,
+           "bn": _enc_bn(lay.bn)}
     if lay.kind == "dense":
-        doc.update(shrinkable=lay.shrinkable, shadow=_enc(lay.shadow, "<f8"),
-                   alive=_enc(lay.alive, "|b1"))
+        doc.update(shadow=_enc(lay.shadow, "<f8"), alive=_enc(lay.alive, "|b1"))
     else:
         doc.update(k=lay.k, inputs=_enc(lay.inputs, "<i8"),
                    channel=_enc(lay.channel, "<i8"), masks=_enc(lay.masks, "<f8"),
@@ -128,16 +136,29 @@ def _enc_layer(lay) -> dict:
     return doc
 
 
-def _dec_layer(d: dict):
+def _dec_layer(d: dict, prev, is_output: bool):
+    """The layer ``d`` stores, which follows the layer ``prev`` (None for the
+    first) and is the output layer when ``is_output``."""
     _check_types(d, _LAYER_FIELDS)
     if d["kind"] not in _KIND_FIELDS:
         raise CheckpointError(f"field 'kind' is {d['kind']!r}, not 'dense' or 'lut'")
     _check_types(d, _KIND_FIELDS[d["kind"]])
+    for key in ("n_in", "n_out"):
+        if d[key] < 1:
+            raise CheckpointError(f"field {key!r} of {d['name']!r} is {d[key]}, "
+                                  "not >= 1")
+    if prev is not None and d["n_in"] != prev.n_out:
+        raise CheckpointError(f"field 'n_in' of {d['name']!r} is {d['n_in']}, not "
+                              f"{prev.n_out}, the n_out of {prev.name!r}")
+    if (d["bn"] is None) != is_output:
+        state = "null" if d["bn"] is None else "not null"
+        raise CheckpointError(f"field 'bn' of {d['name']!r} is {state}, but the last "
+                              "layer, and only it, has no batch norm")
     bn = _dec_bn(d["bn"], d["n_out"])
     if d["kind"] == "dense":
         lay = DenseLayer(d["n_in"], d["n_out"], np.random.default_rng(0), d["name"],
-                         is_output=d["is_output"], shrinkable=d["shrinkable"])
-        lay.alpha, lay.bn = d["alpha"], bn
+                         is_output=is_output)
+        lay.bn = bn
         lay.shadow = _shadow(d)
         lay.alive = _array(d, "alive", "|b1", lay.shadow.shape)
         return lay
@@ -148,17 +169,14 @@ def _dec_layer(d: dict):
     inputs = _array(d, "inputs", "<i8", (n, d["k"]), d["n_in"])
     lay = LutLayer(d["n_in"], d["n_out"], d["k"], inputs,
                    _array(d, "channel", "<i8", (n,), d["n_out"]), masks, d["name"],
-                   is_output=d["is_output"], bn=bn, alpha=d["alpha"])
+                   is_output=is_output, bn=bn)
     lay.set_pruned(_array(d, "pruned", "|b1", (n, d["k"])))
     return lay
 
 
 def _dataclass(cls, doc: dict, key: str):
     """cls(**doc[key]), where doc[key] must hold exactly the fields of cls."""
-    odd = sorted({f.name for f in fields(cls)} ^ doc[key].keys())
-    if odd:
-        what = "an unknown field" if odd[0] in doc[key] else "no field"
-        raise CheckpointError(f"field {key!r} has {what} {odd[0]!r}")
+    _same_fields(doc[key], [f.name for f in fields(cls)], f"field {key!r}")
     return cls(**doc[key])
 
 
@@ -171,7 +189,6 @@ def save(path: str, net: Network, cfg: TrainConfig, phase: str,
         "phase": phase,
         "config": asdict(cfg),
         "rng_state": rng.bit_generator.state,
-        "num_classes": net.num_classes,
         "layers": [_enc_layer(l) for l in net.layers],
         "shrink_plan": None if plan is None else asdict(plan),
     }
@@ -199,6 +216,9 @@ def load(path: str):
         )
     try:
         _check_types(doc, _FIELDS)
+        _same_fields(doc, [*_FIELDS, "format_version"], "its top level")
+        if not doc["layers"]:
+            raise CheckpointError("field 'layers' is empty")
         cfg = _dataclass(TrainConfig, doc, "config")
         cfg.validate()
         plan = None if doc["shrink_plan"] is None else _dataclass(ShrinkPlan, doc,
@@ -214,12 +234,15 @@ def load(path: str):
         if not isinstance(d, dict):
             raise CheckpointError(f"{where} has type {type(d).__name__}, not dict")
         try:
-            layers.append(_dec_layer(d))
+            lay = _dec_layer(d, layers[-1] if layers else None,
+                             i == len(doc["layers"]) - 1)
         except KeyError as e:
             raise CheckpointError(f"{where} has no field {e.args[0]!r}") from None
         except CheckpointError as e:
             raise CheckpointError(f"{where}: {e}") from None
-    net = Network(layers, doc["num_classes"])
+        _same_fields(d, [*_LAYER_FIELDS, *_KIND_FIELDS[lay.kind]], where)
+        layers.append(lay)
+    net = Network(layers)
     rng = np.random.default_rng(0)
     rng.bit_generator.state = doc["rng_state"]
     return net, cfg, doc["phase"], rng, plan

@@ -207,44 +207,34 @@ def cmd_report(args) -> None:
 
     net, cfg, phase, rng, plan = checkpoint.load(args.path)
     print(f"phase: {phase}")
-    total_conns = alive_conns = 0
-    lut_total = lut_surv = 0
+    total_conns = alive_conns = lut_total = lut_surv = 0
     hist = np.zeros(MAX_K + 1, dtype=np.int64)
     for lay in net.layers:
         if lay.kind == "dense":
-            flag = " (shrinkable)" if lay.shrinkable else ""
-            print(
-                f"layer {lay.name}: dense {lay.n_in}x{lay.n_out}, "
-                f"alive {int(lay.alive.sum())}/{lay.alive.size}{flag}"
-            )
-            if lay.shrinkable:
+            alive, shrinkable = int(lay.alive.sum()), lay.name in cfg.shrink_layers
+            print(f"layer {lay.name}: dense {lay.n_in}x{lay.n_out}, alive "
+                  f"{alive}/{lay.alive.size}" + (" (shrinkable)" if shrinkable else ""))
+            if shrinkable:
                 total_conns += lay.alive.size
-                alive_conns += int(lay.alive.sum())
+                alive_conns += alive
         else:
+            surv, total = int((~lay.pruned).sum()), lay.n_nodes * lay.k
             hist += np.bincount(lay.k - lay.pruned.sum(axis=1), minlength=MAX_K + 1)
-            lut_total += lay.n_nodes * lay.k
-            lut_surv += int((~lay.pruned).sum())
-            print(
-                f"layer {lay.name}: {lay.n_nodes} LUTs (k={lay.k}), "
-                f"surviving inputs {int((~lay.pruned).sum())}/{lay.n_nodes * lay.k}"
-            )
+            lut_total += total
+            lut_surv += surv
+            print(f"layer {lay.name}: {lay.n_nodes} LUTs (k={lay.k}), "
+                  f"surviving inputs {surv}/{total}")
     if total_conns:
         print(f"theta achieved: {1 - alive_conns / total_conns:.4f}")
     if lut_total:
         print(f"delta achieved: {1 - lut_surv / lut_total:.4f}")
-        print(
-            "effective-size histogram: "
-            + " ".join(f"{s}:{c}" for s, c in enumerate(hist) if c)
-        )
+        print("effective-size histogram: "
+              + " ".join(f"{s}:{c}" for s, c in enumerate(hist) if c))
     if plan is not None:
-        print(
-            "shrink schedule: "
-            + ", ".join(
-                f"t={i + 1} delta={d:.4f} pruned={c}"
-                for i, (d, c) in enumerate(zip(plan.deltas, plan.pruned_counts))
-            )
-            + (" (random baseline)" if plan.random_mode else "")
-        )
+        steps = enumerate(zip(plan.deltas, plan.pruned_counts), 1)
+        print("shrink schedule: "
+              + ", ".join(f"t={t} delta={d:.4f} pruned={c}" for t, (d, c) in steps)
+              + (" (random baseline)" if cfg.random_prune else ""))
 
 
 def _looks_like_log(path: str) -> bool:

@@ -204,12 +204,11 @@ class DenseLayer:
     kind = "dense"
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, name: str,
-                 is_output: bool = False, shrinkable: bool = False):
+                 is_output: bool = False):
         self.name = name
         self.n_in = n_in
         self.n_out = n_out
         self.is_output = is_output
-        self.shrinkable = shrinkable
         self.shadow = rng.uniform(-0.1, 0.1, size=(n_out, n_in))
         self.alive = np.ones((n_out, n_in), dtype=bool)
         self.bn = None if is_output else BatchNorm(n_out)
@@ -248,9 +247,8 @@ class DenseLayer:
         return self._wb
 
     def forward(self, x: np.ndarray, mode: str, stats: str) -> np.ndarray:
-        wb = self.weights_bin()
-        self._cache_x, self._cache_wb = x, wb
-        return _activate(self, x @ wb.T, mode, stats)
+        self._cache_x = x
+        return _activate(self, x @ self.weights_bin().T, mode, stats)
 
     def backward(self, dout: np.ndarray, need_dx: bool) -> np.ndarray | None:
         ds = _sum_grad(self, dout)
@@ -258,7 +256,7 @@ class DenseLayer:
         g *= self._alive
         self.dshadow += g
         if need_dx:
-            return ds @ self._cache_wb
+            return ds @ self.weights_bin()
         return None
 
     def infer_bin(self, xbits: np.ndarray) -> np.ndarray:
@@ -288,8 +286,7 @@ class LutLayer:
 
     def __init__(self, n_in: int, n_out: int, k: int, inputs: np.ndarray,
                  channel: np.ndarray, masks: np.ndarray, name: str,
-                 is_output: bool = False, bn: BatchNorm | None = None,
-                 alpha: float | None = None):
+                 is_output: bool = False, bn: BatchNorm | None = None):
         order = np.argsort(channel, kind="stable")
         self.name = name
         self.n_in = n_in
@@ -300,7 +297,7 @@ class LutLayer:
         self.masks = masks[order].astype(np.float64)
         self.is_output = is_output
         self.bn = bn if not is_output else None
-        self.alpha = alpha if alpha is not None else 1.0 / math.sqrt(max(n_in, 1))
+        self.alpha = 1.0 / math.sqrt(n_in)
         self.dmasks = np.zeros_like(self.masks)
         self._v_masks = np.zeros_like(self.masks)
         self._chmat = np.zeros((len(self.channel), n_out))
@@ -386,9 +383,8 @@ class LutLayer:
 class Network:
     """A stack of layers ending in an un-normalized score layer."""
 
-    def __init__(self, layers: list, num_classes: int):
+    def __init__(self, layers: list):
         self.layers = layers
-        self.num_classes = num_classes
         if not layers or not layers[-1].is_output:
             raise ModelError("network must end in an output (score) layer")
 

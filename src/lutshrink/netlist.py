@@ -116,7 +116,7 @@ def extract_netlist(net: Network) -> Netlist:
     for lay in net.layers:
         # the +/-1 terms each output channel sums
         if lay.kind == "dense":
-            wb = np.where(lay.shadow >= 0, 1, -1) * lay.alive
+            wb = lay.weights_bin().astype(np.int64)
             chan_terms = [list(zip(map(wires.__getitem__, a.tolist()), wb[c, a].tolist()))
                           for c, a in enumerate(map(np.flatnonzero, lay.alive))]
         else:

@@ -191,7 +191,6 @@ class ShrinkPlan:
 
     deltas: list[float] = field(default_factory=list)
     pruned_counts: list[int] = field(default_factory=list)
-    random_mode: bool = False
 
 
 class MetricLog:
@@ -211,20 +210,9 @@ class MetricLog:
 def build_network(cfg: TrainConfig, n_features: int, n_classes: int,
                   rng: np.random.Generator) -> Network:
     sizes = [n_features, *cfg.hidden, n_classes]
-    layers = []
-    for i in range(len(sizes) - 1):
-        name = f"fc{i + 1}"
-        layers.append(
-            DenseLayer(
-                sizes[i],
-                sizes[i + 1],
-                rng,
-                name,
-                is_output=(i == len(sizes) - 2),
-                shrinkable=name in cfg.shrink_layers,
-            )
-        )
-    return Network(layers, n_classes)
+    return Network([DenseLayer(sizes[i], sizes[i + 1], rng, f"fc{i + 1}",
+                               is_output=i == len(sizes) - 2)
+                    for i in range(len(sizes) - 1)])
 
 
 def evaluate(net: Network, ds: Dataset, mode: str) -> float:
@@ -281,12 +269,12 @@ def train_bnn(net: Network, train: Dataset, test: Dataset, cfg: TrainConfig,
 
 def prune_nodes(net: Network, theta: float, train: Dataset, test: Dataset,
                 cfg: TrainConfig, rng: np.random.Generator, log: MetricLog) -> None:
-    """Kill the floor(theta*N) lowest-|shadow| connections per shrinkable
-    layer, then retrain binarized."""
+    """Kill the floor(theta*N) lowest-|shadow| connections per dense layer
+    named in ``cfg.shrink_layers``, then retrain binarized."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must be in [0,1]")
     for lay in net.layers:
-        if lay.kind != "dense" or not lay.shrinkable:
+        if lay.kind != "dense" or lay.name not in cfg.shrink_layers:
             continue
         n = lay.shadow.size
         n_kill = int(math.floor(theta * n))
@@ -306,11 +294,12 @@ def prune_nodes(net: Network, theta: float, train: Dataset, test: Dataset,
 
 def logic_expand(net: Network, k: int, train: Dataset, test: Dataset,
                  cfg: TrainConfig, rng: np.random.Generator, log: MetricLog) -> None:
-    """Replace each surviving connection of a shrinkable layer with a k-LUT
-    initialized to reproduce its XNOR exactly, then retrain high-precision."""
+    """Replace each surviving connection of each dense layer named in
+    ``cfg.shrink_layers`` with a k-LUT initialized to reproduce its XNOR
+    exactly, then retrain high-precision."""
     new_layers = []
     for lay in net.layers:
-        if lay.kind != "dense" or not lay.shrinkable:
+        if lay.kind != "dense" or lay.name not in cfg.shrink_layers:
             new_layers.append(lay)
             continue
         if k - 1 > lay.n_in - 1:
@@ -334,8 +323,7 @@ def logic_expand(net: Network, k: int, train: Dataset, test: Dataset,
             masks[n] = w * corner_sign
         new_layers.append(
             LutLayer(lay.n_in, lay.n_out, k, inputs, chans.astype(np.int64),
-                     masks, lay.name, is_output=lay.is_output, bn=lay.bn,
-                     alpha=lay.alpha)
+                     masks, lay.name, is_output=lay.is_output, bn=lay.bn)
         )
     net.layers = new_layers
     if cfg.epochs_post_expand > 0:
@@ -363,7 +351,7 @@ def logic_shrink(net: Network, train: Dataset, test: Dataset, cfg: TrainConfig,
     k = layers[0].k
     if any(l.k != k for l in layers):
         raise ModelError("mixed fan-ins across shrinkable layers")
-    plan = ShrinkPlan(random_mode=cfg.random_prune)
+    plan = ShrinkPlan()
     bounds = np.cumsum([0, *(l.n_nodes for l in layers)])
     for t in range(1, cfg.shrink_iters + 1):
         if cfg.random_prune:

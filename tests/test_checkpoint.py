@@ -70,11 +70,12 @@ def test_rng_state_round_trip(tmp_path):
 
 def test_plan_round_trip(tmp_path):
     net, cfg, rng, _ = expanded_net()
-    plan = ShrinkPlan(deltas=[0.25, 0.5], pruned_counts=[2, 5], random_mode=True)
+    cfg.random_prune = True
+    plan = ShrinkPlan(deltas=[0.25, 0.5], pruned_counts=[2, 5])
     p = str(tmp_path / "p.json")
     checkpoint.save(p, net, cfg, "shrunk", rng, plan)
-    _, _, _, _, plan2 = checkpoint.load(p)
-    assert plan2.random_mode and plan2.pruned_counts == [2, 5]
+    _, cfg2, _, _, plan2 = checkpoint.load(p)
+    assert cfg2.random_prune and plan2.pruned_counts == [2, 5]
     np.testing.assert_array_equal(plan2.deltas, plan.deltas)
 
 
@@ -84,7 +85,7 @@ def test_unknown_phase_rejected(tmp_path):
         checkpoint.save(str(tmp_path / "x.json"), net, cfg, "warmup", rng)
 
 
-@pytest.mark.parametrize("version", [1, 99])
+@pytest.mark.parametrize("version", [1, 2, 99])
 def test_unsupported_version_rejected(tmp_path, capsys, version):
     net, cfg, rng, _ = expanded_net()
     p = str(tmp_path / "v.json")
@@ -154,8 +155,32 @@ def without(key):
     return lambda d: {k: v for k, v in d.items() if k != key}
 
 
+def cut_inputs(n):
+    """A LUT-layer edit that keeps inputs below n: n_in n, and the LUTs
+    whose inputs all lie below it."""
+    def edit(d):
+        inputs = checkpoint._dec(d["inputs"])
+        keep = np.all(inputs < n, axis=1)
+        return {**d, "n_in": n, **{key: checkpoint._enc(checkpoint._dec(d[key])[keep],
+                                                         d[key]["dtype"])
+                                   for key in ("inputs", "channel", "masks", "pruned")}}
+    return edit
+
+
+def cut_outputs(n):
+    """A dense-layer edit that keeps its first n units, with their arrays."""
+    def edit(d):
+        d = {**d, "n_out": n}
+        for key in ("shadow", "alive"):
+            d = with_array(key, lambda a: a[:n])(d)
+        for key in ("gamma", "beta", "running_mean", "running_var"):
+            d = with_bn_array(key, lambda a: a[:n])(d)
+        return d
+    return edit
+
+
 _SHADOW_RANGE = "not a finite value in [-1, 1]; re-run from `lutshrink train`"
-_PLAN = {"deltas": [0.5], "pruned_counts": [3], "random_mode": False}
+_PLAN = {"deltas": [0.5], "pruned_counts": [3]}
 
 
 @pytest.mark.parametrize("edit, field", [
@@ -174,8 +199,35 @@ _PLAN = {"deltas": [0.5], "pruned_counts": [3], "random_mode": False}
      "layer 0: field 'n_out' has type str"),
     (edit_layer(1, lambda d: {**d, "k": "2"}), "layer 1: field 'k' has type str"),
     (edit_layer(0, lambda d: {**d, "bn": []}), "layer 0: field 'bn' has type list"),
+    (edit_layer(0, lambda d: {**d, "bn": None}),
+     "layer 0: field 'bn' of 'fc1' is null, but the last layer, and only it, has no "
+     "batch norm"),
+    (edit_layer(1, lambda d: {**d, "bn": {}}),
+     "layer 1: field 'bn' of 'fc2' is not null, but the last layer, and only it, "
+     "has no batch norm"),
+    (edit_layer(0, lambda d: {**d, "bn": {**d["bn"], "eps": 1e-5}}),
+     "layer 0: field 'bn' has an unknown field 'eps'"),
+    (edit_layer(0, lambda d: {**d, "bn": without("gamma")(d["bn"])}),
+     "layer 0: field 'bn' has no field 'gamma'"),
+    (edit_layer(0, lambda d: {**d, "alpha": 0.5}), "layer 0 has an unknown field 'alpha'"),
+    (edit_layer(1, lambda d: {**d, "alpha": float("nan")}),
+     "layer 1 has an unknown field 'alpha'"),
     (edit_layer(0, lambda d: {**d, "is_output": "no"}),
-     "layer 0: field 'is_output' has type str"),
+     "layer 0 has an unknown field 'is_output'"),
+    (edit_layer(0, lambda d: {**d, "shrinkable": True}),
+     "layer 0 has an unknown field 'shrinkable'"),
+    (edit_layer(1, lambda d: {**d, "shadow": d["masks"]}),
+     "layer 1 has an unknown field 'shadow'"),
+    (lambda doc: {**doc, "num_classes": 2}, "its top level has an unknown field 'num_classes'"),
+    (lambda doc: {**doc, "layers": []}, "field 'layers' is empty"),
+    (edit_layer(1, cut_inputs(7)),
+     "layer 1: field 'n_in' of 'fc2' is 7, not 8, the n_out of 'fc1'"),
+    (edit_layer(0, cut_outputs(7)),
+     "layer 1: field 'n_in' of 'fc2' is 8, not 7, the n_out of 'fc1'"),
+    (edit_layer(0, lambda d: {**d, "n_in": 0}),
+     "layer 0: field 'n_in' of 'fc1' is 0, not >= 1"),
+    (edit_layer(1, lambda d: {**d, "n_out": 0}),
+     "layer 1: field 'n_out' of 'fc2' is 0, not >= 1"),
     (edit_layer(0, lambda d: {**d, "kind": "conv"}),
      "layer 0: field 'kind' is 'conv', not 'dense' or 'lut'"),
     (edit_layer(0, with_shadow(np.nan)),
@@ -210,8 +262,8 @@ _PLAN = {"deltas": [0.5], "pruned_counts": [3], "random_mode": False}
     (edit_section("config", lambda c: {**c, "lr_schedule": [[0.1, 2.5]]}),
      "[train] lr_schedule must be rate:epochs with a rate finite and > 0 and "
      "whole epochs >= 0, got 0.1:2.5"),
-    (lambda doc: {**doc, "shrink_plan": without("random_mode")(_PLAN)},
-     "field 'shrink_plan' has no field 'random_mode'"),
+    (lambda doc: {**doc, "shrink_plan": without("deltas")(_PLAN)},
+     "field 'shrink_plan' has no field 'deltas'"),
     (lambda doc: {**doc, "shrink_plan": {**_PLAN, "seed": 1}},
      "field 'shrink_plan' has an unknown field 'seed'"),
     (edit_layer(1, with_array("masks", lambda a: a[:3, :2])),
@@ -242,7 +294,10 @@ _PLAN = {"deltas": [0.5], "pruned_counts": [3], "random_mode": False}
      "layer 0: field 'running_var' has shape (8, 1), not (8,)"),
 ], ids=["list", "no-layers", "int-layers", "null-config", "layer-no-kind",
         "layer-list", "lut-no-masks", "shadow-f4", "n_out-str", "k-str", "bn-list",
-        "is_output-str", "kind-conv", "shadow-nan", "shadow-neg-inf",
+        "bn-null-hidden", "bn-on-output", "bn-extra-key", "bn-no-gamma", "alpha", "alpha-nan", "is_output-str",
+        "shrinkable", "lut-with-shadow", "num_classes", "layers-empty",
+        "n_in-below-chain", "n_out-below-chain", "n_in-zero", "n_out-zero",
+        "kind-conv", "shadow-nan", "shadow-neg-inf",
         "shadow-above-1", "config-no-delta", "config-extra-key", "config-hidden-str",
         "config-delta-str", "config-k-range", "config-delta-list",
         "config-iterations-float", "config-k-float", "config-seed-str",

@@ -299,7 +299,7 @@ def test_stage_flags_are_saved_as_their_ini_keys(tmp_path):
     assert (cfg.k, cfg.epochs_post_expand, cfg.delta, cfg.shrink_iters,
             cfg.epochs_per_iter, cfg.random_prune, cfg.epochs_final) == (
         3, 2, 0.25, 1, 2, True, 3)
-    assert plan.random_mode and plan.deltas[-1] == 0.25
+    assert cfg.random_prune and plan.deltas[-1] == 0.25
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -33,8 +33,11 @@ from lutshrink.train import TrainConfig
 
 class FrozenDense:
     """Frozen, uncached DenseLayer (do not optimize): the binary weights are
-    rebuilt at every forward and ``infer_bin``, the backward applies the
-    |w| <= 1 straight-through gate, and ``step`` allocates new arrays."""
+    rebuilt at every forward, backward and ``infer_bin``, the backward
+    applies the |w| <= 1 straight-through gate, and ``step`` allocates new
+    arrays. The backward reads the weights as they are when it runs, as it
+    reads ``alive``: after a ``step`` or a reassignment, those of the
+    update, not those of the last forward."""
 
     kind = "dense"
 
@@ -50,15 +53,14 @@ class FrozenDense:
         return np.where(self.shadow >= 0, 1.0, -1.0) * self.alive
 
     def forward(self, x, mode, stats):
-        wb = self.weights_bin()
-        self._cache_x, self._cache_wb = x, wb
-        return _activate(self, x @ wb.T, mode, stats)
+        self._cache_x = x
+        return _activate(self, x @ self.weights_bin().T, mode, stats)
 
     def backward(self, dout, need_dx):
         ds = _sum_grad(self, dout)
         self.dshadow += (ds.T @ self._cache_x) * (np.abs(self.shadow) <= 1.0) * self.alive
         if need_dx:
-            return ds @ self._cache_wb
+            return ds @ self.weights_bin()
         return None
 
     def infer_bin(self, xbits):
@@ -106,7 +108,7 @@ def round_trip(lay):
                                  is_output=True))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.json")
-        checkpoint.save(path, Network(layers, 2), TrainConfig(), "trained",
+        checkpoint.save(path, Network(layers), TrainConfig(), "trained",
                         np.random.default_rng(0))
         return checkpoint.load(path)[0].layers[0]
 

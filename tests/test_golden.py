@@ -25,6 +25,15 @@ shrink, the LUT masks and the dense shadows below them differ by at most
 and area did not change, and neither did either xor-smoke hash. The
 checkpoint bytes depend on the summation order of the installed numpy and
 BLAS.
+
+Both checkpoint hashes were taken again for checkpoint format 3, which moved
+the schema only. It no longer stores what the config or the layer order
+fixes: each layer's ``alpha`` (1/sqrt(n_in)) and ``is_output`` (the last
+layer), the dense ``shrinkable`` (``[model] shrink_layers``), the network's
+``num_classes`` (the last layer's ``n_out``) and the shrink plan's
+``random_mode`` (``[shrink] random_prune``). Every layer array, the config
+and the RNG state are bit for bit those of format 2 after each phase, and
+both Verilog hashes did not change.
 """
 
 import hashlib
@@ -43,11 +52,11 @@ from lutshrink.verilog import parse_verilog
 GOLDEN = {
     "xor-smoke": (
         "e2d9b39f62993d1548af6e3c91da07405f7b8c65b9e3de85f6307211aadf9872",
-        "7082743a3da12eb794a6353e5fecf784328bf2a102a8493afc6930b7ece140b4",
+        "95c04e2f01de786c2ab8693affa62db4da7c93d15c86b200026765aba32cf9af",
     ),
     "parity8": (
         "793f3578167476f12fbc137906f7a4e76edbac71911808093e41fb98afd33da3",
-        "46064f866696a3951e97a21daee6b3c7963cba331c373f3a745cd7c7f46be16a",
+        "476e5454e657e5a2235cc1727ee366b21cd96a404382b1e45acfc32bf9c1d7b3",
     ),
 }
 

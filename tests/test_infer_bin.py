@@ -132,7 +132,7 @@ def test_predict_bin_ties_pick_lowest_class(seed, n_hidden, n_classes, lut_out):
     else:
         out = dense_layer(rng, n_hidden, n_classes, is_output=True)
         out.shadow[-1], out.alive[-1] = out.shadow[0], out.alive[0]  # a sure tie
-    net = Network([hidden, out], n_classes)
+    net = Network([hidden, out])
     x = rng.uniform(-1, 1, size=(64, 20))
     h = dense_infer_ref(hidden, model.sign_bits(x))
     scores = (lut_infer_ref if lut_out else dense_infer_ref)(out, h)

@@ -440,7 +440,7 @@ def test_extract_refuses_to_drop_an_input_in_the_support(monkeypatch):
                    is_output=True)
     lay.set_pruned(np.array([[False, True]]))
     lay.fold_transforms()
-    net = Network([lay], 2)
+    net = Network([lay])
     assert extract_netlist(net).total_lut_inputs() == 1
     # a table that still reads severed input 1 (AND) cannot be projected
     monkeypatch.setattr(lay, "truth_tables",

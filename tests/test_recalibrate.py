@@ -102,7 +102,7 @@ def test_network_recalibrate_matches_calibrate():
     rng = np.random.default_rng(11)
     net = Network([make_layer("dense", False, rng, n_in=30, n_out=20),
                    make_layer("lut", False, rng, n_in=20, n_out=8),
-                   make_layer("lut", True, rng, n_in=8, n_out=4)], 4)
+                   make_layer("lut", True, rng, n_in=8, n_out=4)])
     ref = copy.deepcopy(net)
     x = rng.uniform(-1, 1, size=(600, 30))
     net.recalibrate(x)

@@ -81,7 +81,7 @@ def _network(rng, n_in=40, hidden=32, k=3, n_nodes=96, classes=5):
                    bn=BatchNorm(hidden))
     lut.set_pruned(rng.random((n_nodes, k)) < 0.3)
     out = DenseLayer(hidden, classes, rng, "fc2", is_output=True)
-    return Network([dense, lut, out], classes)
+    return Network([dense, lut, out])
 
 
 @pytest.mark.parametrize("rows", [1, 7, 512])

@@ -79,7 +79,7 @@ def _manual_lut_net(rng):
         rng.uniform(-0.5, 0.5, size=(n_out_luts, 2**k)),
         "o", is_output=True,
     )
-    return Network([hidden, out], 2)
+    return Network([hidden, out])
 
 
 def _loss(net, x, y):
@@ -278,7 +278,7 @@ def test_random_prune_mode_keeps_invariants():
     rng = np.random.default_rng(5)
     net, _ = _pipeline_to_expanded(cfg, ds, rng)
     plan = logic_shrink(net, ds, ds, cfg, rng, MetricLog())
-    assert plan.random_mode
+    assert cfg.random_prune
     lay = net.layer("fc2")
     total = lay.n_nodes * lay.k
     assert plan.pruned_counts[-1] == int(np.floor(0.5 * total))
