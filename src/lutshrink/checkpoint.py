@@ -9,8 +9,10 @@ Checkpoints are written at phase boundaries; the pipeline phase cursor and
 the RNG state travel with the model.
 
 It stores what training learned, and nothing that the config or the layer
-order fix: the last layer is the output layer, the only one without batch
-norm, and ``[model] shrink_layers`` names the layers to prune and expand.
+order fix: layer i is named ``fc{i+1}``, the last layer is the output layer,
+the only one without batch norm, ``[model] shrink_layers`` names the layers
+to prune and expand, and shrink iteration t targets
+``TrainConfig.shrink_delta(t)``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .lutcore import MAX_K
 from .model import BatchNorm, DenseLayer, LutLayer, Network
 from .train import ShrinkPlan, TrainConfig
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 PHASES = ["trained", "expanded", "shrunk", "final"]
 
@@ -36,8 +38,7 @@ _BN_FIELDS = ("gamma", "beta", "running_mean", "running_var")
 # these fields and no others
 _FIELDS = {"phase": str, "config": dict, "rng_state": dict, "layers": list,
            "shrink_plan": (dict, type(None))}
-_LAYER_FIELDS = {"kind": str, "name": str, "n_in": int, "n_out": int,
-                 "bn": (dict, type(None))}
+_LAYER_FIELDS = {"kind": str, "n_in": int, "n_out": int, "bn": (dict, type(None))}
 _KIND_FIELDS = {"dense": {"shadow": dict, "alive": dict},
                 "lut": {"k": int, "inputs": dict, "channel": dict, "masks": dict,
                         "pruned": dict}}
@@ -49,10 +50,11 @@ class CheckpointError(RuntimeError):
 
 def _check_types(doc: dict, types: dict) -> None:
     """Refuse a field of ``doc`` whose JSON type is not the one ``types``
-    gives it; a missing field raises KeyError."""
+    gives it (``true`` is not an integer); a missing field raises KeyError."""
     for key, kind in types.items():
-        if not isinstance(doc[key], kind):
-            raise CheckpointError(f"field {key!r} has type {type(doc[key]).__name__}")
+        value = doc[key]
+        if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+            raise CheckpointError(f"field {key!r} has type {type(value).__name__}")
 
 
 def _same_fields(doc: dict, names, where: str) -> None:
@@ -96,14 +98,15 @@ def _array(doc: dict, key: str, dtype: str, shape: tuple,
     return a
 
 
-def _shadow(doc: dict) -> np.ndarray:
-    """The dense shadows, which training keeps finite and within [-1, 1]:
-    the backward relies on it (its straight-through gate is always open)."""
+def _shadow(doc: dict, name: str) -> np.ndarray:
+    """The shadows of the dense layer ``name``, which training keeps finite
+    and within [-1, 1]: the backward relies on it (its straight-through gate
+    is always open)."""
     shadow = _array(doc, "shadow", "<f8", (doc["n_out"], doc["n_in"]))
     bad = ~(np.abs(shadow) <= 1.0)  # NaN compares false
     if bad.any():
         raise CheckpointError(
-            f"field 'shadow' of {doc['name']!r} holds {float(shadow[bad][0])}, "
+            f"field 'shadow' of {name!r} holds {float(shadow[bad][0])}, "
             "not a finite value in [-1, 1]; re-run from `lutshrink train`")
     return shadow
 
@@ -125,8 +128,7 @@ def _dec_bn(d, n: int) -> BatchNorm | None:
 
 
 def _enc_layer(lay) -> dict:
-    doc = {"kind": lay.kind, "name": lay.name, "n_in": lay.n_in, "n_out": lay.n_out,
-           "bn": _enc_bn(lay.bn)}
+    doc = {"kind": lay.kind, "n_in": lay.n_in, "n_out": lay.n_out, "bn": _enc_bn(lay.bn)}
     if lay.kind == "dense":
         doc.update(shadow=_enc(lay.shadow, "<f8"), alive=_enc(lay.alive, "|b1"))
     else:
@@ -136,30 +138,30 @@ def _enc_layer(lay) -> dict:
     return doc
 
 
-def _dec_layer(d: dict, prev, is_output: bool):
-    """The layer ``d`` stores, which follows the layer ``prev`` (None for the
-    first) and is the output layer when ``is_output``."""
+def _dec_layer(d: dict, name: str, prev, is_output: bool):
+    """The layer ``name`` that ``d`` stores, which follows the layer ``prev``
+    (None for the first) and is the output layer when ``is_output``."""
     _check_types(d, _LAYER_FIELDS)
     if d["kind"] not in _KIND_FIELDS:
         raise CheckpointError(f"field 'kind' is {d['kind']!r}, not 'dense' or 'lut'")
     _check_types(d, _KIND_FIELDS[d["kind"]])
     for key in ("n_in", "n_out"):
         if d[key] < 1:
-            raise CheckpointError(f"field {key!r} of {d['name']!r} is {d[key]}, "
+            raise CheckpointError(f"field {key!r} of {name!r} is {d[key]}, "
                                   "not >= 1")
     if prev is not None and d["n_in"] != prev.n_out:
-        raise CheckpointError(f"field 'n_in' of {d['name']!r} is {d['n_in']}, not "
+        raise CheckpointError(f"field 'n_in' of {name!r} is {d['n_in']}, not "
                               f"{prev.n_out}, the n_out of {prev.name!r}")
     if (d["bn"] is None) != is_output:
         state = "null" if d["bn"] is None else "not null"
-        raise CheckpointError(f"field 'bn' of {d['name']!r} is {state}, but the last "
+        raise CheckpointError(f"field 'bn' of {name!r} is {state}, but the last "
                               "layer, and only it, has no batch norm")
     bn = _dec_bn(d["bn"], d["n_out"])
     if d["kind"] == "dense":
-        lay = DenseLayer(d["n_in"], d["n_out"], np.random.default_rng(0), d["name"],
+        lay = DenseLayer(d["n_in"], d["n_out"], np.random.default_rng(0), name,
                          is_output=is_output)
         lay.bn = bn
-        lay.shadow = _shadow(d)
+        lay.shadow = _shadow(d, name)
         lay.alive = _array(d, "alive", "|b1", lay.shadow.shape)
         return lay
     if not 1 <= d["k"] <= MAX_K:
@@ -168,16 +170,41 @@ def _dec_layer(d: dict, prev, is_output: bool):
     n = len(masks)
     inputs = _array(d, "inputs", "<i8", (n, d["k"]), d["n_in"])
     lay = LutLayer(d["n_in"], d["n_out"], d["k"], inputs,
-                   _array(d, "channel", "<i8", (n,), d["n_out"]), masks, d["name"],
+                   _array(d, "channel", "<i8", (n,), d["n_out"]), masks, name,
                    is_output=is_output, bn=bn)
     lay.set_pruned(_array(d, "pruned", "|b1", (n, d["k"])))
     return lay
+
+
+def _rng(state: dict) -> np.random.Generator:
+    """The generator in ``state``, which must be a PCG64 state that reads
+    back unchanged."""
+    rng = np.random.default_rng(0)
+    try:
+        rng.bit_generator.state = state
+        ok = rng.bit_generator.state == state
+    except (KeyError, OverflowError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise CheckpointError("field 'rng_state' is not the state of a PCG64 generator")
+    return rng
 
 
 def _dataclass(cls, doc: dict, key: str):
     """cls(**doc[key]), where doc[key] must hold exactly the fields of cls."""
     _same_fields(doc[key], [f.name for f in fields(cls)], f"field {key!r}")
     return cls(**doc[key])
+
+
+def _plan(doc: dict, cfg: TrainConfig) -> ShrinkPlan:
+    """The shrink plan, which holds one severed count per iteration of ``cfg``."""
+    plan = _dataclass(ShrinkPlan, doc, "shrink_plan")
+    counts = plan.pruned_counts
+    if (not isinstance(counts, list) or len(counts) != cfg.shrink_iters
+            or not all(type(c) is int and c >= 0 for c in counts)):
+        raise CheckpointError(f"field 'pruned_counts' is {counts!r}, not "
+                              f"{cfg.shrink_iters} integers >= 0, one per iteration")
+    return plan
 
 
 def save(path: str, net: Network, cfg: TrainConfig, phase: str,
@@ -217,12 +244,15 @@ def load(path: str):
     try:
         _check_types(doc, _FIELDS)
         _same_fields(doc, [*_FIELDS, "format_version"], "its top level")
+        if doc["phase"] not in PHASES:
+            raise CheckpointError(f"field 'phase' is {doc['phase']!r}, not one of "
+                                  + ", ".join(PHASES))
         if not doc["layers"]:
             raise CheckpointError("field 'layers' is empty")
+        rng = _rng(doc["rng_state"])
         cfg = _dataclass(TrainConfig, doc, "config")
         cfg.validate()
-        plan = None if doc["shrink_plan"] is None else _dataclass(ShrinkPlan, doc,
-                                                                  "shrink_plan")
+        plan = None if doc["shrink_plan"] is None else _plan(doc, cfg)
     except KeyError as e:
         raise CheckpointError(f"{path} is not a checkpoint: no field "
                               f"{e.args[0]!r}") from None
@@ -234,7 +264,7 @@ def load(path: str):
         if not isinstance(d, dict):
             raise CheckpointError(f"{where} has type {type(d).__name__}, not dict")
         try:
-            lay = _dec_layer(d, layers[-1] if layers else None,
+            lay = _dec_layer(d, f"fc{i + 1}", layers[-1] if layers else None,
                              i == len(doc["layers"]) - 1)
         except KeyError as e:
             raise CheckpointError(f"{where} has no field {e.args[0]!r}") from None
@@ -242,7 +272,4 @@ def load(path: str):
             raise CheckpointError(f"{where}: {e}") from None
         _same_fields(d, [*_LAYER_FIELDS, *_KIND_FIELDS[lay.kind]], where)
         layers.append(lay)
-    net = Network(layers)
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = doc["rng_state"]
-    return net, cfg, doc["phase"], rng, plan
+    return Network(layers), cfg, doc["phase"], rng, plan

@@ -231,9 +231,10 @@ def cmd_report(args) -> None:
         print("effective-size histogram: "
               + " ".join(f"{s}:{c}" for s, c in enumerate(hist) if c))
     if plan is not None:
-        steps = enumerate(zip(plan.deltas, plan.pruned_counts), 1)
+        steps = enumerate(plan.pruned_counts, 1)
         print("shrink schedule: "
-              + ", ".join(f"t={t} delta={d:.4f} pruned={c}" for t, (d, c) in steps)
+              + ", ".join(f"t={t} delta={cfg.shrink_delta(t):.4f} pruned={c}"
+                          for t, c in steps)
               + (" (random baseline)" if cfg.random_prune else ""))
 
 

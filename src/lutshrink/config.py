@@ -7,7 +7,7 @@ import os
 from importlib import resources
 
 from .data import Dataset, load_idx, synth_boolean
-from .train import SETTINGS, TrainConfig
+from .train import LR_DECAY, MOMENTUM, SETTINGS, TrainConfig
 
 DATA_DIR_ENV = "LUTSHRINK_DATA_DIR"
 # The four MNIST IDX files, in (train images, train labels, test images,
@@ -18,6 +18,16 @@ MNIST_FILES = (
     "t10k-images-idx3-ubyte",
     "t10k-labels-idx1-ubyte",
 )
+
+# (section, key) of a retired setting -> what to write instead
+RETIRED = {
+    ("model", "binarize_inputs"): "delete it; the binarized phases always read sign(x)",
+    ("train", "momentum"): f"delete it; momentum is fixed at {MOMENTUM}",
+    ("train", "lr_decay"): "delete it; the phases after BNN training run at lr "
+                           f"times {LR_DECAY}, {LR_DECAY**2} and {LR_DECAY**3}",
+    ("train", "epochs"): "replace it with lr_schedule = <rate>:<epochs>, the "
+                         "rate and epochs of BNN training",
+}
 
 
 class ConfigError(ValueError):
@@ -65,9 +75,9 @@ def load_config(path: str) -> TrainConfig:
             bad.append(f"[{section}]")
             continue
         for key, raw in items:
-            if (section, key) == ("model", "binarize_inputs"):
-                raise ConfigError(
-                    f"[model] binarize_inputs was removed; delete it from {path}")
+            if (section, key) in RETIRED:
+                raise ConfigError(f"{path}: [{section}] {key} was removed; "
+                                  + RETIRED[section, key])
             f = SETTINGS.get((section, key))
             if f is None:
                 bad.append(f"[{section}] {key}")

@@ -5,6 +5,7 @@ retraining."""
 from __future__ import annotations
 
 import configparser
+import copy
 import math
 import numbers
 from collections.abc import Callable
@@ -19,6 +20,11 @@ from .model import DenseLayer, LutLayer, ModelError, Network, softmax_xent
 from .shrink import build_prune_mask
 
 EVAL_BATCH = 1024
+# SGD momentum of every phase, and the factor by which the phases after BNN
+# training lower the rate: prune and expand retraining run at lr * LR_DECAY,
+# shrink at lr * LR_DECAY**2 and finalize at lr * LR_DECAY**3
+MOMENTUM = 0.9
+LR_DECAY = 0.5
 
 
 class TrainingDivergedError(RuntimeError):
@@ -102,7 +108,7 @@ def setting(section: str, key: str, parse: Callable[[str], Any], default,
     for a list) lies outside it, and None otherwise."""
     meta = {"ini": (section, key), "parse": parse, "check": check}
     if isinstance(default, list):
-        return field(default_factory=lambda: list(default), metadata=meta)
+        return field(default_factory=lambda: copy.deepcopy(default), metadata=meta)
     return field(default=default, metadata=meta)
 
 
@@ -124,22 +130,17 @@ class TrainConfig:
     shrink_iters: int = setting("shrink", "iterations", int, 3, _POSITIVE)  # T
     epochs_per_iter: int = setting("shrink", "epochs_per_iter", int, 20,
                                    _POSITIVE)  # P
-    epochs_bnn: int = setting("train", "epochs", int, 50, _EPOCHS)
     epochs_post_prune: int = setting("prune", "epochs", int, 20, _EPOCHS)
     epochs_post_expand: int = setting("expand", "epochs", int, 50, _EPOCHS)
     epochs_final: int = setting("finalize", "epochs", int, 200, _EPOCHS)
+    # base rate of the phases after BNN training (see LR_DECAY)
     lr: float = setting("train", "lr", float, 0.01, _RATE)
-    # optional piecewise (lr, epochs) schedule for the initial phase;
-    # when empty, (lr, epochs_bnn) is used
+    # (rate, epochs) segments of BNN training, in order; empty trains none
     lr_schedule: list = setting(
-        "train", "lr_schedule", _list(_rate_epochs), [],
+        "train", "lr_schedule", _list(_rate_epochs), [[0.01, 50]],
         _range(lambda v: len(v) == 2 and math.isfinite(v[0]) and v[0] > 0
                and _is(v[1], int) and v[1] >= 0,
                "rate:epochs with a rate finite and > 0 and whole epochs >= 0"))
-    # multiplier applied at each later phase
-    lr_decay: float = setting("train", "lr_decay", float, 0.5, _RATE)
-    momentum: float = setting("train", "momentum", float, 0.9,
-                              _range(lambda v: 0.0 <= v < 1.0, "in [0, 1)"))
     batch_size: int = setting("train", "batch_size", int, 256, _POSITIVE)
     seed: int = setting("train", "seed", int, 0)
     random_prune: bool = setting("shrink", "random_prune", _bool, False)
@@ -167,6 +168,10 @@ class TrainConfig:
                     got = ":".join(map(str, item)) if isinstance(item, list) else item
                     raise ValueError(f"{where} must be {valid}, got {got}")
 
+    def shrink_delta(self, t: int) -> float:
+        """The fraction of LUT inputs severed after shrink iteration t (from 1)."""
+        return self.delta * t / self.shrink_iters
+
 
 # (section, key) -> the TrainConfig field it sets
 SETTINGS = {f.metadata["ini"]: f for f in fields(TrainConfig)}
@@ -187,9 +192,9 @@ def stage_flag(section: str, key: str) -> str | None:
 
 @dataclass
 class ShrinkPlan:
-    """Record of one shrinkage run: per-iteration targets and severed counts."""
+    """Record of one shrinkage run: the inputs severed after each iteration t,
+    whose target ``TrainConfig.shrink_delta(t)`` the config fixes."""
 
-    deltas: list[float] = field(default_factory=list)
     pruned_counts: list[int] = field(default_factory=list)
 
 
@@ -252,7 +257,7 @@ def train_phase(net: Network, train: Dataset, test: Dataset, *, mode: str,
                     f"loss became {loss} in phase {phase!r}, epoch {epoch}"
                 )
             net.backward(dlogits)
-            net.step(lr, cfg.momentum)
+            net.step(lr, MOMENTUM)
         train_err = evaluate(net, train_eval, mode)
         # one set serves as both (every synth config): evaluate it once
         test_err = train_err if test is train_eval else evaluate(net, test, mode)
@@ -261,8 +266,7 @@ def train_phase(net: Network, train: Dataset, test: Dataset, *, mode: str,
 
 def train_bnn(net: Network, train: Dataset, test: Dataset, cfg: TrainConfig,
               rng: np.random.Generator, log: MetricLog) -> None:
-    segments = cfg.lr_schedule or [(cfg.lr, cfg.epochs_bnn)]
-    for lr, epochs in segments:
+    for lr, epochs in cfg.lr_schedule:
         train_phase(net, train, test, mode="bin", epochs=int(epochs), lr=float(lr),
                     cfg=cfg, rng=rng, log=log, phase="bnn")
 
@@ -288,7 +292,7 @@ def prune_nodes(net: Network, theta: float, train: Dataset, test: Dataset,
         lay.alive = alive.reshape(lay.shadow.shape)
     if theta > 0.0 and cfg.epochs_post_prune > 0:
         train_phase(net, train, test, mode="bin", epochs=cfg.epochs_post_prune,
-                    lr=cfg.lr * cfg.lr_decay, cfg=cfg, rng=rng, log=log,
+                    lr=cfg.lr * LR_DECAY, cfg=cfg, rng=rng, log=log,
                     phase="prune-retrain")
 
 
@@ -328,7 +332,7 @@ def logic_expand(net: Network, k: int, train: Dataset, test: Dataset,
     net.layers = new_layers
     if cfg.epochs_post_expand > 0:
         train_phase(net, train, test, mode="hp", epochs=cfg.epochs_post_expand,
-                    lr=cfg.lr * cfg.lr_decay, cfg=cfg, rng=rng, log=log,
+                    lr=cfg.lr * LR_DECAY, cfg=cfg, rng=rng, log=log,
                     phase="expand-retrain")
         net.recalibrate(train.features)
 
@@ -358,15 +362,13 @@ def logic_shrink(net: Network, train: Dataset, test: Dataset, cfg: TrainConfig,
             scores = rng.uniform(1e-9, 1.0, size=(bounds[-1], k))
         else:
             scores = np.concatenate([l.salience() for l in layers], axis=0)
-        delta_t = cfg.delta * t / cfg.shrink_iters
         severed = np.concatenate([l.pruned for l in layers], axis=0)
-        mask = build_prune_mask(scores, delta_t, severed)
+        mask = build_prune_mask(scores, cfg.shrink_delta(t), severed)
         for li, lay in enumerate(layers):
             lay.set_pruned(mask.mask[bounds[li] : bounds[li + 1]])
-        plan.deltas.append(delta_t)
         plan.pruned_counts.append(mask.count)
         train_phase(net, train, test, mode="hp", epochs=cfg.epochs_per_iter,
-                    lr=cfg.lr * cfg.lr_decay**2, cfg=cfg, rng=rng, log=log,
+                    lr=cfg.lr * LR_DECAY**2, cfg=cfg, rng=rng, log=log,
                     phase=f"shrink-{t}")
         net.recalibrate(train.features)
     return plan
@@ -379,7 +381,7 @@ def finalize_binarized(net: Network, train: Dataset, test: Dataset,
     the raw masks."""
     if cfg.epochs_final > 0:
         train_phase(net, train, test, mode="bin", epochs=cfg.epochs_final,
-                    lr=cfg.lr * cfg.lr_decay**3, cfg=cfg, rng=rng, log=log,
+                    lr=cfg.lr * LR_DECAY**3, cfg=cfg, rng=rng, log=log,
                     phase="final")
     for lay in _shrinkable_lut_layers(net):
         lay.fold_transforms()

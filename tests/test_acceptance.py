@@ -225,7 +225,7 @@ def test_criterion_5_phase_boundary_exactness():
     ds = synth_boolean("parity", 8, 256)
     ok = True
     for k, seed in ((2, 0), (4, 1), (6, 2)):
-        cfg = parity8_cfg(k=k, seed=seed, lr_schedule=[], epochs_bnn=40,
+        cfg = parity8_cfg(k=k, seed=seed, lr_schedule=[[0.05, 40]],
                           lr=0.05, epochs_post_prune=10, epochs_post_expand=0)
         rng = np.random.default_rng(seed)
         net = build_network(cfg, 8, 2, rng)
@@ -276,9 +276,9 @@ def desk_cfg(seed: int) -> TrainConfig:
     return TrainConfig(
         hidden=[512], shrink_layers=["fc2"], theta=0.9, delta=0.75, k=DESK_K,
         shrink_iters=3, epochs_per_iter=3,
-        epochs_bnn=0, lr_schedule=[[0.2, 15], [0.05, 10], [0.02, 5]],
+        lr_schedule=[[0.2, 15], [0.05, 10], [0.02, 5]],
         epochs_post_prune=12, epochs_post_expand=5, epochs_final=6,
-        lr=0.2, lr_decay=0.5, momentum=0.9, batch_size=128, seed=seed,
+        lr=0.2, batch_size=128, seed=seed,
         data_kind="mnist",
         data_dir=mnist_dir(),
     )

@@ -23,8 +23,8 @@ from lutshrink.train import (
 
 def small_cfg():
     return TrainConfig(hidden=[8], shrink_layers=["fc2"], theta=0.25, k=3,
-                       epochs_bnn=20, epochs_post_prune=2, epochs_post_expand=2,
-                       batch_size=8, lr=0.05, seed=0,
+                       lr_schedule=[[0.05, 20]], epochs_post_prune=2,
+                       epochs_post_expand=2, batch_size=8, lr=0.05, seed=0,
                        synth_function="parity", synth_inputs=4, synth_samples=16)
 
 
@@ -43,7 +43,7 @@ def expanded_net():
 def test_save_load_save_is_byte_identical(tmp_path):
     net, cfg, rng, _ = expanded_net()
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    plan = ShrinkPlan(deltas=[0.25], pruned_counts=[3])
+    plan = ShrinkPlan(pruned_counts=[1, 2, 3])
     checkpoint.save(p1, net, cfg, "expanded", rng, plan)
     net2, cfg2, phase2, rng2, plan2 = checkpoint.load(p1)
     checkpoint.save(p2, net2, cfg2, phase2, rng2, plan2)
@@ -71,12 +71,26 @@ def test_rng_state_round_trip(tmp_path):
 def test_plan_round_trip(tmp_path):
     net, cfg, rng, _ = expanded_net()
     cfg.random_prune = True
-    plan = ShrinkPlan(deltas=[0.25, 0.5], pruned_counts=[2, 5])
+    plan = ShrinkPlan(pruned_counts=[2, 5, 7])
     p = str(tmp_path / "p.json")
     checkpoint.save(p, net, cfg, "shrunk", rng, plan)
     _, cfg2, _, _, plan2 = checkpoint.load(p)
-    assert cfg2.random_prune and plan2.pruned_counts == [2, 5]
-    np.testing.assert_array_equal(plan2.deltas, plan.deltas)
+    assert cfg2.random_prune and plan2.pruned_counts == [2, 5, 7]
+    assert json.load(open(p))["shrink_plan"] == {"pruned_counts": [2, 5, 7]}
+
+
+def test_layer_names_come_from_the_layer_order(tmp_path):
+    """Layer i loads as fc{i+1} whatever the network, and a name is not
+    stored: it cannot choose the layers that ``shrink_layers`` names."""
+    cfg = small_cfg()
+    cfg.hidden = [6, 5]
+    net = build_network(cfg, 4, 2, np.random.default_rng(0))
+    p = str(tmp_path / "n.json")
+    checkpoint.save(p, net, cfg, "trained", np.random.default_rng(0))
+    assert all("name" not in d for d in json.load(open(p))["layers"])
+    net2 = checkpoint.load(p)[0]
+    assert [lay.name for lay in net2.layers] == ["fc1", "fc2", "fc3"]
+    assert [lay.n_out for lay in net2.layers] == [6, 5, 2]
 
 
 def test_unknown_phase_rejected(tmp_path):
@@ -85,7 +99,7 @@ def test_unknown_phase_rejected(tmp_path):
         checkpoint.save(str(tmp_path / "x.json"), net, cfg, "warmup", rng)
 
 
-@pytest.mark.parametrize("version", [1, 2, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 99])
 def test_unsupported_version_rejected(tmp_path, capsys, version):
     net, cfg, rng, _ = expanded_net()
     p = str(tmp_path / "v.json")
@@ -180,7 +194,8 @@ def cut_outputs(n):
 
 
 _SHADOW_RANGE = "not a finite value in [-1, 1]; re-run from `lutshrink train`"
-_PLAN = {"deltas": [0.5], "pruned_counts": [3]}
+_NOT_PCG64 = "field 'rng_state' is not the state of a PCG64 generator"
+_PLAN = {"pruned_counts": [1, 2, 3]}  # shrink_iters is 3
 
 
 @pytest.mark.parametrize("edit, field", [
@@ -198,6 +213,10 @@ _PLAN = {"deltas": [0.5], "pruned_counts": [3]}
     (edit_layer(0, lambda d: {**d, "n_out": "8"}),
      "layer 0: field 'n_out' has type str"),
     (edit_layer(1, lambda d: {**d, "k": "2"}), "layer 1: field 'k' has type str"),
+    (edit_layer(0, lambda d: {**d, "n_in": True}), "layer 0: field 'n_in' has type bool"),
+    (edit_layer(1, lambda d: {**d, "k": True}), "layer 1: field 'k' has type bool"),
+    (edit_layer(0, lambda d: {**d, "name": "fc2"}), "layer 0 has an unknown field 'name'"),
+    (edit_layer(0, lambda d: {**d, "name": "zzz"}), "layer 0 has an unknown field 'name'"),
     (edit_layer(0, lambda d: {**d, "bn": []}), "layer 0: field 'bn' has type list"),
     (edit_layer(0, lambda d: {**d, "bn": None}),
      "layer 0: field 'bn' of 'fc1' is null, but the last layer, and only it, has no "
@@ -220,6 +239,15 @@ _PLAN = {"deltas": [0.5], "pruned_counts": [3]}
      "layer 1 has an unknown field 'shadow'"),
     (lambda doc: {**doc, "num_classes": 2}, "its top level has an unknown field 'num_classes'"),
     (lambda doc: {**doc, "layers": []}, "field 'layers' is empty"),
+    (lambda doc: {**doc, "phase": "bogus"},
+     "field 'phase' is 'bogus', not one of trained, expanded, shrunk, final"),
+    (lambda doc: {**doc, "rng_state": {}}, _NOT_PCG64),
+    (lambda doc: {**doc, "rng_state": {"bit_generator": "MT19937",
+                                       "state": {"key": [1] * 624, "pos": 624}}},
+     _NOT_PCG64),
+    (edit_section("rng_state", lambda r: {**r, "state": {**r["state"], "state": "x"}}),
+     _NOT_PCG64),
+    (edit_section("rng_state", lambda r: {**r, "uinteger": -1}), _NOT_PCG64),
     (edit_layer(1, cut_inputs(7)),
      "layer 1: field 'n_in' of 'fc2' is 7, not 8, the n_out of 'fc1'"),
     (edit_layer(0, cut_outputs(7)),
@@ -262,10 +290,18 @@ _PLAN = {"deltas": [0.5], "pruned_counts": [3]}
     (edit_section("config", lambda c: {**c, "lr_schedule": [[0.1, 2.5]]}),
      "[train] lr_schedule must be rate:epochs with a rate finite and > 0 and "
      "whole epochs >= 0, got 0.1:2.5"),
-    (lambda doc: {**doc, "shrink_plan": without("deltas")(_PLAN)},
-     "field 'shrink_plan' has no field 'deltas'"),
+    (lambda doc: {**doc, "shrink_plan": without("pruned_counts")(_PLAN)},
+     "field 'shrink_plan' has no field 'pruned_counts'"),
+    (lambda doc: {**doc, "shrink_plan": {**_PLAN, "deltas": [0.9]}},
+     "field 'shrink_plan' has an unknown field 'deltas'"),
     (lambda doc: {**doc, "shrink_plan": {**_PLAN, "seed": 1}},
      "field 'shrink_plan' has an unknown field 'seed'"),
+    (lambda doc: {**doc, "shrink_plan": {"pruned_counts": [1, 2]}},
+     "field 'pruned_counts' is [1, 2], not 3 integers >= 0, one per iteration"),
+    (lambda doc: {**doc, "shrink_plan": {"pruned_counts": [1, True, 3]}},
+     "field 'pruned_counts' is [1, True, 3], not 3 integers >= 0, one per iteration"),
+    (lambda doc: {**doc, "shrink_plan": {"pruned_counts": "abc"}},
+     "field 'pruned_counts' is 'abc', not 3 integers >= 0, one per iteration"),
     (edit_layer(1, with_array("masks", lambda a: a[:3, :2])),
      "layer 1: field 'masks' has shape (3, 2), not (N, 8)"),
     (edit_layer(1, with_array("masks", lambda a: a[0])),
@@ -293,9 +329,11 @@ _PLAN = {"deltas": [0.5], "pruned_counts": [3]}
     (edit_layer(0, with_bn_array("running_var", lambda a: a[:, None])),
      "layer 0: field 'running_var' has shape (8, 1), not (8,)"),
 ], ids=["list", "no-layers", "int-layers", "null-config", "layer-no-kind",
-        "layer-list", "lut-no-masks", "shadow-f4", "n_out-str", "k-str", "bn-list",
+        "layer-list", "lut-no-masks", "shadow-f4", "n_out-str", "k-str", "n_in-true",
+        "k-true", "name-swapped", "name-zzz", "bn-list",
         "bn-null-hidden", "bn-on-output", "bn-extra-key", "bn-no-gamma", "alpha", "alpha-nan", "is_output-str",
-        "shrinkable", "lut-with-shadow", "num_classes", "layers-empty",
+        "shrinkable", "lut-with-shadow", "num_classes", "layers-empty", "phase-bogus",
+        "rng-empty", "rng-mt19937", "rng-state-str", "rng-uinteger-negative",
         "n_in-below-chain", "n_out-below-chain", "n_in-zero", "n_out-zero",
         "kind-conv", "shadow-nan", "shadow-neg-inf",
         "shadow-above-1", "config-no-delta", "config-extra-key", "config-hidden-str",
@@ -303,7 +341,8 @@ _PLAN = {"deltas": [0.5], "pruned_counts": [3]}
         "config-iterations-float", "config-k-float", "config-seed-str",
         "config-random-prune-str", "config-batch-size-bool", "config-hidden-int",
         "config-lr-schedule-float-epochs",
-        "plan-no-key", "plan-extra-key",
+        "plan-no-key", "plan-deltas", "plan-extra-key", "plan-counts-short",
+        "plan-counts-bool", "plan-counts-str",
         "masks-columns", "masks-1d", "inputs-columns", "channel-short", "pruned-T",
         "channel-range", "inputs-negative", "inputs-range", "k-above-max", "k-zero",
         "shadow-shape", "alive-T", "bn-gamma-shape", "bn-var-2d"])

@@ -34,6 +34,16 @@ layer), the dense ``shrinkable`` (``[model] shrink_layers``), the network's
 ``random_mode`` (``[shrink] random_prune``). Every layer array, the config
 and the RNG state are bit for bit those of format 2 after each phase, and
 both Verilog hashes did not change.
+
+Both checkpoint hashes were taken again for checkpoint format 4, which again
+moved the schema only. A layer no longer stores its ``name`` (layer i is
+``fc{i+1}``), the shrink plan no longer stores its ``deltas`` (iteration t
+targets ``delta * t / iterations``), and the config no longer holds
+``epochs_bnn``, ``lr_decay`` and ``momentum``: the xor-smoke preset writes
+its 200 BNN epochs at rate 0.05 as ``lr_schedule = 0.05:200``, and the decay
+0.5 and momentum 0.9 are constants. Every layer array, every other config
+value and the RNG state are bit for bit those of format 3 after each phase,
+and both Verilog hashes did not change.
 """
 
 import hashlib
@@ -52,11 +62,11 @@ from lutshrink.verilog import parse_verilog
 GOLDEN = {
     "xor-smoke": (
         "e2d9b39f62993d1548af6e3c91da07405f7b8c65b9e3de85f6307211aadf9872",
-        "95c04e2f01de786c2ab8693affa62db4da7c93d15c86b200026765aba32cf9af",
+        "5cf39bf65d8ca58eedc9f32a995dde2f6db1cd4aba0ead1e50b2b22facdac0da",
     ),
     "parity8": (
         "793f3578167476f12fbc137906f7a4e76edbac71911808093e41fb98afd33da3",
-        "476e5454e657e5a2235cc1727ee366b21cd96a404382b1e45acfc32bf9c1d7b3",
+        "cca9cb004db78a711ec73872cf79354e29a307c36d58c0e397b69769b6ceae7e",
     ),
 }
 

@@ -34,7 +34,7 @@ def tiny_cfg(**kw) -> TrainConfig:
         k=2,
         shrink_iters=2,
         epochs_per_iter=5,
-        epochs_bnn=50,
+        lr_schedule=[[0.05, 50]],
         epochs_post_prune=10,
         epochs_post_expand=10,
         epochs_final=10,
@@ -144,7 +144,7 @@ def test_bn_params_backward_matches_finite_differences():
 
 def test_xor_trains_to_zero_error():
     ds = synth_boolean("xor", 2, 4)
-    cfg = tiny_cfg(hidden=[8], epochs_bnn=500)
+    cfg = tiny_cfg(hidden=[8], lr_schedule=[[0.05, 500]])
     rng = np.random.default_rng(cfg.seed)
     net = build_network(cfg, 2, 2, rng)
     train_bnn(net, ds, ds, cfg, rng, MetricLog())
@@ -153,13 +153,20 @@ def test_xor_trains_to_zero_error():
 
 def test_zero_epochs_leaves_model_unchanged():
     ds = synth_boolean("xor", 2, 4)
-    cfg = tiny_cfg(epochs_bnn=0)
+    cfg = tiny_cfg(lr_schedule=[])
     rng = np.random.default_rng(0)
     net = build_network(cfg, 2, 2, rng)
     before = [lay.shadow.copy() for lay in net.layers]
     train_bnn(net, ds, ds, cfg, rng, MetricLog())
     for lay, b in zip(net.layers, before):
         np.testing.assert_array_equal(lay.shadow, b)
+
+
+def test_default_bnn_schedule_is_one_segment_per_config():
+    a, b = TrainConfig(), TrainConfig()
+    assert a.lr_schedule == [[0.01, 50]]
+    a.lr_schedule[0][1] = 7  # an edit of one config leaves the other's
+    assert b.lr_schedule == TrainConfig().lr_schedule == [[0.01, 50]]
 
 
 def test_prune_nodes_magnitude_rule():
@@ -186,7 +193,7 @@ def test_prune_theta_zero_is_noop():
 
 def test_expansion_preserves_binarized_function():
     ds = synth_boolean("parity", 4, 16)
-    cfg = tiny_cfg(hidden=[8], k=3, epochs_bnn=100, epochs_post_expand=0)
+    cfg = tiny_cfg(hidden=[8], k=3, lr_schedule=[[0.05, 100]], epochs_post_expand=0)
     rng = np.random.default_rng(1)
     net = build_network(cfg, 4, 2, rng)
     train_bnn(net, ds, ds, cfg, rng, MetricLog())
@@ -201,7 +208,7 @@ def test_expansion_mask_salience_pattern():
     # a k=4 LUT initialized from w=-1 computes NOT(x_0):
     # salience (2^k, 0, 0, 0) pattern, i.e. s_0 = 16 at k=4
     ds = synth_boolean("xor", 2, 4)
-    cfg = tiny_cfg(hidden=[16], k=4, theta=0.0, epochs_bnn=0,
+    cfg = tiny_cfg(hidden=[16], k=4, theta=0.0, lr_schedule=[],
                    epochs_post_prune=0, epochs_post_expand=0)
     rng = np.random.default_rng(2)
     net = build_network(cfg, 2, 2, rng)
@@ -215,7 +222,7 @@ def test_expansion_mask_salience_pattern():
 
 def test_expansion_is_seed_reproducible():
     ds = synth_boolean("parity", 4, 16)
-    cfg = tiny_cfg(hidden=[8], k=3, epochs_bnn=20, epochs_post_expand=0)
+    cfg = tiny_cfg(hidden=[8], k=3, lr_schedule=[[0.05, 20]], epochs_post_expand=0)
     nets = []
     for _ in range(2):
         rng = np.random.default_rng(7)
@@ -232,7 +239,7 @@ def test_expansion_is_seed_reproducible():
 
 def _expanded_parity_net(cfg=None):
     ds = synth_boolean("parity", 4, 16)
-    cfg = cfg or tiny_cfg(hidden=[8], k=3, epochs_bnn=100, delta=0.75,
+    cfg = cfg or tiny_cfg(hidden=[8], k=3, lr_schedule=[[0.05, 100]], delta=0.75,
                           shrink_iters=3, epochs_per_iter=3)
     rng = np.random.default_rng(3)
     net, _ = _pipeline_to_expanded(cfg, ds, rng)
@@ -242,7 +249,7 @@ def _expanded_parity_net(cfg=None):
 def test_shrink_schedule_and_bookkeeping():
     net, ds, cfg, rng = _expanded_parity_net()
     plan = logic_shrink(net, ds, ds, cfg, rng, MetricLog())
-    np.testing.assert_allclose(plan.deltas, [0.25, 0.5, 0.75])
+    assert [cfg.shrink_delta(t) for t in (1, 2, 3)] == [0.25, 0.5, 0.75]
     lay = net.layer("fc2")
     total = lay.n_nodes * lay.k
     for t, count in enumerate(plan.pruned_counts, start=1):
@@ -253,7 +260,7 @@ def test_shrink_schedule_and_bookkeeping():
 
 def test_shrink_delta_zero_keeps_function():
     net, ds, cfg, rng = _expanded_parity_net(
-        tiny_cfg(hidden=[8], k=3, epochs_bnn=100, delta=0.0, shrink_iters=2,
+        tiny_cfg(hidden=[8], k=3, lr_schedule=[[0.05, 100]], delta=0.0, shrink_iters=2,
                  epochs_per_iter=1))
     plan = logic_shrink(net, ds, ds, cfg, rng, MetricLog())
     assert plan.pruned_counts == [0, 0]
@@ -272,7 +279,7 @@ def test_severance_is_permanent_across_training():
 
 
 def test_random_prune_mode_keeps_invariants():
-    cfg = tiny_cfg(hidden=[8], k=3, epochs_bnn=50, delta=0.5, shrink_iters=2,
+    cfg = tiny_cfg(hidden=[8], k=3, lr_schedule=[[0.05, 50]], delta=0.5, shrink_iters=2,
                    epochs_per_iter=2, random_prune=True)
     ds = synth_boolean("parity", 4, 16)
     rng = np.random.default_rng(5)
@@ -320,7 +327,7 @@ def test_unfolded_shrunk_model_exports_exactly():
 
 @pytest.mark.parametrize("delta", [0.5, 1.0])
 def test_hidden_lut_layer_trains_its_batch_norm_and_exports(delta):
-    cfg = tiny_cfg(hidden=[8, 6], k=3, delta=delta, epochs_bnn=30)
+    cfg = tiny_cfg(hidden=[8, 6], k=3, delta=delta, lr_schedule=[[0.05, 30]])
     ds = synth_boolean("parity", 4, 16)
     rng = np.random.default_rng(2)
     net = build_network(cfg, 4, 2, rng)
@@ -348,7 +355,7 @@ def test_hidden_lut_layer_trains_its_batch_norm_and_exports(delta):
 
 def test_evaluate_constant_model_and_determinism():
     ds = synth_boolean("parity", 4, 16)
-    cfg = tiny_cfg(epochs_bnn=0)
+    cfg = tiny_cfg(lr_schedule=[])
     rng = np.random.default_rng(0)
     net = build_network(cfg, 4, 2, rng)
     e1 = evaluate(net, ds, "bin")
@@ -358,7 +365,7 @@ def test_evaluate_constant_model_and_determinism():
 
 def test_monotone_schedule():
     cfg = tiny_cfg(delta=0.75, shrink_iters=3)
-    deltas = [cfg.delta * t / cfg.shrink_iters for t in range(1, cfg.shrink_iters + 1)]
+    deltas = [cfg.shrink_delta(t) for t in range(1, cfg.shrink_iters + 1)]
     assert deltas == sorted(deltas) and deltas[-1] == cfg.delta
     assert all(a < b for a, b in zip(deltas, deltas[1:]))
 
@@ -375,7 +382,7 @@ def train_phase_ref(net, train_ds, test, *, mode, epochs, lr, cfg, rng, log, pha
             loss, dlogits = softmax_xent(logits, train_ds.labels[idx])
             assert math.isfinite(loss)
             net.backward(dlogits)
-            net.step(lr, cfg.momentum)
+            net.step(lr, train.MOMENTUM)
         log.add(phase, epoch, evaluate(net, train_eval, mode), evaluate(net, test, mode))
 
 
