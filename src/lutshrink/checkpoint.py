@@ -10,9 +10,12 @@ the RNG state travel with the model.
 
 It stores what training learned, and nothing that the config or the layer
 order fix: layer i is named ``fc{i+1}``, the last layer is the output layer,
-the only one without batch norm, ``[model] shrink_layers`` names the layers
-to prune and expand, and shrink iteration t targets
-``TrainConfig.shrink_delta(t)``.
+the only one without batch norm, every LUT has the fan-in ``[expand] k``,
+``[model] shrink_layers`` names the layers to prune and expand, and shrink
+iteration t targets ``TrainConfig.shrink_delta(t)``. A LUT layer stores its
+raw masks and severed inputs in every phase (``LutLayer.effective_masks``
+applies the severance on every read). ``_ARRAYS`` declares each stored
+array once, with its dtype, shape and range; saving and loading read it.
 """
 
 from __future__ import annotations
@@ -20,28 +23,38 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import asdict, fields
+from math import inf
 
 import numpy as np
 
-from .lutcore import MAX_K
-from .model import BatchNorm, DenseLayer, LutLayer, Network
-from .train import ShrinkPlan, TrainConfig
+from .model import GAMMA_MIN, BatchNorm, DenseLayer, LutLayer, Network
+from .train import PHASES, ShrinkPlan, TrainConfig, _is, layer_name
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
-PHASES = ["trained", "expanded", "shrunk", "final"]
+# (dtype, shape, range) of each stored array of a layer kind and of a batch
+# norm. The shape is in n_in, n_out, k, 2^k and N (the LUT count, set by the
+# first array that has it). The range is a shape symbol (an index below it),
+# (lo, hi) (finite and in [lo, hi]) or None. _momentum_step clips shadows
+# and masks to [-1, 1], and BatchNorm.step keeps gamma >= GAMMA_MIN.
+_ARRAYS = {
+    "dense": {"shadow": ("<f8", ("n_out", "n_in"), (-1.0, 1.0)),
+              "alive": ("|b1", ("n_out", "n_in"), None)},
+    "lut": {"masks": ("<f8", ("N", "2^k"), (-1.0, 1.0)),
+            "inputs": ("<i8", ("N", "k"), "n_in"),
+            "channel": ("<i8", ("N",), "n_out"),
+            "pruned": ("|b1", ("N", "k"), None)},
+}
+_BN_ARRAYS = {"gamma": ("<f8", ("n_out",), (GAMMA_MIN, inf)),
+              "beta": ("<f8", ("n_out",), (-inf, inf)),
+              "running_mean": ("<f8", ("n_out",), (-inf, inf)),
+              "running_var": ("<f8", ("n_out",), (0.0, inf))}
 
-_BN_FIELDS = ("gamma", "beta", "running_mean", "running_var")
-
-# the JSON types of the top-level fields of a checkpoint, of the fields of
-# every layer, and of the other fields of each layer kind; a layer holds
-# these fields and no others
+# the JSON types of the top-level fields of a checkpoint and of the fields
+# of every layer; a layer also holds the arrays of its kind, and no others
 _FIELDS = {"phase": str, "config": dict, "rng_state": dict, "layers": list,
            "shrink_plan": (dict, type(None))}
 _LAYER_FIELDS = {"kind": str, "n_in": int, "n_out": int, "bn": (dict, type(None))}
-_KIND_FIELDS = {"dense": {"shadow": dict, "alive": dict},
-                "lut": {"k": int, "inputs": dict, "channel": dict, "masks": dict,
-                        "pruned": dict}}
 
 
 class CheckpointError(RuntimeError):
@@ -52,9 +65,8 @@ def _check_types(doc: dict, types: dict) -> None:
     """Refuse a field of ``doc`` whose JSON type is not the one ``types``
     gives it (``true`` is not an integer); a missing field raises KeyError."""
     for key, kind in types.items():
-        value = doc[key]
-        if not isinstance(value, kind) or kind is int and isinstance(value, bool):
-            raise CheckpointError(f"field {key!r} has type {type(value).__name__}")
+        if not _is(doc[key], kind):
+            raise CheckpointError(f"field {key!r} has type {type(doc[key]).__name__}")
 
 
 def _same_fields(doc: dict, names, where: str) -> None:
@@ -78,77 +90,64 @@ def _dec(d: dict) -> np.ndarray:
     return a.reshape(d["shape"]).copy()
 
 
-def _array(doc: dict, key: str, dtype: str, shape: tuple,
-           bound: int | None = None) -> np.ndarray:
-    """The array stored as doc[key], of ``dtype`` and ``shape`` (a None length
-    matches any), and, given a ``bound``, with entries in [0, bound)."""
-    d = doc[key]
-    try:
-        if d["dtype"] != dtype:
-            raise ValueError(f"it has dtype {d['dtype']!r}")
-        a = _dec(d)
-    except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"field {key!r} is not a {dtype} array: {e}") from None
-    if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
-        raise CheckpointError(f"field {key!r} has shape {a.shape}, not "
-                              + str(shape).replace("None", "N"))
-    if bound is not None and a.size and not 0 <= a.min() <= a.max() < bound:
-        bad = a.min() if a.min() < 0 else a.max()
-        raise CheckpointError(f"field {key!r} holds {bad}, not in [0, {bound})")
-    return a
+def _enc_arrays(obj, table: dict) -> dict:
+    return {key: _enc(getattr(obj, key), dtype) for key, (dtype, _, _) in table.items()}
 
 
-def _shadow(doc: dict, name: str) -> np.ndarray:
-    """The shadows of the dense layer ``name``, which training keeps finite
-    and within [-1, 1]: the backward relies on it (its straight-through gate
-    is always open)."""
-    shadow = _array(doc, "shadow", "<f8", (doc["n_out"], doc["n_in"]))
-    bad = ~(np.abs(shadow) <= 1.0)  # NaN compares false
-    if bad.any():
-        raise CheckpointError(
-            f"field 'shadow' of {name!r} holds {float(shadow[bad][0])}, "
-            "not a finite value in [-1, 1]; re-run from `lutshrink train`")
-    return shadow
+def _dec_arrays(doc: dict, table: dict, dims: dict, name: str) -> dict:
+    """The arrays that ``table`` declares, as stored in ``doc`` by the layer
+    ``name``; ``dims`` maps each shape symbol to its length, and gains N."""
+    out = {}
+    for key, (dtype, symbols, valid) in table.items():
+        d = doc[key]
+        try:
+            if d["dtype"] != dtype:
+                raise ValueError(f"it has dtype {d['dtype']!r}")
+            a = out[key] = _dec(d)
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(f"field {key!r} is not a {dtype} array: {e}") from None
+        shape = tuple(dims.get(s) for s in symbols)
+        if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
+            raise CheckpointError(f"field {key!r} has shape {a.shape}, not "
+                                  + str(shape).replace("None", "N"))
+        dims.update(zip(symbols, a.shape))
+        if isinstance(valid, str):
+            bound = dims[valid]
+            if a.size and not 0 <= a.min() <= a.max() < bound:
+                bad = a.min() if a.min() < 0 else a.max()
+                raise CheckpointError(f"field {key!r} holds {bad}, not in [0, {bound})")
+        elif valid:
+            lo, hi = valid
+            bad = ~(np.isfinite(a) & (a >= lo) & (a <= hi))
+            if bad.any():
+                span = ("" if lo == -inf else f" >= {lo:g}" if hi == inf
+                        else f" in [{lo:g}, {hi:g}]")
+                raise CheckpointError(
+                    f"field {key!r} of {name!r} holds {float(a[bad][0])}, not a "
+                    f"finite value{span}; re-run from `lutshrink train`")
+    return out
 
 
-def _enc_bn(bn: BatchNorm | None):
-    if bn is None:
-        return None
-    return {f: _enc(getattr(bn, f), "<f8") for f in _BN_FIELDS}
+def _enc_layer(lay, k: int) -> dict:
+    if lay.kind == "lut" and lay.k != k:
+        raise CheckpointError(f"layer {lay.name!r} has LUTs of fan-in {lay.k}, "
+                              f"but [expand] k is {k}")
+    return {"kind": lay.kind, "n_in": lay.n_in, "n_out": lay.n_out,
+            "bn": None if lay.bn is None else _enc_arrays(lay.bn, _BN_ARRAYS),
+            **_enc_arrays(lay, _ARRAYS[lay.kind])}
 
 
-def _dec_bn(d, n: int) -> BatchNorm | None:
-    if d is None:
-        return None
-    _same_fields(d, _BN_FIELDS, "field 'bn'")
-    bn = BatchNorm(n)
-    for f in _BN_FIELDS:
-        setattr(bn, f, _array(d, f, "<f8", (n,)))
-    return bn
-
-
-def _enc_layer(lay) -> dict:
-    doc = {"kind": lay.kind, "n_in": lay.n_in, "n_out": lay.n_out, "bn": _enc_bn(lay.bn)}
-    if lay.kind == "dense":
-        doc.update(shadow=_enc(lay.shadow, "<f8"), alive=_enc(lay.alive, "|b1"))
-    else:
-        doc.update(k=lay.k, inputs=_enc(lay.inputs, "<i8"),
-                   channel=_enc(lay.channel, "<i8"), masks=_enc(lay.masks, "<f8"),
-                   pruned=_enc(lay.pruned, "|b1"))
-    return doc
-
-
-def _dec_layer(d: dict, name: str, prev, is_output: bool):
+def _dec_layer(d: dict, name: str, prev, is_output: bool, k: int):
     """The layer ``name`` that ``d`` stores, which follows the layer ``prev``
-    (None for the first) and is the output layer when ``is_output``."""
+    (None for the first), is the output layer when ``is_output``, and has
+    LUTs of fan-in ``k`` if any."""
     _check_types(d, _LAYER_FIELDS)
-    if d["kind"] not in _KIND_FIELDS:
+    if d["kind"] not in _ARRAYS:
         raise CheckpointError(f"field 'kind' is {d['kind']!r}, not 'dense' or 'lut'")
-    _check_types(d, _KIND_FIELDS[d["kind"]])
+    _check_types(d, dict.fromkeys(_ARRAYS[d["kind"]], dict))
     for key in ("n_in", "n_out"):
         if d[key] < 1:
-            raise CheckpointError(f"field {key!r} of {name!r} is {d[key]}, "
-                                  "not >= 1")
+            raise CheckpointError(f"field {key!r} of {name!r} is {d[key]}, not >= 1")
     if prev is not None and d["n_in"] != prev.n_out:
         raise CheckpointError(f"field 'n_in' of {name!r} is {d['n_in']}, not "
                               f"{prev.n_out}, the n_out of {prev.name!r}")
@@ -156,23 +155,22 @@ def _dec_layer(d: dict, name: str, prev, is_output: bool):
         state = "null" if d["bn"] is None else "not null"
         raise CheckpointError(f"field 'bn' of {name!r} is {state}, but the last "
                               "layer, and only it, has no batch norm")
-    bn = _dec_bn(d["bn"], d["n_out"])
+    dims = {"n_in": d["n_in"], "n_out": d["n_out"], "k": k, "2^k": 2**k}
+    bn = None
+    if d["bn"] is not None:
+        _same_fields(d["bn"], _BN_ARRAYS, "field 'bn'")
+        bn = BatchNorm(d["n_out"])
+        for key, a in _dec_arrays(d["bn"], _BN_ARRAYS, dims, name).items():
+            setattr(bn, key, a)
+    a = _dec_arrays(d, _ARRAYS[d["kind"]], dims, name)
     if d["kind"] == "dense":
         lay = DenseLayer(d["n_in"], d["n_out"], np.random.default_rng(0), name,
                          is_output=is_output)
-        lay.bn = bn
-        lay.shadow = _shadow(d, name)
-        lay.alive = _array(d, "alive", "|b1", lay.shadow.shape)
+        lay.bn, lay.shadow, lay.alive = bn, a["shadow"], a["alive"]
         return lay
-    if not 1 <= d["k"] <= MAX_K:
-        raise CheckpointError(f"field 'k' is {d['k']}, not in [1, {MAX_K}]")
-    masks = _array(d, "masks", "<f8", (None, 2 ** d["k"]))
-    n = len(masks)
-    inputs = _array(d, "inputs", "<i8", (n, d["k"]), d["n_in"])
-    lay = LutLayer(d["n_in"], d["n_out"], d["k"], inputs,
-                   _array(d, "channel", "<i8", (n,), d["n_out"]), masks, name,
-                   is_output=is_output, bn=bn)
-    lay.set_pruned(_array(d, "pruned", "|b1", (n, d["k"])))
+    lay = LutLayer(d["n_in"], d["n_out"], k, a["inputs"], a["channel"], a["masks"],
+                   name, is_output=is_output, bn=bn)
+    lay.set_pruned(a["pruned"])
     return lay
 
 
@@ -201,7 +199,7 @@ def _plan(doc: dict, cfg: TrainConfig) -> ShrinkPlan:
     plan = _dataclass(ShrinkPlan, doc, "shrink_plan")
     counts = plan.pruned_counts
     if (not isinstance(counts, list) or len(counts) != cfg.shrink_iters
-            or not all(type(c) is int and c >= 0 for c in counts)):
+            or not all(_is(c, int) and c >= 0 for c in counts)):
         raise CheckpointError(f"field 'pruned_counts' is {counts!r}, not "
                               f"{cfg.shrink_iters} integers >= 0, one per iteration")
     return plan
@@ -216,7 +214,7 @@ def save(path: str, net: Network, cfg: TrainConfig, phase: str,
         "phase": phase,
         "config": asdict(cfg),
         "rng_state": rng.bit_generator.state,
-        "layers": [_enc_layer(l) for l in net.layers],
+        "layers": [_enc_layer(l, cfg.k) for l in net.layers],
         "shrink_plan": None if plan is None else asdict(plan),
     }
     with open(path, "w") as f:
@@ -264,12 +262,12 @@ def load(path: str):
         if not isinstance(d, dict):
             raise CheckpointError(f"{where} has type {type(d).__name__}, not dict")
         try:
-            lay = _dec_layer(d, f"fc{i + 1}", layers[-1] if layers else None,
-                             i == len(doc["layers"]) - 1)
+            lay = _dec_layer(d, layer_name(i), layers[-1] if layers else None,
+                             i == len(doc["layers"]) - 1, cfg.k)
         except KeyError as e:
             raise CheckpointError(f"{where} has no field {e.args[0]!r}") from None
         except CheckpointError as e:
             raise CheckpointError(f"{where}: {e}") from None
-        _same_fields(d, [*_LAYER_FIELDS, *_KIND_FIELDS[lay.kind]], where)
+        _same_fields(d, [*_LAYER_FIELDS, *_ARRAYS[lay.kind]], where)
         layers.append(lay)
     return Network(layers), cfg, doc["phase"], rng, plan

@@ -76,7 +76,7 @@ def cmd_train(args) -> None:
     train_bnn(net, train, test, cfg, rng, log)
     prune_nodes(net, cfg.theta, train, test, cfg, rng, log)
     path = os.path.join(args.out, "checkpoint.json")
-    checkpoint.save(path, net, cfg, "trained", rng)
+    checkpoint.save(path, net, cfg, checkpoint.PHASES[0], rng)
     print(f"wrote {path}")
 
 
@@ -117,7 +117,7 @@ def cmd_export(args) -> None:
     from .verilog import emit_verilog, parse_verilog
 
     net, cfg, phase, rng, plan = checkpoint.load(args.checkpoint)
-    _require_phase(phase, "final", "export")
+    _require_phase(phase, checkpoint.PHASES[-1], "export")
     os.makedirs(args.out, exist_ok=True)
     pre = extract_netlist(net)
     post = simplify(pre)

@@ -277,8 +277,8 @@ class LutLayer:
 
     Node n reads k entries of the layer input vector (``inputs[n]``) and
     contributes its output to channel ``channel[n]``. Severed input
-    positions are recorded in ``pruned``; the corresponding averaging
-    transform is applied to the raw masks at every forward pass, so
+    positions are recorded in ``pruned``; the averaging transform is applied
+    to the raw masks whenever they are read (``effective_masks``), so
     severance survives any number of gradient updates.
     """
 
@@ -332,9 +332,6 @@ class LutLayer:
 
     def effective_masks(self) -> np.ndarray:
         return self._transform(self.masks.copy())
-
-    def fold_transforms(self) -> None:
-        self.masks = self.effective_masks()
 
     def salience(self) -> np.ndarray:
         return salience_rows(self.effective_masks(), self.k)

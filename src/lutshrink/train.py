@@ -60,10 +60,14 @@ def _range(ok: Callable[[Any], bool], valid: str):
     return check
 
 
-def _layer_name(name: str, cfg: TrainConfig) -> str | None:
-    n = len(cfg.hidden) + 1
-    names = [f"fc{i}" for i in range(1, n + 1)]
-    return None if name in names else f"one of fc1 to fc{n}"
+def layer_name(i: int) -> str:
+    """The name of layer i (from 0) of every network: fc1, fc2, ..."""
+    return f"fc{i + 1}"
+
+
+def _names_a_layer(name: str, cfg: TrainConfig) -> str | None:
+    names = [layer_name(i) for i in range(len(cfg.hidden) + 1)]
+    return None if name in names else f"one of {names[0]} to {names[-1]}"
 
 
 _RATE = _range(lambda v: math.isfinite(v) and v > 0, "finite and > 0")
@@ -122,7 +126,7 @@ class TrainConfig:
     hidden: list[int] = setting("model", "hidden", _list(int), [256],
                                 _range(lambda v: v >= 1, ">= 1 per layer"))
     shrink_layers: list[str] = setting("model", "shrink_layers", _list(str), ["fc2"],
-                                       _layer_name)
+                                       _names_a_layer)
     theta: float = setting("prune", "theta", float, 0.9, _FRACTION)
     delta: float = setting("shrink", "delta", float, 0.75, _FRACTION)
     k: int = setting("expand", "k", int, 4,
@@ -176,13 +180,16 @@ class TrainConfig:
 # (section, key) -> the TrainConfig field it sets
 SETTINGS = {f.metadata["ini"]: f for f in fields(TrainConfig)}
 
+# checkpoint phases in pipeline order: `train` writes the first, `export` reads the last
+PHASES = ["trained", "expanded", "shrunk", "final"]
+
 # stage command -> (phase it requires, phase it writes, help line); each
 # stage takes a flag for every key of the INI section of its name
-STAGES = {
-    "expand": ("trained", "expanded", "replace surviving connections with k-LUTs"),
-    "shrink": ("expanded", "shrunk", "iteratively sever low-salience LUT inputs"),
-    "finalize": ("shrunk", "final", "binarized retraining and mask folding"),
-}
+STAGES = {command: (PHASES[i], PHASES[i + 1], text) for i, (command, text) in enumerate([
+    ("expand", "replace surviving connections with k-LUTs"),
+    ("shrink", "iteratively sever low-salience LUT inputs"),
+    ("finalize", "binarized retraining"),
+])}
 
 
 def stage_flag(section: str, key: str) -> str | None:
@@ -215,7 +222,7 @@ class MetricLog:
 def build_network(cfg: TrainConfig, n_features: int, n_classes: int,
                   rng: np.random.Generator) -> Network:
     sizes = [n_features, *cfg.hidden, n_classes]
-    return Network([DenseLayer(sizes[i], sizes[i + 1], rng, f"fc{i + 1}",
+    return Network([DenseLayer(sizes[i], sizes[i + 1], rng, layer_name(i),
                                is_output=i == len(sizes) - 2)
                     for i in range(len(sizes) - 1)])
 
@@ -347,19 +354,16 @@ def total_surviving_inputs(net: Network) -> int:
 
 def logic_shrink(net: Network, train: Dataset, test: Dataset, cfg: TrainConfig,
                  rng: np.random.Generator, log: MetricLog) -> ShrinkPlan:
-    """Iterative input removal: rank salience globally across shrinkable
-    layers, sever the lowest delta*t/T fraction, retrain, repeat."""
+    """Iterative input removal: rank salience globally across the LUT
+    layers (of fan-in cfg.k), sever the lowest delta*t/T fraction, retrain."""
     layers = _shrinkable_lut_layers(net)
     if not layers:
         raise ModelError("no expanded layers to shrink")
-    k = layers[0].k
-    if any(l.k != k for l in layers):
-        raise ModelError("mixed fan-ins across shrinkable layers")
     plan = ShrinkPlan()
     bounds = np.cumsum([0, *(l.n_nodes for l in layers)])
     for t in range(1, cfg.shrink_iters + 1):
         if cfg.random_prune:
-            scores = rng.uniform(1e-9, 1.0, size=(bounds[-1], k))
+            scores = rng.uniform(1e-9, 1.0, size=(bounds[-1], cfg.k))
         else:
             scores = np.concatenate([l.salience() for l in layers], axis=0)
         severed = np.concatenate([l.pruned for l in layers], axis=0)
@@ -377,11 +381,10 @@ def logic_shrink(net: Network, train: Dataset, test: Dataset, cfg: TrainConfig,
 def finalize_binarized(net: Network, train: Dataset, test: Dataset,
                        cfg: TrainConfig, rng: np.random.Generator,
                        log: MetricLog) -> None:
-    """Binarized-forward retraining, then fold the severance transforms into
-    the raw masks."""
+    """Binarized-forward retraining. The LUT layers keep their raw masks and
+    severed inputs, as in every phase: ``LutLayer.effective_masks`` applies
+    the severance when the masks are read."""
     if cfg.epochs_final > 0:
         train_phase(net, train, test, mode="bin", epochs=cfg.epochs_final,
                     lr=cfg.lr * LR_DECAY**3, cfg=cfg, rng=rng, log=log,
                     phase="final")
-    for lay in _shrinkable_lut_layers(net):
-        lay.fold_transforms()

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from lutshrink import checkpoint
 from lutshrink.checkpoint import CheckpointError
 from lutshrink.cli import main
 from lutshrink.data import synth_boolean
+from lutshrink.model import GAMMA_MIN
 from lutshrink.train import (
     MetricLog,
     ShrinkPlan,
@@ -99,7 +102,7 @@ def test_unknown_phase_rejected(tmp_path):
         checkpoint.save(str(tmp_path / "x.json"), net, cfg, "warmup", rng)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 99])
 def test_unsupported_version_rejected(tmp_path, capsys, version):
     net, cfg, rng, _ = expanded_net()
     p = str(tmp_path / "v.json")
@@ -160,6 +163,11 @@ def with_first(value):
     return edit
 
 
+def in_phase(phase, edit):
+    """A checkpoint edit that applies ``edit`` and moves it to ``phase``."""
+    return lambda doc: {**edit(doc), "phase": phase}
+
+
 def edit_section(key, edit):
     """A checkpoint edit that replaces doc[key] by edit(doc[key])."""
     return lambda doc: {**doc, key: edit(doc[key])}
@@ -193,7 +201,8 @@ def cut_outputs(n):
     return edit
 
 
-_SHADOW_RANGE = "not a finite value in [-1, 1]; re-run from `lutshrink train`"
+_RERUN = "re-run from `lutshrink train`"
+_UNIT_RANGE = f"not a finite value in [-1, 1]; {_RERUN}"
 _NOT_PCG64 = "field 'rng_state' is not the state of a PCG64 generator"
 _PLAN = {"pruned_counts": [1, 2, 3]}  # shrink_iters is 3
 
@@ -212,9 +221,9 @@ _PLAN = {"pruned_counts": [1, 2, 3]}  # shrink_iters is 3
      "layer 0: field 'shadow' is not a <f8 array: it has dtype '<f4'"),
     (edit_layer(0, lambda d: {**d, "n_out": "8"}),
      "layer 0: field 'n_out' has type str"),
-    (edit_layer(1, lambda d: {**d, "k": "2"}), "layer 1: field 'k' has type str"),
+    (edit_layer(1, lambda d: {**d, "k": "2"}), "layer 1 has an unknown field 'k'"),
     (edit_layer(0, lambda d: {**d, "n_in": True}), "layer 0: field 'n_in' has type bool"),
-    (edit_layer(1, lambda d: {**d, "k": True}), "layer 1: field 'k' has type bool"),
+    (edit_layer(1, lambda d: {**d, "k": True}), "layer 1 has an unknown field 'k'"),
     (edit_layer(0, lambda d: {**d, "name": "fc2"}), "layer 0 has an unknown field 'name'"),
     (edit_layer(0, lambda d: {**d, "name": "zzz"}), "layer 0 has an unknown field 'name'"),
     (edit_layer(0, lambda d: {**d, "bn": []}), "layer 0: field 'bn' has type list"),
@@ -259,11 +268,31 @@ _PLAN = {"pruned_counts": [1, 2, 3]}  # shrink_iters is 3
     (edit_layer(0, lambda d: {**d, "kind": "conv"}),
      "layer 0: field 'kind' is 'conv', not 'dense' or 'lut'"),
     (edit_layer(0, with_shadow(np.nan)),
-     f"layer 0: field 'shadow' of 'fc1' holds nan, {_SHADOW_RANGE}"),
+     f"layer 0: field 'shadow' of 'fc1' holds nan, {_UNIT_RANGE}"),
     (edit_layer(0, with_shadow(-np.inf)),
-     f"layer 0: field 'shadow' of 'fc1' holds -inf, {_SHADOW_RANGE}"),
+     f"layer 0: field 'shadow' of 'fc1' holds -inf, {_UNIT_RANGE}"),
     (edit_layer(0, with_shadow(np.nextafter(1.0, 2.0))),
-     f"layer 0: field 'shadow' of 'fc1' holds 1.0000000000000002, {_SHADOW_RANGE}"),
+     f"layer 0: field 'shadow' of 'fc1' holds 1.0000000000000002, {_UNIT_RANGE}"),
+    (in_phase("final", edit_layer(1, with_array("masks", with_first(np.nan)))),
+     f"layer 1: field 'masks' of 'fc2' holds nan, {_UNIT_RANGE}"),
+    (in_phase("final", edit_layer(1, with_array("masks", with_first(np.inf)))),
+     f"layer 1: field 'masks' of 'fc2' holds inf, {_UNIT_RANGE}"),
+    (in_phase("final", edit_layer(1, with_array("masks", with_first(7.0)))),
+     f"layer 1: field 'masks' of 'fc2' holds 7.0, {_UNIT_RANGE}"),
+    (in_phase("shrunk", edit_layer(1, with_array("masks", with_first(np.nan)))),
+     f"layer 1: field 'masks' of 'fc2' holds nan, {_UNIT_RANGE}"),
+    (edit_layer(0, with_bn_array("running_var", with_first(np.nan))),
+     f"layer 0: field 'running_var' of 'fc1' holds nan, not a finite value >= 0; {_RERUN}"),
+    (edit_layer(0, with_bn_array("running_var", with_first(-4.0))),
+     f"layer 0: field 'running_var' of 'fc1' holds -4.0, not a finite value >= 0; {_RERUN}"),
+    (edit_layer(0, with_bn_array("running_mean", with_first(np.inf))),
+     f"layer 0: field 'running_mean' of 'fc1' holds inf, not a finite value; {_RERUN}"),
+    (edit_layer(0, with_bn_array("beta", with_first(np.nan))),
+     f"layer 0: field 'beta' of 'fc1' holds nan, not a finite value; {_RERUN}"),
+    (edit_layer(0, with_bn_array("gamma", with_first(-1.0))),
+     f"layer 0: field 'gamma' of 'fc1' holds -1.0, not a finite value >= 0.001; {_RERUN}"),
+    (edit_section("config", lambda c: {**c, "k": 2}),
+     "layer 1: field 'masks' has shape ({n}, 8), not (N, 4)"),
     (edit_section("config", without("delta")), "field 'config' has no field 'delta'"),
     (edit_section("config", lambda c: {**c, "extra": 1}),
      "field 'config' has an unknown field 'extra'"),
@@ -318,8 +347,8 @@ _PLAN = {"pruned_counts": [1, 2, 3]}  # shrink_iters is 3
      "layer 1: field 'inputs' holds -1, not in [0, 8)"),
     (edit_layer(1, with_array("inputs", with_first(8))),
      "layer 1: field 'inputs' holds 8, not in [0, 8)"),
-    (edit_layer(1, lambda d: {**d, "k": 7}), "layer 1: field 'k' is 7, not in [1, 6]"),
-    (edit_layer(1, lambda d: {**d, "k": 0}), "layer 1: field 'k' is 0, not in [1, 6]"),
+    (edit_layer(1, lambda d: {**d, "k": 7}), "layer 1 has an unknown field 'k'"),
+    (edit_layer(1, lambda d: {**d, "k": 0}), "layer 1 has an unknown field 'k'"),
     (edit_layer(0, with_array("shadow", lambda a: a[:, :1])),
      "layer 0: field 'shadow' has shape (8, 1), not (8, 4)"),
     (edit_layer(0, with_array("alive", lambda a: a.T)),
@@ -336,7 +365,10 @@ _PLAN = {"pruned_counts": [1, 2, 3]}  # shrink_iters is 3
         "rng-empty", "rng-mt19937", "rng-state-str", "rng-uinteger-negative",
         "n_in-below-chain", "n_out-below-chain", "n_in-zero", "n_out-zero",
         "kind-conv", "shadow-nan", "shadow-neg-inf",
-        "shadow-above-1", "config-no-delta", "config-extra-key", "config-hidden-str",
+        "shadow-above-1", "final-masks-nan", "final-masks-inf", "final-masks-7",
+        "shrunk-masks-nan", "bn-var-nan", "bn-var-negative", "bn-mean-inf",
+        "bn-beta-nan", "bn-gamma-negative", "config-k-below-luts",
+        "config-no-delta", "config-extra-key", "config-hidden-str",
         "config-delta-str", "config-k-range", "config-delta-list",
         "config-iterations-float", "config-k-float", "config-seed-str",
         "config-random-prune-str", "config-batch-size-bool", "config-hidden-int",
@@ -370,6 +402,73 @@ def test_shadow_at_the_clip_bounds_loads(tmp_path):
     p = str(tmp_path / "b.json")
     checkpoint.save(p, net, cfg, "expanded", rng)
     assert checkpoint.load(p)[0].layers[0].shadow.tobytes() == shadow.tobytes()
+
+
+def test_arrays_at_their_bounds_load(tmp_path):
+    """Masks at the [-1, 1] clip, gamma at its floor GAMMA_MIN and a zero
+    running variance are what training can write, so they load."""
+    net, cfg, rng, _ = expanded_net()
+    lut, bn = net.layers[1], net.layers[0].bn
+    lut.masks[0, :2] = [-1.0, 1.0]
+    bn.gamma[0], bn.running_var[1] = GAMMA_MIN, 0.0
+    p = str(tmp_path / "b.json")
+    checkpoint.save(p, net, cfg, "expanded", rng)
+    net2 = checkpoint.load(p)[0]
+    assert net2.layers[1].masks.tobytes() == lut.masks.tobytes()
+    for key in ("gamma", "running_var"):
+        assert getattr(net2.layers[0].bn, key).tobytes() == getattr(bn, key).tobytes()
+
+
+def test_lut_fan_in_is_the_config_k(tmp_path):
+    """A layer record has no k: a LUT layer loads with the fan-in [expand] k,
+    so one of another fan-in cannot be written."""
+    net, cfg, rng, _ = expanded_net()
+    cfg.k = 2
+    p = tmp_path / "k.json"
+    with pytest.raises(CheckpointError, match=re.escape(
+            "layer 'fc2' has LUTs of fan-in 3, but [expand] k is 2")):
+        checkpoint.save(str(p), net, cfg, "expanded", rng)
+    assert not p.exists()
+    cfg.k = 3
+    checkpoint.save(str(p), net, cfg, "expanded", rng)
+    assert all("k" not in d for d in json.load(open(p))["layers"])
+    assert checkpoint.load(str(p))[0].layers[1].k == 3
+
+
+def _type_name(kind) -> str | list:
+    return [t.__name__ for t in kind] if isinstance(kind, tuple) else kind.__name__
+
+
+def schema() -> dict:
+    """What a checkpoint of the current format holds: every declared array
+    (name, dtype, shape symbols and range), the JSON types of the top-level
+    and layer fields, and the fields of the shrink plan and the config."""
+    return {
+        "arrays": {kind: {key: [dtype, list(shape), repr(valid)]
+                          for key, (dtype, shape, valid) in table.items()}
+                   for kind, table in [*checkpoint._ARRAYS.items(),
+                                       ("bn", checkpoint._BN_ARRAYS)]},
+        "top": {key: _type_name(kind) for key, kind in checkpoint._FIELDS.items()},
+        "layer": {key: _type_name(kind)
+                  for key, kind in checkpoint._LAYER_FIELDS.items()},
+        "plan": sorted(f.name for f in fields(ShrinkPlan)),
+        "config": sorted(f.name for f in fields(TrainConfig)),
+    }
+
+
+# sha256 of the schema of each checkpoint format since the guard came in
+SCHEMA_SHA256 = {
+    5: "104a2f977197362b06df1580ff503cc63d9228ddbd2a4c45d5a93eadf7111aa6",
+}
+
+
+def test_schema_edit_bumps_the_format_version():
+    """A change to what a checkpoint holds must come with a new
+    FORMAT_VERSION (and a fingerprint recorded for it), so that a file of
+    the old schema is refused by its version, not half-read."""
+    text = json.dumps(schema(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        SCHEMA_SHA256.get(checkpoint.FORMAT_VERSION), text
 
 
 _F8_SPECIALS = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2e-308,

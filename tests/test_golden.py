@@ -44,6 +44,15 @@ its 200 BNN epochs at rate 0.05 as ``lr_schedule = 0.05:200``, and the decay
 0.5 and momentum 0.9 are constants. Every layer array, every other config
 value and the RNG state are bit for bit those of format 3 after each phase,
 and both Verilog hashes did not change.
+
+Both checkpoint hashes were taken again for checkpoint format 5. A LUT layer
+no longer stores its ``k`` (it is ``[expand] k``), and ``finalize`` no
+longer folds the severance averaging into the masks: a ``final`` checkpoint
+stores the raw masks and ``pruned``, as every earlier phase does, and
+``effective_masks()`` applies the averaging when they are read. The loaded
+network's ``effective_masks()`` equal the format-4 stored final masks bit
+for bit; every other layer array, the config and the RNG state are those of
+format 4 after each phase, and both Verilog hashes did not change.
 """
 
 import hashlib
@@ -62,11 +71,11 @@ from lutshrink.verilog import parse_verilog
 GOLDEN = {
     "xor-smoke": (
         "e2d9b39f62993d1548af6e3c91da07405f7b8c65b9e3de85f6307211aadf9872",
-        "5cf39bf65d8ca58eedc9f32a995dde2f6db1cd4aba0ead1e50b2b22facdac0da",
+        "270c6a6c061910f3d63e414702da773fa2ba529b1d688586bc3853f302ad67ae",
     ),
     "parity8": (
         "793f3578167476f12fbc137906f7a4e76edbac71911808093e41fb98afd33da3",
-        "cca9cb004db78a711ec73872cf79354e29a307c36d58c0e397b69769b6ceae7e",
+        "70a1152bdf1f56b7b77aab1f5dd107b20edf181b95f07c2e5b5b7f03b73fcb9e",
     ),
 }
 

@@ -439,7 +439,6 @@ def test_extract_refuses_to_drop_an_input_in_the_support(monkeypatch):
                    masks=np.array([[-0.9, -0.1, -0.8, 0.2]]), name="fc2",
                    is_output=True)
     lay.set_pruned(np.array([[False, True]]))
-    lay.fold_transforms()
     net = Network([lay])
     assert extract_netlist(net).total_lut_inputs() == 1
     # a table that still reads severed input 1 (AND) cannot be projected
