@@ -49,6 +49,7 @@ _BN_ARRAYS = {"gamma": ("<f8", ("n_out",), (GAMMA_MIN, inf)),
               "beta": ("<f8", ("n_out",), (-inf, inf)),
               "running_mean": ("<f8", ("n_out",), (-inf, inf)),
               "running_var": ("<f8", ("n_out",), (0.0, inf))}
+_LAYERS = {cls.kind: cls for cls in (DenseLayer, LutLayer)}
 
 # the JSON types of the top-level fields of a checkpoint and of the fields
 # of every layer; a layer also holds the arrays of its kind, and no others
@@ -162,16 +163,8 @@ def _dec_layer(d: dict, name: str, prev, is_output: bool, k: int):
         bn = BatchNorm(d["n_out"])
         for key, a in _dec_arrays(d["bn"], _BN_ARRAYS, dims, name).items():
             setattr(bn, key, a)
-    a = _dec_arrays(d, _ARRAYS[d["kind"]], dims, name)
-    if d["kind"] == "dense":
-        lay = DenseLayer(d["n_in"], d["n_out"], np.random.default_rng(0), name,
-                         is_output=is_output)
-        lay.bn, lay.shadow, lay.alive = bn, a["shadow"], a["alive"]
-        return lay
-    lay = LutLayer(d["n_in"], d["n_out"], k, a["inputs"], a["channel"], a["masks"],
-                   name, is_output=is_output, bn=bn)
-    lay.set_pruned(a["pruned"])
-    return lay
+    return _LAYERS[d["kind"]](d["n_in"], d["n_out"], bn, name,
+                              **_dec_arrays(d, _ARRAYS[d["kind"]], dims, name))
 
 
 def _rng(state: dict) -> np.random.Generator:

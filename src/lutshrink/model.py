@@ -25,6 +25,12 @@ few (B, N) arrays (output, gradient) and one block's temporaries, not
 2^k of them. Each LUT feeds one channel, so its gradient is a gather of
 that channel's.
 
+A layer takes its widths, its batch norm (None on the output layer only:
+``is_output`` is ``bn is None``), its name, and the arrays a checkpoint
+stores for its kind: ``shadow`` and ``alive`` of a dense layer; ``masks``,
+``inputs``, ``channel`` and ``pruned`` of a LUT layer, whose fan-in ``k`` is
+the width of ``inputs``.
+
 A layer's ``forward`` also takes the batch-norm statistics to use:
 ``"batch"`` normalizes by the batch and folds it into the running stats
 (training), ``"running"`` normalizes by the running stats (evaluation), and
@@ -188,33 +194,41 @@ class BatchNorm:
                        None, None)
 
 
-class DenseLayer:
+class _Layer:
+    """The widths, batch norm, name and score scale of either layer kind."""
+
+    def __init__(self, n_in: int, n_out: int, bn: BatchNorm | None, name: str):
+        self.name, self.n_in, self.n_out, self.bn = name, n_in, n_out, bn
+        self.alpha = 1.0 / math.sqrt(n_in)
+
+    @property
+    def is_output(self) -> bool:
+        """The output (score) layer is the one without batch norm."""
+        return self.bn is None
+
+
+class DenseLayer(_Layer):
     """XNOR-popcount layer: binary weights (sign of real shadows) + sum.
 
     The binary weights are built once per update and cached, as float64 for
     the forward and backward and as float32 for ``infer_bin``. ``step``
     drops the cache, and so does assigning ``shadow`` or ``alive``. Outside
     ``step`` these two arrays are replaced, never written in place; ``step``
-    updates ``shadow`` in place, so an array assigned to it belongs to the
-    layer. ``step`` clips the shadows to [-1, 1] (a checkpoint holding others
+    updates ``shadow`` in place, so an array given to the layer belongs to
+    it. ``step`` clips the shadows to [-1, 1] (a checkpoint holding others
     is refused), so the straight-through gate |w| <= 1 is always open and
     the backward omits it.
     """
 
     kind = "dense"
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, name: str,
-                 is_output: bool = False):
-        self.name = name
-        self.n_in = n_in
-        self.n_out = n_out
-        self.is_output = is_output
-        self.shadow = rng.uniform(-0.1, 0.1, size=(n_out, n_in))
-        self.alive = np.ones((n_out, n_in), dtype=bool)
-        self.bn = None if is_output else BatchNorm(n_out)
-        self.alpha = 1.0 / math.sqrt(n_in)
-        self.dshadow = np.zeros_like(self.shadow)
-        self._v_shadow = np.zeros_like(self.shadow)
+    def __init__(self, n_in: int, n_out: int, bn: BatchNorm | None, name: str, *,
+                 shadow: np.ndarray, alive: np.ndarray):
+        super().__init__(n_in, n_out, bn, name)
+        self.shadow = shadow
+        self.alive = alive
+        self.dshadow = np.zeros_like(shadow)
+        self._v_shadow = np.zeros_like(shadow)
 
     @property
     def shadow(self) -> np.ndarray:
@@ -272,7 +286,7 @@ class DenseLayer:
             self.bn.step(lr, momentum)
 
 
-class LutLayer:
+class LutLayer(_Layer):
     """A bank of k-input LUTs with per-channel accumulation.
 
     Node n reads k entries of the layer input vector (``inputs[n]``) and
@@ -284,27 +298,22 @@ class LutLayer:
 
     kind = "lut"
 
-    def __init__(self, n_in: int, n_out: int, k: int, inputs: np.ndarray,
-                 channel: np.ndarray, masks: np.ndarray, name: str,
-                 is_output: bool = False, bn: BatchNorm | None = None):
+    def __init__(self, n_in: int, n_out: int, bn: BatchNorm | None, name: str, *,
+                 masks: np.ndarray, inputs: np.ndarray, channel: np.ndarray,
+                 pruned: np.ndarray):
+        super().__init__(n_in, n_out, bn, name)
         order = np.argsort(channel, kind="stable")
-        self.name = name
-        self.n_in = n_in
-        self.n_out = n_out
-        self.k = k
         self.inputs = inputs[order].astype(np.int64)
         self.channel = channel[order].astype(np.int64)
         self.masks = masks[order].astype(np.float64)
-        self.is_output = is_output
-        self.bn = bn if not is_output else None
-        self.alpha = 1.0 / math.sqrt(n_in)
+        self.k = self.inputs.shape[1]
         self.dmasks = np.zeros_like(self.masks)
         self._v_masks = np.zeros_like(self.masks)
         self._chmat = np.zeros((len(self.channel), n_out))
         self._chmat[np.arange(len(self.channel)), self.channel] = 1.0
         self._chmat32 = self._chmat.astype(np.float32)  # for infer_bin
-        self.pruned = np.zeros((len(self.channel), k), dtype=bool)
-        self.set_pruned(self.pruned)
+        self.pruned = np.zeros(self.inputs.shape, dtype=bool)
+        self.set_pruned(pruned[order])
 
     @property
     def n_nodes(self) -> int:
@@ -378,12 +387,18 @@ class LutLayer:
 
 
 class Network:
-    """A stack of layers ending in an un-normalized score layer."""
+    """A stack of layers ending in an un-normalized score layer: the last
+    layer, and only it, has no batch norm."""
 
     def __init__(self, layers: list):
+        if not layers:
+            raise ModelError("a network needs at least one layer")
+        for i, lay in enumerate(layers, 1):
+            if lay.is_output != (i == len(layers)):
+                has = "has no" if lay.is_output else "has a"
+                raise ModelError(f"layer {lay.name!r} {has} batch norm, but the last "
+                                 "layer, and only it, has none")
         self.layers = layers
-        if not layers or not layers[-1].is_output:
-            raise ModelError("network must end in an output (score) layer")
 
     def layer(self, name: str):
         for lay in self.layers:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .lutcore import MAX_K
-from .model import DenseLayer, LutLayer, ModelError, Network, softmax_xent
+from .model import BatchNorm, DenseLayer, LutLayer, ModelError, Network, softmax_xent
 from .shrink import build_prune_mask
 
 EVAL_BATCH = 1024
@@ -221,10 +221,13 @@ class MetricLog:
 
 def build_network(cfg: TrainConfig, n_features: int, n_classes: int,
                   rng: np.random.Generator) -> Network:
+    """Dense layers, all connections alive, shadows drawn from U(-0.1, 0.1)."""
     sizes = [n_features, *cfg.hidden, n_classes]
-    return Network([DenseLayer(sizes[i], sizes[i + 1], rng, layer_name(i),
-                               is_output=i == len(sizes) - 2)
-                    for i in range(len(sizes) - 1)])
+    return Network([
+        DenseLayer(n_in, n_out, BatchNorm(n_out) if i < len(cfg.hidden) else None,
+                   layer_name(i), shadow=rng.uniform(-0.1, 0.1, size=(n_out, n_in)),
+                   alive=np.ones((n_out, n_in), dtype=bool))
+        for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:]))])
 
 
 def evaluate(net: Network, ds: Dataset, mode: str) -> float:
@@ -307,36 +310,27 @@ def logic_expand(net: Network, k: int, train: Dataset, test: Dataset,
                  cfg: TrainConfig, rng: np.random.Generator, log: MetricLog) -> None:
     """Replace each surviving connection of each dense layer named in
     ``cfg.shrink_layers`` with a k-LUT initialized to reproduce its XNOR
-    exactly, then retrain high-precision."""
-    new_layers = []
-    for lay in net.layers:
+    exactly, then retrain high-precision. ``k`` must be ``cfg.k``, the
+    fan-in a checkpoint gives every LUT."""
+    if k != cfg.k:
+        raise ValueError(f"k={k} is not the [expand] k={cfg.k} of the config")
+    for i, lay in enumerate(net.layers):
         if lay.kind != "dense" or lay.name not in cfg.shrink_layers:
-            new_layers.append(lay)
             continue
-        if k - 1 > lay.n_in - 1:
-            raise ModelError(
-                f"k={k} exceeds the {lay.n_in} distinct inputs of {lay.name!r}"
-            )
+        if k > lay.n_in:
+            raise ModelError(f"k={k} exceeds the {lay.n_in} inputs of {lay.name!r}")
         chans, srcs = np.nonzero(lay.alive)
-        n_nodes = len(srcs)
-        if n_nodes == 0:
+        if len(srcs) == 0:
             raise ModelError(f"layer {lay.name!r} has no surviving connections")
-        inputs = np.empty((n_nodes, k), dtype=np.int64)
-        masks = np.empty((n_nodes, 2**k))
-        corner_sign = np.where(np.arange(2**k) & 1, 1.0, -1.0)
-        for n in range(n_nodes):
-            p = srcs[n]
-            others = np.concatenate([np.arange(p), np.arange(p + 1, lay.n_in)])
-            extra = rng.choice(others, size=k - 1, replace=False)
-            inputs[n, 0] = p
-            inputs[n, 1:] = extra
-            w = 1.0 if lay.shadow[chans[n], p] >= 0 else -1.0
-            masks[n] = w * corner_sign
-        new_layers.append(
-            LutLayer(lay.n_in, lay.n_out, k, inputs, chans.astype(np.int64),
-                     masks, lay.name, is_output=lay.is_output, bn=lay.bn)
-        )
-    net.layers = new_layers
+        # LUT input 0 is the connection's source, the other k-1 are drawn
+        inputs = np.array([[p, *rng.choice(np.delete(np.arange(lay.n_in), p), k - 1,
+                                           replace=False)] for p in srcs], dtype=np.int64)
+        # the XNOR of input 0 with the weight sign(shadow)
+        masks = (np.where(lay.shadow[chans, srcs] >= 0, 1.0, -1.0)[:, None]
+                 * np.where(np.arange(2**k) & 1, 1.0, -1.0))
+        net.layers[i] = LutLayer(lay.n_in, lay.n_out, lay.bn, lay.name, masks=masks,
+                                 inputs=inputs, channel=chans,
+                                 pruned=np.zeros(inputs.shape, dtype=bool))
     if cfg.epochs_post_expand > 0:
         train_phase(net, train, test, mode="hp", epochs=cfg.epochs_post_expand,
                     lr=cfg.lr * LR_DECAY, cfg=cfg, rng=rng, log=log,
@@ -344,19 +338,15 @@ def logic_expand(net: Network, k: int, train: Dataset, test: Dataset,
         net.recalibrate(train.features)
 
 
-def _shrinkable_lut_layers(net: Network) -> list[LutLayer]:
-    return [l for l in net.layers if l.kind == "lut"]
-
-
 def total_surviving_inputs(net: Network) -> int:
-    return sum(int((~l.pruned).sum()) for l in _shrinkable_lut_layers(net))
+    return sum(int((~l.pruned).sum()) for l in net.layers if l.kind == "lut")
 
 
 def logic_shrink(net: Network, train: Dataset, test: Dataset, cfg: TrainConfig,
                  rng: np.random.Generator, log: MetricLog) -> ShrinkPlan:
     """Iterative input removal: rank salience globally across the LUT
     layers (of fan-in cfg.k), sever the lowest delta*t/T fraction, retrain."""
-    layers = _shrinkable_lut_layers(net)
+    layers = [l for l in net.layers if l.kind == "lut"]
     if not layers:
         raise ModelError("no expanded layers to shrink")
     plan = ShrinkPlan()

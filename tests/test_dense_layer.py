@@ -104,8 +104,8 @@ def round_trip(lay):
     """lay after checkpoint.save then checkpoint.load."""
     layers = [lay]
     if not lay.is_output:
-        layers.append(DenseLayer(lay.n_out, 2, np.random.default_rng(0), "out",
-                                 is_output=True))
+        layers.append(DenseLayer(lay.n_out, 2, None, "out", shadow=np.zeros((2, lay.n_out)),
+                                 alive=np.ones((2, lay.n_out), dtype=bool)))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.json")
         checkpoint.save(path, Network(layers), TrainConfig(), "trained",
@@ -141,9 +141,9 @@ OPS = st.one_of(
        ops=st.lists(OPS, min_size=1, max_size=25))
 def test_cached_layer_matches_frozen_layer(seed, n_in, n_out, batch, is_output, ops):
     rng = np.random.default_rng(seed)
-    lay = DenseLayer(n_in, n_out, rng, "fc", is_output=is_output)
-    lay.shadow = random_shadow(rng, (n_out, n_in))
-    lay.alive = rng.random((n_out, n_in)) < 0.7
+    lay = DenseLayer(n_in, n_out, None if is_output else BatchNorm(n_out), "fc",
+                     shadow=random_shadow(rng, (n_out, n_in)),
+                     alive=rng.random((n_out, n_in)) < 0.7)
     ref = FrozenDense(lay)
     probe = np.where(rng.random((batch, n_in)) < 0.5, 1, -1).astype(np.int8)
     forwarded = False

@@ -53,6 +53,12 @@ stores the raw masks and ``pruned``, as every earlier phase does, and
 network's ``effective_masks()`` equal the format-4 stored final masks bit
 for bit; every other layer array, the config and the RNG state are those of
 format 4 after each phase, and both Verilog hashes did not change.
+
+``LUT_HIDDEN`` covers a LUT layer that is hidden, with a batch norm and a
+dense layer after it, which neither preset has: two hidden layers with
+``fc2`` expanded, from an INI file the test writes. Its two hashes were
+recorded on the code from before the layer constructors took the arrays a
+checkpoint stores, and that change left them as they were.
 """
 
 import hashlib
@@ -78,6 +84,45 @@ GOLDEN = {
         "70a1152bdf1f56b7b77aab1f5dd107b20edf181b95f07c2e5b5b7f03b73fcb9e",
     ),
 }
+
+# (Verilog, checkpoint) sha256 of a run of LUT_HIDDEN_INI
+LUT_HIDDEN = (
+    "2208eb59046ed7fef212c94747f6e92d3a8b855a0f60f2192e9ee28066f6b7f0",
+    "6bbc4e073c53f4f10fe76cfea0128a5e2abf6af1144f4c8b22d0d4a10bab20da",
+)
+LUT_HIDDEN_INI = """\
+[data]
+dataset = synth
+function = majority
+inputs = 7
+samples = 128
+
+[model]
+hidden = 16, 16
+shrink_layers = fc2
+
+[train]
+seed = 0
+lr = 0.05
+lr_schedule = 0.05:150
+batch_size = 4
+
+[prune]
+theta = 0.5
+epochs = 20
+
+[expand]
+k = 3
+epochs = 20
+
+[shrink]
+delta = 0.4
+iterations = 2
+epochs_per_iter = 10
+
+[finalize]
+epochs = 20
+"""
 
 
 # the xor-smoke Verilog before unreachable thresholds were folded
@@ -142,6 +187,20 @@ def test_preset_pipeline_is_byte_identical(preset, tmp_path):
     text, checkpoint = GOLDEN[preset]
     assert _sha256(os.path.join(out, "netlist.v")) == text
     assert _sha256(ckpt) == checkpoint
+
+
+def test_hidden_lut_pipeline_is_byte_identical(tmp_path):
+    out = str(tmp_path)
+    ini, ckpt = tmp_path / "lut-hidden.ini", os.path.join(out, "checkpoint.json")
+    ini.write_text(LUT_HIDDEN_INI)
+    assert main(["train", "--config", str(ini), "--out", out]) == 0
+    for command in ("expand", "shrink", "finalize"):
+        assert main([command, ckpt]) == 0
+    assert main(["export", ckpt, "--out", out]) == 0
+    net = load_checkpoint(ckpt)[0]
+    assert [lay.kind for lay in net.layers] == ["dense", "lut", "dense"]
+    assert _sha256(os.path.join(out, "netlist.v")) == LUT_HIDDEN[0]
+    assert _sha256(ckpt) == LUT_HIDDEN[1]
 
 
 def test_old_xor_smoke_text_fails_the_certificate(tmp_path, monkeypatch):

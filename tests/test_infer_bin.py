@@ -38,12 +38,13 @@ def lut_infer_ref(lay, xbits):
 
 
 def int_sums(lay, xbits):
-    """The layer's integer sums, read from its output-layer form."""
-    out, lay.is_output = lay.is_output, True
+    """The layer's integer sums, read from its output-layer form: the layer
+    without its batch norm."""
+    bn, lay.bn = lay.bn, None
     try:
         return dense_infer_ref(lay, xbits) if lay.kind == "dense" else lut_infer_ref(lay, xbits)
     finally:
-        lay.is_output = out
+        lay.bn = bn
 
 
 def pin_thresholds(lay, xbits, rng):
@@ -64,26 +65,23 @@ def random_bits(rng, b, n):
     return np.where(rng.random((b, n)) < 0.5, 1, -1).astype(np.int8)
 
 
-def dense_layer(rng, n_in, n_out, is_output):
-    lay = DenseLayer(n_in, n_out, rng, "fc", is_output=is_output)
-    lay.shadow = rng.uniform(-1, 1, size=lay.shadow.shape)
-    lay.shadow[rng.random(lay.shadow.shape) < 0.1] = 0.0  # sign(0) = +1
-    lay.alive = rng.random(lay.alive.shape) < 0.7
-    lay.alive[rng.random(n_out) < 0.3] = False  # dead rows: the sum is 0
-    return lay
+def dense_layer(rng, n_in, n_out, is_output, name="fc"):
+    shadow = rng.uniform(-1, 1, size=(n_out, n_in))
+    shadow[rng.random(shadow.shape) < 0.1] = 0.0  # sign(0) = +1
+    alive = rng.random(shadow.shape) < 0.7
+    alive[rng.random(n_out) < 0.3] = False  # dead rows: the sum is 0
+    return DenseLayer(n_in, n_out, None if is_output else BatchNorm(n_out), name,
+                      shadow=shadow, alive=alive)
 
 
 def lut_layer(rng, n_in, n_out, k, n_nodes, is_output):
-    lay = LutLayer(
-        n_in, n_out, k,
+    return LutLayer(
+        n_in, n_out, None if is_output else BatchNorm(n_out), "lut",
         inputs=rng.integers(0, n_in, size=(n_nodes, k)),
         channel=rng.integers(0, n_out, size=n_nodes),
         masks=rng.uniform(-1, 1, size=(n_nodes, 2**k)),
-        name="lut", is_output=is_output,
-        bn=None if is_output else BatchNorm(n_out),
+        pruned=rng.random((n_nodes, k)) < 0.3,
     )
-    lay.set_pruned(rng.random((n_nodes, k)) < 0.3)
-    return lay
 
 
 @settings(max_examples=40, deadline=None)
@@ -151,9 +149,9 @@ def test_wide_sums_match_int64(is_output):
     dense.shadow[:, :3] *= -1
     masks = rng.uniform(0.01, 1, size=(n, 4))
     masks[:3] *= -1
-    lut = LutLayer(16, 3, 2, rng.integers(0, 16, size=(n, 2)), np.zeros(n, dtype=int),
-                   masks, "lut", is_output=is_output,
-                   bn=None if is_output else BatchNorm(3))
+    lut = LutLayer(16, 3, None if is_output else BatchNorm(3), "lut",
+                   inputs=rng.integers(0, 16, size=(n, 2)), channel=np.zeros(n, dtype=int),
+                   masks=masks, pruned=np.zeros((n, 2), dtype=bool))
     for lay, ref, n_in in ((dense, dense_infer_ref, n), (lut, lut_infer_ref, 16)):
         xbits = random_bits(rng, 8, n_in)
         xbits[0] = 1
@@ -171,9 +169,9 @@ def test_exactness_limit_is_two_to_the_24():
 def test_dense_fan_in_at_limit_is_refused(monkeypatch):
     rng = np.random.default_rng(0)
     monkeypatch.setattr(model, "EXACT_SUM_LIMIT", 4)
-    DenseLayer(3, 2, rng, "fc_ok").infer_bin(random_bits(rng, 2, 3))
+    dense_layer(rng, 3, 2, False, "fc_ok").infer_bin(random_bits(rng, 2, 3))
     with pytest.raises(ModelError, match="'fc_wide'") as exc:
-        DenseLayer(4, 2, rng, "fc_wide").infer_bin(random_bits(rng, 2, 4))
+        dense_layer(rng, 4, 2, False, "fc_wide").infer_bin(random_bits(rng, 2, 4))
     assert "\n" not in str(exc.value)
 
 
@@ -183,8 +181,9 @@ def test_lut_channel_at_limit_is_refused(monkeypatch):
 
     def layer(channel):
         n = len(channel)
-        return LutLayer(4, 2, 2, rng.integers(0, 4, size=(n, 2)), np.array(channel),
-                        rng.uniform(-1, 1, size=(n, 4)), "lut_wide", is_output=True)
+        return LutLayer(4, 2, None, "lut_wide", inputs=rng.integers(0, 4, size=(n, 2)),
+                        channel=np.array(channel), masks=rng.uniform(-1, 1, size=(n, 4)),
+                        pruned=np.zeros((n, 2), dtype=bool))
 
     layer([0, 0, 0, 1, 1, 1]).infer_bin(random_bits(rng, 2, 4))
     with pytest.raises(ModelError, match="'lut_wide'") as exc:

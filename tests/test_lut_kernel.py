@@ -125,10 +125,8 @@ def _pair(is_output, k, seed, classes=(LutLayer, ReferenceLutLayer)):
     for cls in classes:
         bn = BatchNorm(N_OUT)
         bn.gamma[:] = 0.3  # keep part of the hard-tanh gate open
-        lay = cls(N_IN, N_OUT, k, inputs, channel, masks, "l", bn=bn,
-                  is_output=is_output)
-        lay.set_pruned(pruned)
-        layers.append(lay)
+        layers.append(cls(N_IN, N_OUT, None if is_output else bn, "l", inputs=inputs,
+                          channel=channel, masks=masks, pruned=pruned))
     return layers, rng
 
 
@@ -282,9 +280,9 @@ def test_severed_inputs_do_not_reach_the_hp_output(k, inputs_at, monkeypatch):
     inputs = np.arange(n_in).reshape(N_NODES, k)
     pruned = rng.random((N_NODES, k)) < 0.5
     pruned[0], pruned[1] = True, False  # a constant node and an untouched one
-    lay = LutLayer(n_in, N_OUT, k, inputs, rng.integers(0, N_OUT, size=N_NODES),
-                   rng.uniform(-1.2, 1.2, size=(N_NODES, 2**k)), "l", bn=BatchNorm(N_OUT))
-    lay.set_pruned(pruned)
+    lay = LutLayer(n_in, N_OUT, BatchNorm(N_OUT), "l", inputs=inputs,
+                   channel=rng.integers(0, N_OUT, size=N_NODES),
+                   masks=rng.uniform(-1.2, 1.2, size=(N_NODES, 2**k)), pruned=pruned)
     x = rng.uniform(-1.0, 1.0, size=(32, n_in))
     if inputs_at == "corners":
         x = sign_pm1(x)

@@ -435,10 +435,9 @@ def test_fully_severed_lut_counts_as_zero_input():
 
 
 def test_extract_refuses_to_drop_an_input_in_the_support(monkeypatch):
-    lay = LutLayer(2, 2, 2, inputs=np.array([[0, 1]]), channel=np.array([0]),
-                   masks=np.array([[-0.9, -0.1, -0.8, 0.2]]), name="fc2",
-                   is_output=True)
-    lay.set_pruned(np.array([[False, True]]))
+    lay = LutLayer(2, 2, None, "fc2", inputs=np.array([[0, 1]]), channel=np.array([0]),
+                   masks=np.array([[-0.9, -0.1, -0.8, 0.2]]),
+                   pruned=np.array([[False, True]]))
     net = Network([lay])
     assert extract_netlist(net).total_lut_inputs() == 1
     # a table that still reads severed input 1 (AND) cannot be projected

@@ -56,10 +56,13 @@ def _layer_spans(top: str, lut_fwd: str) -> list[tuple[str, str]]:
 def test_benchmark_tracer_spans_a_training_step(tracer):
     rng = np.random.default_rng(0)
     net = Network([
-        DenseLayer(6, 4, rng, "fc1"),
-        LutLayer(4, 4, 2, rng.integers(0, 4, size=(8, 2)), rng.integers(0, 4, size=8),
-                 rng.uniform(-1, 1, size=(8, 4)), "fc2", bn=BatchNorm(4)),
-        DenseLayer(4, 2, rng, "fc3", is_output=True),
+        DenseLayer(6, 4, BatchNorm(4), "fc1", shadow=rng.uniform(-0.1, 0.1, size=(4, 6)),
+                   alive=np.ones((4, 6), dtype=bool)),
+        LutLayer(4, 4, BatchNorm(4), "fc2", inputs=rng.integers(0, 4, size=(8, 2)),
+                 channel=rng.integers(0, 4, size=8), masks=rng.uniform(-1, 1, size=(8, 4)),
+                 pruned=np.zeros((8, 2), dtype=bool)),
+        DenseLayer(4, 2, None, "fc3", shadow=rng.uniform(-0.1, 0.1, size=(2, 4)),
+                   alive=np.ones((2, 4), dtype=bool)),
     ])
     ds = Dataset(rng.uniform(-1, 1, size=(5, 6)), rng.integers(0, 2, size=5), 2)
     with tracer.installed():

@@ -56,21 +56,17 @@ def trained_bn(rng, n):
 
 def make_layer(kind, is_output, rng, n_in=20, n_out=6, k=3, n_nodes=40):
     if kind == "dense":
-        lay = DenseLayer(n_in, n_out, rng, "fc", is_output=is_output)
-        lay.shadow = rng.uniform(-1, 1, size=lay.shadow.shape)
-        lay.alive = rng.random(lay.alive.shape) < 0.7
+        arrays = {"shadow": rng.uniform(-1, 1, size=(n_out, n_in)),
+                  "alive": rng.random((n_out, n_in)) < 0.7}
     else:
-        lay = LutLayer(
-            n_in, n_out, k,
-            inputs=rng.integers(0, n_in, size=(n_nodes, k)),
-            channel=rng.integers(0, n_out, size=n_nodes),
-            masks=rng.uniform(-1, 1, size=(n_nodes, 2**k)),
-            name="lut", is_output=is_output,
-        )
-        lay.set_pruned(rng.random((n_nodes, k)) < 0.3)
-    if not is_output:
-        lay.bn = trained_bn(rng, n_out)
-    return lay
+        arrays = {"inputs": rng.integers(0, n_in, size=(n_nodes, k)),
+                  "channel": rng.integers(0, n_out, size=n_nodes),
+                  "masks": rng.uniform(-1, 1, size=(n_nodes, 2**k)),
+                  "pruned": rng.random((n_nodes, k)) < 0.3}
+    bn = None if is_output else trained_bn(rng, n_out)
+    if kind == "dense":
+        return DenseLayer(n_in, n_out, bn, "fc", **arrays)
+    return LutLayer(n_in, n_out, bn, "lut", **arrays)
 
 
 def assert_same_stats(got, want):

@@ -72,15 +72,18 @@ def test_default_blocks_split_a_large_batch():
 
 
 def _network(rng, n_in=40, hidden=32, k=3, n_nodes=96, classes=5):
-    dense = DenseLayer(n_in, hidden, rng, "fc1")
-    dense.shadow = rng.uniform(-1, 1, size=dense.shadow.shape)
+    dense = DenseLayer(n_in, hidden, BatchNorm(hidden), "fc1",
+                       shadow=rng.uniform(-1, 1, size=(hidden, n_in)),
+                       alive=np.ones((hidden, n_in), dtype=bool))
     dense.bn.running_mean = rng.normal(0, 3, size=hidden)
-    lut = LutLayer(hidden, hidden, k, rng.integers(0, hidden, size=(n_nodes, k)),
-                   rng.integers(0, hidden, size=n_nodes),
-                   rng.uniform(-1, 1, size=(n_nodes, 2**k)), "lut",
-                   bn=BatchNorm(hidden))
-    lut.set_pruned(rng.random((n_nodes, k)) < 0.3)
-    out = DenseLayer(hidden, classes, rng, "fc2", is_output=True)
+    lut = LutLayer(hidden, hidden, BatchNorm(hidden), "lut",
+                   inputs=rng.integers(0, hidden, size=(n_nodes, k)),
+                   channel=rng.integers(0, hidden, size=n_nodes),
+                   masks=rng.uniform(-1, 1, size=(n_nodes, 2**k)),
+                   pruned=rng.random((n_nodes, k)) < 0.3)
+    out = DenseLayer(hidden, classes, None, "fc2",
+                     shadow=rng.uniform(-0.1, 0.1, size=(classes, hidden)),
+                     alive=np.ones((classes, hidden), dtype=bool))
     return Network([dense, lut, out])
 
 
@@ -114,9 +117,11 @@ def test_hp_lut_pass_memory_is_bounded_by_the_block():
     large batch holds a few (B, N) arrays, not 2^k of them."""
     b, n, k, n_in, n_out = 1024, 820, 4, 128, 128
     rng = np.random.default_rng(0)
-    lay = LutLayer(n_in, n_out, k, rng.integers(0, n_in, size=(n, k)),
-                   rng.integers(0, n_out, size=n), rng.uniform(-1, 1, size=(n, 2**k)),
-                   "lut", bn=BatchNorm(n_out))
+    lay = LutLayer(n_in, n_out, BatchNorm(n_out), "lut",
+                   inputs=rng.integers(0, n_in, size=(n, k)),
+                   channel=rng.integers(0, n_out, size=n),
+                   masks=rng.uniform(-1, 1, size=(n, 2**k)),
+                   pruned=np.zeros((n, k), dtype=bool))
     x = rng.uniform(-1.0, 1.0, size=(b, n_in))
     dout = rng.standard_normal((b, n_out))
 

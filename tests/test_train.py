@@ -6,7 +6,14 @@ import pytest
 
 from lutshrink import train
 from lutshrink.data import Dataset, synth_boolean
-from lutshrink.model import DenseLayer, LutLayer, Network, softmax_xent
+from lutshrink.model import (
+    BatchNorm,
+    DenseLayer,
+    LutLayer,
+    ModelError,
+    Network,
+    softmax_xent,
+)
 from lutshrink.netlist import extract_netlist, scores, simplify
 from lutshrink.train import (
     MetricLog,
@@ -61,23 +68,21 @@ def _pipeline_to_expanded(cfg, ds, rng):
 def _manual_lut_net(rng):
     k = 2
     n_hidden_luts, n_out_luts = 6, 4
+    bn = BatchNorm(2)
+    bn.gamma[:] = 0.1  # keep |h| < 1 so hard-tanh is the identity
     hidden = LutLayer(
-        3, 2, k,
-        rng.integers(0, 3, size=(n_hidden_luts, k)),
-        rng.integers(0, 2, size=n_hidden_luts),
-        rng.uniform(-0.5, 0.5, size=(n_hidden_luts, 2**k)),
-        "h", is_output=False, bn=None,
+        3, 2, bn, "h",
+        inputs=rng.integers(0, 3, size=(n_hidden_luts, k)),
+        channel=rng.integers(0, 2, size=n_hidden_luts),
+        masks=rng.uniform(-0.5, 0.5, size=(n_hidden_luts, 2**k)),
+        pruned=np.zeros((n_hidden_luts, k), dtype=bool),
     )
-    from lutshrink.model import BatchNorm
-
-    hidden.bn = BatchNorm(2)
-    hidden.bn.gamma[:] = 0.1  # keep |h| < 1 so hard-tanh is the identity
     out = LutLayer(
-        2, 2, k,
-        rng.integers(0, 2, size=(n_out_luts, k)),
-        rng.integers(0, 2, size=n_out_luts),
-        rng.uniform(-0.5, 0.5, size=(n_out_luts, 2**k)),
-        "o", is_output=True,
+        2, 2, None, "o",
+        inputs=rng.integers(0, 2, size=(n_out_luts, k)),
+        channel=rng.integers(0, 2, size=n_out_luts),
+        masks=rng.uniform(-0.5, 0.5, size=(n_out_luts, 2**k)),
+        pruned=np.zeros((n_out_luts, k), dtype=bool),
     )
     return Network([hidden, out])
 
@@ -202,6 +207,36 @@ def test_expansion_preserves_binarized_function():
     logic_expand(net, cfg.k, ds, ds, cfg, rng, MetricLog())
     after = net.predict_bin(ds.features)
     np.testing.assert_array_equal(before, after)
+
+
+def test_expansion_refuses_a_k_other_than_the_config_k():
+    """Every LUT has the fan-in [expand] k, so logic_expand refuses another
+    k before it builds a LUT or trains an epoch."""
+    ds = synth_boolean("xor", 2, 4)
+    cfg = tiny_cfg(theta=0.0)
+    rng = np.random.default_rng(0)
+    net = build_network(cfg, 2, 2, rng)
+    layers, log = list(net.layers), MetricLog()
+    with pytest.raises(ValueError, match=r"^k=3 is not the \[expand\] k=2 of the config$"):
+        logic_expand(net, cfg.k + 1, ds, ds, cfg, rng, log)
+    assert net.layers == layers and not log.records
+
+
+def _dense(n_in, n_out, bn, name):
+    return DenseLayer(n_in, n_out, bn, name, shadow=np.zeros((n_out, n_in)),
+                      alive=np.ones((n_out, n_in), dtype=bool))
+
+
+def test_network_refuses_a_hidden_layer_without_batch_norm():
+    with pytest.raises(ModelError, match=r"^layer 'fc1' has no batch norm, but the "
+                                         r"last layer, and only it, has none$"):
+        Network([_dense(3, 2, None, "fc1"), _dense(2, 2, None, "fc2")])
+
+
+def test_network_refuses_a_last_layer_with_batch_norm():
+    with pytest.raises(ModelError, match=r"^layer 'fc2' has a batch norm, but the "
+                                         r"last layer, and only it, has none$"):
+        Network([_dense(3, 2, BatchNorm(2), "fc1"), _dense(2, 2, BatchNorm(2), "fc2")])
 
 
 def test_expansion_mask_salience_pattern():
