@@ -7,7 +7,8 @@ import os
 from importlib import resources
 
 from .data import Dataset, load_idx, synth_boolean
-from .train import LR_DECAY, MOMENTUM, SETTINGS, TrainConfig
+from .model import MOMENTUM
+from .train import LR_DECAY, SETTINGS, TrainConfig
 
 DATA_DIR_ENV = "LUTSHRINK_DATA_DIR"
 # The four MNIST IDX files, in (train images, train labels, test images,
@@ -65,6 +66,9 @@ def load_config(path: str) -> TrainConfig:
     try:
         with open(path) as f:  # parser.read would skip a file it cannot open
             parser.read_file(f)
+        if parser.defaults():  # it would reach every section, or none
+            raise ConfigError(f"{path}: [DEFAULT] {', '.join(parser.defaults())} "
+                              "is not supported; set each key in its own section")
         sections = {s: parser.items(s) for s in parser.sections()}
     except configparser.Error as e:
         raise _syntax_error(path, e) from None

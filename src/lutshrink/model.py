@@ -6,8 +6,16 @@ Two forward modes exist throughout:
   inter-layer activations are hard-tanh of the batch-normed sums, inputs
   stay real in [-1,1].
 * ``bin`` — binarized: inputs, activations and LUT outputs are +/-1 (sign,
-  with sign(0)=+1), gradients pass through sign via the clipped
-  straight-through estimator.
+  with sign(0)=+1).
+
+Gradients pass through sign by the clipped straight-through estimator: the
+gradient of sign(w) is 1 where |w| <= 1 and 0 elsewhere. For an activation
+the gate is the hard-tanh's. For a dense shadow or a LUT mask entry it is
+always open, so neither backward applies it. Shadows and masks start in
+[-1, 1], the optimizer step (``_momentum_step``) clips them there,
+``checkpoint.load`` refuses others, and severance averages mask entries
+with non-negative weights that sum to 1, so every table entry a LUT reads
+stays in [-1, 1].
 
 LUT layers run every operation through one kernel, ``lutcore.CornerBatch``,
 which picks its path from the data: on inputs that are all +/-1 (every
@@ -58,6 +66,8 @@ from .lutcore import CornerBatch
 from .shrink import compose_transforms, salience_rows
 
 GAMMA_MIN = 1e-3  # keeps the folded threshold comparison direction fixed
+MOMENTUM = 0.9  # SGD momentum of every training phase
+BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # running-statistics update, variance floor
 EXACT_SUM_LIMIT = 2**24  # float32 holds every integer of smaller magnitude
 RECALIBRATE_PASSES, RECALIBRATE_BATCH = 20, 256  # batch-norm refresh extent
 # samples per block of Network.infer_bin; its sums are exact integers, so
@@ -122,11 +132,10 @@ def _infer_out(layer, s: np.ndarray) -> np.ndarray:
 
 
 def _momentum_step(p: np.ndarray, v: np.ndarray, d: np.ndarray, lr: float,
-                   momentum: float, lo: float | None = -1.0,
-                   hi: float | None = 1.0) -> None:
-    """In place: v = momentum * v - lr * d, then p = clip(p + v, lo, hi)
+                   lo: float | None = -1.0, hi: float | None = 1.0) -> None:
+    """In place: v = MOMENTUM * v - lr * d, then p = clip(p + v, lo, hi)
     (a None bound is open), and the gradient d is zeroed."""
-    v *= momentum
+    v *= MOMENTUM
     d *= lr
     v -= d
     d.fill(0.0)
@@ -143,8 +152,6 @@ class BatchNorm:
         self.beta = np.zeros(n)
         self.running_mean = np.zeros(n)
         self.running_var = np.ones(n)
-        self.momentum = 0.1
-        self.eps = 1e-5
         self.dgamma = np.zeros(n)
         self.dbeta = np.zeros(n)
         self._v_gamma = np.zeros(n)
@@ -152,16 +159,16 @@ class BatchNorm:
 
     def forward(self, s: np.ndarray, stats: str) -> np.ndarray:
         """Batch norm by the "batch", "running" or "refresh" statistics."""
-        s = s.astype(np.float64)
+        s = np.asarray(s, dtype=np.float64)
         if stats != "running":
             mu = s.mean(axis=0)
             var = s.var(axis=0)
-            m = self.momentum
+            m = BN_MOMENTUM
             self.running_mean = (1 - m) * self.running_mean + m * mu
             self.running_var = (1 - m) * self.running_var + m * var
         if stats != "batch":
             mu, var = self.running_mean, self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (s - mu) * inv_std
         self._cache = (xhat, inv_std)
         return self.gamma * xhat + self.beta
@@ -181,17 +188,15 @@ class BatchNorm:
 
     def fold_thresholds(self) -> np.ndarray:
         """Integer tau per unit: activation is +1 iff integer sum >= tau."""
-        a = self.gamma / np.sqrt(self.running_var + self.eps)
+        a = self.gamma / np.sqrt(self.running_var + BN_EPS)
         if np.any(a <= 0):
             raise ModelError("batch-norm scale must be positive to fold")
         return np.ceil(self.running_mean - self.beta / a).astype(np.int64)
 
-    def step(self, lr: float, momentum: float) -> None:
+    def step(self, lr: float) -> None:
         """In place; gamma stays at or above GAMMA_MIN, beta is unbounded."""
-        _momentum_step(self.gamma, self._v_gamma, self.dgamma, lr, momentum,
-                       GAMMA_MIN, None)
-        _momentum_step(self.beta, self._v_beta, self.dbeta, lr, momentum,
-                       None, None)
+        _momentum_step(self.gamma, self._v_gamma, self.dgamma, lr, GAMMA_MIN, None)
+        _momentum_step(self.beta, self._v_beta, self.dbeta, lr, None, None)
 
 
 class _Layer:
@@ -215,9 +220,7 @@ class DenseLayer(_Layer):
     drops the cache, and so does assigning ``shadow`` or ``alive``. Outside
     ``step`` these two arrays are replaced, never written in place; ``step``
     updates ``shadow`` in place, so an array given to the layer belongs to
-    it. ``step`` clips the shadows to [-1, 1] (a checkpoint holding others
-    is refused), so the straight-through gate |w| <= 1 is always open and
-    the backward omits it.
+    it.
     """
 
     kind = "dense"
@@ -279,11 +282,11 @@ class DenseLayer(_Layer):
             self._wb32 = self.weights_bin().astype(np.float32)
         return _infer_out(self, xbits.astype(np.float32) @ self._wb32.T)
 
-    def step(self, lr: float, momentum: float) -> None:
-        _momentum_step(self._shadow, self._v_shadow, self.dshadow, lr, momentum)
+    def step(self, lr: float) -> None:
+        _momentum_step(self._shadow, self._v_shadow, self.dshadow, lr)
         self._wb = self._wb32 = None
         if self.bn is not None:
-            self.bn.step(lr, momentum)
+            self.bn.step(lr)
 
 
 class LutLayer(_Layer):
@@ -345,28 +348,21 @@ class LutLayer(_Layer):
     def salience(self) -> np.ndarray:
         return salience_rows(self.effective_masks(), self.k)
 
-    def _outputs(self, x: np.ndarray, severed: np.ndarray | None = None):
-        """Real LUT outputs f[b, n] and what the backward pass needs; each
-        node reads its inputs not ``severed`` (by default all k)."""
-        batch = CornerBatch(x, self.inputs, severed)
-        table = np.ascontiguousarray(self.effective_masks().T)  # (2^k, N)
-        return batch.interpolate(table), batch, table
-
     def forward(self, x: np.ndarray, mode: str, stats: str) -> np.ndarray:
         # hp reads the kept inputs only; a bin lookup costs one gather
         # whatever the fan-in, so it reads all k
-        f_real, batch, table = self._outputs(x, self.pruned if mode == "hp" else None)
-        self._cache_lut, self._cache_mode = (f_real, batch, table), mode
-        # bin-mode inputs are +/-1, so f_real is exactly the table entry
-        f = f_real if mode == "hp" else sign_pm1(f_real)
+        batch = CornerBatch(x, self.inputs, self.pruned if mode == "hp" else None)
+        table = np.ascontiguousarray(self.effective_masks().T)  # (2^k, N)
+        self._cache_lut, self._cache_mode = (batch, table), mode
+        f = batch.interpolate(table)
+        if mode == "bin":  # +/-1 inputs: f is exactly the table entry
+            f = sign_pm1(f)
         return _activate(self, f @ self._chmat, mode, stats)
 
     def backward(self, dout: np.ndarray, need_dx: bool) -> np.ndarray | None:
         # each LUT feeds one channel: its gradient is that channel's
         df = np.take(_sum_grad(self, dout), self.channel, axis=1)  # (B, N)
-        f_real, batch, table = self._cache_lut
-        if self._cache_mode == "bin":
-            df *= np.abs(f_real) <= 1.0  # clipped straight-through
+        batch, table = self._cache_lut
         dtable, dx = batch.backward(table, df, need_dx)
         self.dmasks += self._transform(np.ascontiguousarray(dtable.T))
         return dx
@@ -380,10 +376,10 @@ class LutLayer(_Layer):
         f = CornerBatch(xbits, self.inputs).interpolate(tt)
         return _infer_out(self, f @ self._chmat32)
 
-    def step(self, lr: float, momentum: float) -> None:
-        _momentum_step(self.masks, self._v_masks, self.dmasks, lr, momentum)
+    def step(self, lr: float) -> None:
+        _momentum_step(self.masks, self._v_masks, self.dmasks, lr)
         if self.bn is not None:
-            self.bn.step(lr, momentum)
+            self.bn.step(lr)
 
 
 class Network:
@@ -418,9 +414,9 @@ class Network:
         for i in reversed(range(len(self.layers))):
             d = self.layers[i].backward(d, need_dx=i > 0)
 
-    def step(self, lr: float, momentum: float) -> None:
+    def step(self, lr: float) -> None:
         for lay in self.layers:
-            lay.step(lr, momentum)
+            lay.step(lr)
 
     def infer_bin(self, x: np.ndarray) -> np.ndarray:
         """Exact integer class scores, (B, classes), computed INFER_ROWS
@@ -428,7 +424,7 @@ class Network:
         x = np.asarray(x)
         scores = None
         for lo in range(0, max(len(x), 1), INFER_ROWS):
-            h = sign_bits(np.asarray(x[lo : lo + INFER_ROWS], dtype=np.float64))
+            h = sign_bits(x[lo : lo + INFER_ROWS])
             for lay in self.layers:
                 h = lay.infer_bin(h)
             if scores is None:

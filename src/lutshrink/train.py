@@ -20,10 +20,9 @@ from .model import BatchNorm, DenseLayer, LutLayer, ModelError, Network, softmax
 from .shrink import build_prune_mask
 
 EVAL_BATCH = 1024
-# SGD momentum of every phase, and the factor by which the phases after BNN
-# training lower the rate: prune and expand retraining run at lr * LR_DECAY,
-# shrink at lr * LR_DECAY**2 and finalize at lr * LR_DECAY**3
-MOMENTUM = 0.9
+# the factor by which the phases after BNN training lower the rate: prune
+# and expand retraining run at lr * LR_DECAY, shrink at lr * LR_DECAY**2 and
+# finalize at lr * LR_DECAY**3
 LR_DECAY = 0.5
 
 
@@ -267,7 +266,7 @@ def train_phase(net: Network, train: Dataset, test: Dataset, *, mode: str,
                     f"loss became {loss} in phase {phase!r}, epoch {epoch}"
                 )
             net.backward(dlogits)
-            net.step(lr, MOMENTUM)
+            net.step(lr)
         train_err = evaluate(net, train_eval, mode)
         # one set serves as both (every synth config): evaluate it once
         test_err = train_err if test is train_eval else evaluate(net, test, mode)

@@ -364,3 +364,22 @@ def test_malformed_ini_fails_in_one_line(tmp_path, capsys, text, where):
     assert main(["train", "--config", str(cfgp), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{cfgp}, {where}" in err
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nbatch_size = 3\n[train]\nlr = 0.1\n",
+    "[DEFAULT]\nbatch_size = 3\n",
+    "[DEFAULT]\nseed = 3\n[train]\nlr = 0.1\n[data]\ndataset = synth\n",
+])
+def test_default_section_is_refused_in_one_line(tmp_path, capsys, text):
+    """configparser copies a [DEFAULT] key into every section, so it would
+    set the key of [train], be dropped with no section to copy it into, or
+    read as a key of [data], which has none of that name. It is refused,
+    named, before anything is trained."""
+    cfgp = tmp_path / "d.ini"
+    cfgp.write_text(text)
+    key = text.split("\n")[1].split(" =")[0]
+    assert main(["train", "--config", str(cfgp), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{cfgp}: [DEFAULT] {key} " in err
+    assert not (tmp_path / "checkpoint.json").exists()

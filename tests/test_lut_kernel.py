@@ -14,6 +14,8 @@ interpolating path on the same data; the two must agree bit for bit.
 """
 
 import contextlib
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -21,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lutshrink import lutcore
+from lutshrink import checkpoint, lutcore
 from lutshrink.lutcore import CornerBatch, _halve
-from lutshrink.model import BatchNorm, LutLayer, sign_pm1
+from lutshrink.model import BatchNorm, DenseLayer, LutLayer, Network, sign_pm1
+from lutshrink.train import TrainConfig
 
 
 class ReferenceLutLayer(LutLayer):
@@ -117,8 +120,11 @@ def _pair(is_output, k, seed, classes=(LutLayer, ReferenceLutLayer)):
     rng = np.random.default_rng(seed)
     inputs = np.stack([rng.choice(N_IN, size=k, replace=False) for _ in range(N_NODES)])
     channel = rng.integers(0, N_OUT, size=N_NODES)
-    # entries near +/-1 so the clipped straight-through gate cuts some
-    masks = rng.uniform(-1.2, 1.2, size=(N_NODES, 2**k))
+    # in [-1, 1] as every layer's masks are, some on the bounds, so the
+    # reference's straight-through gate is open and at its edge
+    masks = rng.uniform(-1.0, 1.0, size=(N_NODES, 2**k))
+    masks[rng.random(masks.shape) < 0.2] = 1.0
+    masks[rng.random(masks.shape) < 0.2] = -1.0
     pruned = rng.random((N_NODES, k)) < 0.3  # some rows lose inputs, some all
     pruned[0] = True
     layers = []
@@ -164,6 +170,53 @@ def test_kernel_matches_reference(mode, k, batch, is_output, one_sample_steps,
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     if is_output or batch > 1:  # batch norm passes no gradient for one sample
         assert np.any(dmasks != 0.0) and np.any(dx != 0.0)
+
+
+def _round_trip(lay):
+    """lay after checkpoint.save then checkpoint.load."""
+    layers = [lay]
+    if not lay.is_output:
+        layers.append(DenseLayer(lay.n_out, 2, None, "out", shadow=np.zeros((2, lay.n_out)),
+                                 alive=np.ones((2, lay.n_out), dtype=bool)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        checkpoint.save(path, Network(layers), TrainConfig(k=lay.k), "shrunk",
+                        np.random.default_rng(0))
+        return checkpoint.load(path)[0].layers[0]
+
+
+MASK_OPS = st.lists(st.one_of(
+    st.tuples(st.just("train"), st.sampled_from(["hp", "bin"]), st.floats(0.0, 3.0)),
+    st.tuples(st.just("step"), st.floats(0.0, 3.0)),
+    st.just(("sever",)),
+    st.just(("checkpoint",)),
+), min_size=1, max_size=20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6), is_output=st.booleans(),
+       ops=MASK_OPS)
+def test_masks_stay_in_the_straight_through_range(seed, k, is_output, ops):
+    """The LUT backward applies no straight-through gate |f| <= 1, because
+    every table entry stays in [-1, 1]: steps clip the masks, severance
+    averages them, and a checkpoint round trip keeps them. Gradients of
+    scale 10 and rates up to 3 push every entry at the clip."""
+    (lay,), rng = _pair(is_output, k, seed, classes=(LutLayer,))
+    for op in ops:
+        if op[0] == "train":
+            x = rng.uniform(-1.0, 1.0, size=(8, N_IN))
+            lay.forward(sign_pm1(x) if op[1] == "bin" else x, op[1], "batch")
+            lay.backward(10.0 * rng.standard_normal((8, N_OUT)), need_dx=True)
+            lay.step(op[2])
+        elif op[0] == "step":
+            lay.dmasks += 10.0 * rng.standard_normal(lay.dmasks.shape)
+            lay.step(op[1])
+        elif op[0] == "sever":
+            lay.set_pruned(lay.pruned | (rng.random(lay.pruned.shape) < 0.3))
+        else:
+            lay = _round_trip(lay)
+        for m in (lay.masks, lay.effective_masks()):
+            assert np.all(np.isfinite(m)) and np.all(np.abs(m) <= 1.0)
 
 
 @contextlib.contextmanager
@@ -239,7 +292,7 @@ def test_fanin_groups_match_one_group(k, batch, inputs_at, monkeypatch):
 
 def _layer_run(lay, x, dout, mode):
     out, dmasks, dx = _run(lay, x, dout, mode)
-    corner = lay._cache_lut[1].flat is not None
+    corner = lay._cache_lut[0].flat is not None
     cal = lay.forward(x, "bin", "refresh")
     stats = () if lay.is_output else (lay.bn.running_mean, lay.bn.running_var)
     return corner, (out, dmasks, dx, cal, *stats)

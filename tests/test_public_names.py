@@ -69,7 +69,7 @@ def test_benchmark_tracer_spans_a_training_step(tracer):
         for mode in ("hp", "bin"):  # one training step each, as train_phase runs it
             logits = net.forward(ds.features, mode, training=True)
             net.backward(softmax_xent(logits, ds.labels)[1])
-            net.step(0.1, 0.9)
+            net.step(0.1)
         train.evaluate(net, ds, "hp")
         net.recalibrate(ds.features)
     got = [(name, tracer.spans[parent][0] if parent >= 0 else None)

@@ -12,16 +12,25 @@ import copy
 import numpy as np
 import pytest
 
-from lutshrink.model import BatchNorm, DenseLayer, LutLayer, Network, sign_pm1
+from lutshrink.lutcore import CornerBatch
+from lutshrink.model import (
+    BN_EPS,
+    BN_MOMENTUM,
+    BatchNorm,
+    DenseLayer,
+    LutLayer,
+    Network,
+    sign_pm1,
+)
 
 
 def bn_calibrate_ref(bn, s):
     """Frozen BatchNorm.calibrate (do not optimize)."""
     s = s.astype(np.float64)
-    m = bn.momentum
+    m = BN_MOMENTUM
     bn.running_mean = (1 - m) * bn.running_mean + m * s.mean(axis=0)
     bn.running_var = (1 - m) * bn.running_var + m * s.var(axis=0)
-    h = bn.gamma * (s - bn.running_mean) / np.sqrt(bn.running_var + bn.eps) + bn.beta
+    h = bn.gamma * (s - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS) + bn.beta
     return sign_pm1(h)
 
 
@@ -30,7 +39,8 @@ def calibrate_ref(lay, x):
     if lay.kind == "dense":
         s = x @ (np.where(lay.shadow >= 0, 1.0, -1.0) * lay.alive).T
     else:
-        s = sign_pm1(lay._outputs(x)[0]) @ lay._chmat
+        f = CornerBatch(x, lay.inputs).interpolate(lay.effective_masks().T)
+        s = sign_pm1(f) @ lay._chmat
     if lay.is_output:
         return s * lay.alpha
     return bn_calibrate_ref(lay.bn, s)

@@ -138,3 +138,33 @@ def test_infer_bin_memory_is_bounded_by_the_block():
     x = rng.uniform(-1.0, 1.0, size=(8192, 196))
     one_block = _peak(net.infer_bin, x[: model.INFER_ROWS])
     assert _peak(net.infer_bin, x) <= one_block + 8192 * 10 * 8
+
+
+def test_hp_evaluation_keeps_no_lut_output():
+    """What one hp evaluation forward leaves referenced at the lut-hidden
+    shape (196 -> 128 dense, 820 LUTs at k = 4, 128 -> 10) and B = 600, once
+    its scores are dropped: the backward caches each layer keeps until its
+    next forward. Those are, in floats,
+      fc1: its clipped input (B, 196), and the batch-norm xhat and the
+           hard-tanh input h, (B, 128) each;
+      lut: the corner weights lo and hi of its input, (B, 129) each (the
+           extra column holds severed inputs at -1), its (2^k, N) table,
+           and xhat and h;
+      fc2: its input (B, 128).
+    The LUT outputs f (B, N) are not among them: a bound halfway between
+    these arrays and these plus f fails if the layer caches f again."""
+    b, n_in, hidden, k, n = 600, 196, 128, 4, 820
+    rng = np.random.default_rng(2)
+    net = _network(rng, n_in=n_in, hidden=hidden, k=k, n_nodes=n, classes=10)
+    x = rng.uniform(-1.0, 1.0, size=(b, n_in))
+    net.forward(x, "hp", training=False)  # the caches of any earlier forward
+    counted = 8 * (b * n_in + 2 * b * hidden
+                   + 2 * b * (hidden + 1) + 2**k * n + 2 * b * hidden
+                   + b * hidden)
+    tracemalloc.start()
+    try:
+        net.forward(x, "hp", training=False)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < counted + b * n * 8 // 2

@@ -418,7 +418,7 @@ def train_phase_ref(net, train_ds, test, *, mode, epochs, lr, cfg, rng, log, pha
             loss, dlogits = softmax_xent(logits, train_ds.labels[idx])
             assert math.isfinite(loss)
             net.backward(dlogits)
-            net.step(lr, train.MOMENTUM)
+            net.step(lr)
         log.add(phase, epoch, evaluate(net, train_eval, mode), evaluate(net, test, mode))
 
 
