@@ -8,6 +8,7 @@ stage out of order is a hard error naming the current and required phase.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -165,14 +166,17 @@ def cmd_simulate(args) -> None:
     with open(args.netlist) as f:
         nl = parse_verilog(f.read())
     x = np.loadtxt(args.inputs, ndmin=2)
+    bad = np.argwhere(np.abs(x) != 1)
+    if len(bad):  # before the int64 cast, which would truncate 1.5 to 1
+        row, col = bad[0]
+        raise ValueError(f"{args.inputs} row {row + 1} holds {x[row, col]:g}, not +/-1; "
+                         "write every input as 1 or -1")
     res = simulate(nl, x.astype(np.int64))
     names = sorted(res)
-    out = sys.stdout if not args.out else open(args.out, "w")
-    print("\t".join(names), file=out)
-    for row in range(x.shape[0]):
-        print("\t".join(str(int(res[n][row])) for n in names), file=out)
-    if args.out:
-        out.close()
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        print("\t".join(names), file=out)
+        for row in range(x.shape[0]):
+            print("\t".join(str(int(res[n][row])) for n in names), file=out)
 
 
 def cmd_report(args) -> None:

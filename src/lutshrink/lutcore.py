@@ -173,13 +173,13 @@ class _Fanin:
         for wx, slabs in zip(w, out):
             for j in range(self.m):
                 # mode="clip" writes straight into out; the default buffers it
-                np.take(wx, self.inputs[:, j], axis=1, out=slabs[j], mode="clip")
+                wx.take(self.inputs[:, j], axis=1, out=slabs[j], mode="clip")
         return out
 
     def columns(self, a: np.ndarray) -> np.ndarray:
         """The group's columns of a (B, N) array, C-contiguous (a[:, rows]
         would lay them out transposed)."""
-        return a if self.rows is None else np.take(a, self.rows, axis=1)
+        return a if self.rows is None else a.take(self.rows, axis=1)
 
     def table(self, table: np.ndarray) -> np.ndarray:
         """The group's own (2^m, N_g) table."""
@@ -317,7 +317,7 @@ class CornerBatch:
         """LUT outputs f[b, n]; shape (B, N). At corners this is the table
         entry itself, in the table's dtype."""
         if self.flat is not None:
-            return np.take(table, self.flat)
+            return table.take(self.flat)
         tables = [g.table(table) for g in self.groups]
         f = np.empty((self.b, len(self.inputs)))
         for r, slabs in self._block_slabs():
@@ -384,7 +384,7 @@ class CornerBatch:
             flat, dfr = self.flat[r], df[r]
             terms = dx.terms(len(dfr)).reshape(len(dfr), n, self.k)
             for j, slope in enumerate(slopes):
-                terms[:, :, j] = np.take(slope, flat) * 0.5 * dfr
+                terms[:, :, j] = slope.take(flat) * 0.5 * dfr
             dx.add(r, terms)
         return dtable, dx.dx
 

@@ -113,7 +113,7 @@ def _activate(layer, s: np.ndarray, mode: str, stats: str) -> np.ndarray:
         return s * layer.alpha
     h = layer.bn.forward(s, stats)
     layer._cache_h = h
-    return np.clip(h, -1.0, 1.0) if mode == "hp" else sign_pm1(h)
+    return h.clip(-1.0, 1.0) if mode == "hp" else sign_pm1(h)
 
 
 def _sum_grad(layer, dout: np.ndarray) -> np.ndarray:
@@ -158,33 +158,49 @@ class BatchNorm:
         self._v_beta = np.zeros(n)
 
     def forward(self, s: np.ndarray, stats: str) -> np.ndarray:
-        """Batch norm by the "batch", "running" or "refresh" statistics."""
+        """Batch norm by the "batch", "running" or "refresh" statistics.
+
+        The batch mean and variance are the operations ``ndarray.mean`` and
+        ``ndarray.var`` run (one column sum divided by B, then the sum of
+        the squared deviations divided by B), with the deviations from the
+        mean computed once and scaled in place into ``xhat``."""
         s = np.asarray(s, dtype=np.float64)
         if stats != "running":
-            mu = s.mean(axis=0)
-            var = s.var(axis=0)
+            b = len(s)
+            mu = np.add.reduce(s, 0) / b
+            d = s - mu
+            var = np.add.reduce(d * d, 0) / b
             m = BN_MOMENTUM
             self.running_mean = (1 - m) * self.running_mean + m * mu
             self.running_var = (1 - m) * self.running_var + m * var
         if stats != "batch":
             mu, var = self.running_mean, self.running_var
+            d = s - mu
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (s - mu) * inv_std
-        self._cache = (xhat, inv_std)
-        return self.gamma * xhat + self.beta
+        d *= inv_std  # xhat
+        self._cache = (d, inv_std)
+        y = d * self.gamma
+        y += self.beta
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        """Gradient through the last forward, which must be a "batch" one."""
+        """Gradient through the last forward, which must be a "batch" one:
+        inv_std / B * (B * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
+        with dxhat = dy * gamma, composed in place in that order."""
         xhat, inv_std = self._cache
-        self.dgamma += (dy * xhat).sum(axis=0)
-        self.dbeta += dy.sum(axis=0)
-        dxhat = dy * self.gamma
-        b = dy.shape[0]
-        return (
-            inv_std
-            / b
-            * (b * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
-        )
+        t = dy * xhat
+        self.dgamma += np.add.reduce(t, 0)
+        self.dbeta += np.add.reduce(dy, 0)
+        dx = dy * self.gamma  # dxhat
+        b = len(dy)
+        sum_dxhat = np.add.reduce(dx, 0)
+        np.multiply(dx, xhat, out=t)
+        np.multiply(xhat, np.add.reduce(t, 0), out=t)
+        dx *= b
+        dx -= sum_dxhat
+        dx -= t
+        dx *= inv_std / b
+        return dx
 
     def fold_thresholds(self) -> np.ndarray:
         """Integer tau per unit: activation is +1 iff integer sum >= tau."""
@@ -323,14 +339,15 @@ class LutLayer(_Layer):
         return len(self.channel)
 
     def set_pruned(self, pruned: np.ndarray) -> None:
-        """Record the severed inputs, and group the rows by their severed
-        pattern, with one averaging operator V per group."""
+        """Record the severed inputs, and group the rows that sever any by
+        their severed pattern, with one averaging operator V per group (the
+        rows that sever none keep V = I and are left out)."""
         if not np.all(pruned[self.pruned]):
             raise ModelError("severed LUT inputs cannot be revived")
         self.pruned = pruned.astype(bool)
         pats = (self.pruned.astype(np.int64) * (1 << np.arange(self.k))).sum(axis=1)
         self._groups = []
-        for pat in np.unique(pats):
+        for pat in np.unique(pats[pats != 0]):
             pos = [i for i in range(self.k) if (pat >> i) & 1]
             self._groups.append((np.nonzero(pats == pat)[0],
                                  compose_transforms(self.k, pos)))
@@ -343,7 +360,9 @@ class LutLayer(_Layer):
         return a
 
     def effective_masks(self) -> np.ndarray:
-        return self._transform(self.masks.copy())
+        # + 0.0 copies and turns -0.0 into +0.0, as the product with the
+        # identity V of an unsevered row would
+        return self._transform(self.masks + 0.0)
 
     def salience(self) -> np.ndarray:
         return salience_rows(self.effective_masks(), self.k)
@@ -361,7 +380,7 @@ class LutLayer(_Layer):
 
     def backward(self, dout: np.ndarray, need_dx: bool) -> np.ndarray | None:
         # each LUT feeds one channel: its gradient is that channel's
-        df = np.take(_sum_grad(self, dout), self.channel, axis=1)  # (B, N)
+        df = _sum_grad(self, dout).take(self.channel, axis=1)  # (B, N)
         batch, table = self._cache_lut
         dtable, dx = batch.backward(table, df, need_dx)
         self.dmasks += self._transform(np.ascontiguousarray(dtable.T))
@@ -404,7 +423,7 @@ class Network:
 
     def forward(self, x: np.ndarray, mode: str, training: bool) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        x = sign_pm1(x) if mode == "bin" else np.clip(x, -1.0, 1.0)
+        x = sign_pm1(x) if mode == "bin" else x.clip(-1.0, 1.0)
         for lay in self.layers:
             x = lay.forward(x, mode, "batch" if training else "running")
         return x
@@ -437,7 +456,12 @@ class Network:
         return np.argmax(self.infer_bin(x), axis=1)
 
     def recalibrate(self, x: np.ndarray) -> None:
-        """Refresh batch-norm running stats under binarized forward."""
+        """Refresh batch-norm running stats under binarized forward.
+
+        Each of at most RECALIBRATE_PASSES batches of RECALIBRATE_BATCH
+        samples is folded in once, at BN_MOMENTUM, so the running stats
+        move 1 - (1 - BN_MOMENTUM)^batches of the way toward the binarized
+        batch statistics: 10% for 256 samples (one batch), 27% for 600."""
         n = min(len(x), RECALIBRATE_PASSES * RECALIBRATE_BATCH)
         for lo in range(0, n, RECALIBRATE_BATCH):
             h = sign_pm1(np.asarray(x[lo : lo + RECALIBRATE_BATCH], dtype=np.float64))
@@ -446,12 +470,14 @@ class Network:
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy and its gradient with respect to the logits."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
+    """Mean cross-entropy and its gradient with respect to the logits. The
+    gradient is built in place in one fresh array; ``logits`` is unchanged."""
+    p = logits - np.maximum.reduce(logits, 1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, 1, keepdims=True)
     b = len(labels)
-    loss = -np.log(np.maximum(p[np.arange(b), labels], 1e-30)).mean()
-    grad = p.copy()
-    grad[np.arange(b), labels] -= 1.0
-    return loss, grad / b
+    rows = np.arange(b)
+    loss = -(np.add.reduce(np.log(np.maximum(p[rows, labels], 1e-30))) / b)
+    p[rows, labels] -= 1.0
+    p /= b
+    return loss, p

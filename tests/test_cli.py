@@ -98,6 +98,34 @@ def test_simulate_command(pipeline_dir, tmp_path, capsys):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("row, value", [("1.5 -1.7", "1.5"), ("0.5 1", "0.5")],
+                         ids=["truncates-to-pm1", "truncates-to-0"])
+def test_simulate_refuses_a_fractional_input(pipeline_dir, tmp_path, capsys, row, value):
+    """A value other than +/-1 is refused before the int64 cast, which
+    would turn 1.5 -1.7 into 1 -1 and simulate it; the line names the
+    1-based row, the value and the remedy."""
+    vecs = tmp_path / "vecs.txt"
+    vecs.write_text(f"1 -1\n{row}\n")
+    out = tmp_path / "scores.tsv"
+    assert main(["simulate", os.path.join(pipeline_dir, "netlist.v"),
+                 "--inputs", str(vecs), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {vecs} row 2 holds {value}, not +/-1; "
+                            "write every input as 1 or -1\n")
+    assert not out.exists()
+
+
+def test_simulate_writes_out(pipeline_dir, tmp_path, capsys):
+    vecs, out = tmp_path / "vecs.txt", tmp_path / "scores.tsv"
+    vecs.write_text("1 1\n-1 1\n")
+    assert main(["simulate", os.path.join(pipeline_dir, "netlist.v"),
+                 "--inputs", str(vecs), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    lines = out.read_text().splitlines()
+    assert lines[0] == "score_0\tscore_1" and len(lines) == 3
+
+
 def test_phase_order_enforced(pipeline_dir, tmp_path, capsys):
     ckpt = os.path.join(pipeline_dir, "checkpoint.json")
     # checkpoint is at 'final'; expand requires 'trained'

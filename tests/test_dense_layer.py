@@ -7,7 +7,10 @@ both. Every output, ``dx``, ``dshadow`` and the shadows after ``step`` must
 agree to the byte: a stale cache would show as a difference after an update
 or a reassignment. ``BatchNorm.step``, which now runs in place through the
 same momentum helper as the layers, is checked against its frozen
-out-of-place form.
+out-of-place form. ``BatchNorm.forward`` and ``backward``, which now reduce
+the batch once and compose their results in place, are checked against
+their frozen ``ndarray.mean``/``ndarray.var`` form (``FrozenBatchNorm``),
+which ``FrozenDense`` uses.
 """
 
 import copy
@@ -15,11 +18,14 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lutshrink import checkpoint
 from lutshrink.model import (
+    BN_EPS,
+    BN_MOMENTUM,
     GAMMA_MIN,
     MOMENTUM,
     BatchNorm,
@@ -30,6 +36,47 @@ from lutshrink.model import (
     _sum_grad,
 )
 from lutshrink.train import TrainConfig
+
+
+class FrozenBatchNorm(BatchNorm):
+    """BatchNorm with the forward and backward it had before they reduced
+    the batch once and worked in place (frozen; do not optimize)."""
+
+    def forward(self, s, stats):
+        s = np.asarray(s, dtype=np.float64)
+        if stats != "running":
+            mu = s.mean(axis=0)
+            var = s.var(axis=0)
+            m = BN_MOMENTUM
+            self.running_mean = (1 - m) * self.running_mean + m * mu
+            self.running_var = (1 - m) * self.running_var + m * var
+        if stats != "batch":
+            mu, var = self.running_mean, self.running_var
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = (s - mu) * inv_std
+        self._cache = (xhat, inv_std)
+        return self.gamma * xhat + self.beta
+
+    def backward(self, dy):
+        xhat, inv_std = self._cache
+        self.dgamma += (dy * xhat).sum(axis=0)
+        self.dbeta += dy.sum(axis=0)
+        dxhat = dy * self.gamma
+        b = dy.shape[0]
+        return (
+            inv_std
+            / b
+            * (b * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+        )
+
+
+def frozen_bn(bn):
+    """A FrozenBatchNorm with bn's parameters, statistics and gradients."""
+    if bn is None:
+        return None
+    ref = FrozenBatchNorm(len(bn.gamma))
+    ref.__dict__.update(copy.deepcopy(bn.__dict__))
+    return ref
 
 
 class FrozenDense:
@@ -46,7 +93,7 @@ class FrozenDense:
         self.name, self.n_in, self.n_out = lay.name, lay.n_in, lay.n_out
         self.is_output, self.alpha = lay.is_output, lay.alpha
         self.shadow, self.alive = lay.shadow.copy(), lay.alive.copy()
-        self.bn = copy.deepcopy(lay.bn)
+        self.bn = frozen_bn(lay.bn)
         self.dshadow = np.zeros_like(self.shadow)
         self._v_shadow = np.zeros_like(self.shadow)
 
@@ -81,7 +128,7 @@ class FrozenDense:
         self.dshadow = np.zeros_like(self.shadow)
         self._v_shadow = np.zeros_like(self.shadow)
         if self.bn is not None:
-            bn = BatchNorm(self.n_out)
+            bn = FrozenBatchNorm(self.n_out)
             for f in ("gamma", "beta", "running_mean", "running_var"):
                 setattr(bn, f, getattr(self.bn, f).copy())
             self.bn = bn
@@ -221,3 +268,47 @@ def test_batchnorm_step_matches_frozen_out_of_place_step():
             same_bytes(getattr(bn, f), getattr(ref, f))
         clamped += int(np.sum(bn.gamma == GAMMA_MIN))
     assert clamped > 0 and np.abs(bn.beta).max() > 1.0
+
+
+BN_UNITS = 11
+
+
+def bn_sums(rng, b, constant):
+    """(b, BN_UNITS) integer sums, as a binarized layer feeds its batch
+    norm, with real ones in the last units, as a high-precision one feeds
+    it; with ``constant``, every third unit holds one value over the whole
+    batch."""
+    s = rng.integers(-40, 41, size=(b, BN_UNITS)).astype(np.float64)
+    s[:, -3:] = rng.standard_normal((b, 3)) * 7.0 + 1.5
+    if constant:
+        s[:, ::3] = rng.integers(-40, 41, size=BN_UNITS)[::3]
+    return s
+
+
+@pytest.mark.parametrize("constant", [False, True], ids=["varied", "constant-columns"])
+@pytest.mark.parametrize("b", [1, 2, 7, 128])
+def test_batch_norm_matches_frozen_batch_norm(b, constant):
+    """Outputs, dx, dgamma, dbeta and the running statistics agree to the
+    byte with the frozen form in every statistics mode, and neither pass
+    writes to its input."""
+    rng = np.random.default_rng(1000 * b + constant)
+    live = BatchNorm(BN_UNITS)
+    live.gamma = rng.uniform(GAMMA_MIN, 2.0, BN_UNITS)
+    live.beta = rng.standard_normal(BN_UNITS)
+    live.running_mean = rng.standard_normal(BN_UNITS) * 5.0
+    live.running_var = rng.uniform(0.0, 9.0, BN_UNITS)
+    ref = frozen_bn(live)
+    for stats in ["batch", "running", "refresh", "batch", "batch", "refresh", "running"]:
+        s = bn_sums(rng, b, constant)
+        seen = s.copy()
+        same_bytes(live.forward(s, stats), ref.forward(s.copy(), stats))
+        same_bytes(s, seen)
+        for f in ("running_mean", "running_var"):
+            same_bytes(getattr(live, f), getattr(ref, f))
+        if stats == "batch":
+            dy = rng.standard_normal((b, BN_UNITS))
+            seen = dy.copy()
+            same_bytes(live.backward(dy), ref.backward(dy.copy()))
+            same_bytes(dy, seen)
+            same_bytes(live.dgamma, ref.dgamma)
+            same_bytes(live.dbeta, ref.dbeta)

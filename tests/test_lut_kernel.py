@@ -26,6 +26,7 @@ from hypothesis.extra.numpy import arrays
 from lutshrink import checkpoint, lutcore
 from lutshrink.lutcore import CornerBatch, _halve
 from lutshrink.model import BatchNorm, DenseLayer, LutLayer, Network, sign_pm1
+from lutshrink.shrink import compose_transforms
 from lutshrink.train import TrainConfig
 
 
@@ -183,6 +184,53 @@ def _round_trip(lay):
         checkpoint.save(path, Network(layers), TrainConfig(k=lay.k), "shrunk",
                         np.random.default_rng(0))
         return checkpoint.load(path)[0].layers[0]
+
+
+def product_form(a, pruned, k):
+    """The severance transform as every row's a @ V, the identity V of a row
+    that severs nothing included (frozen; do not optimize)."""
+    out = a.copy()
+    pats = (pruned.astype(np.int64) << np.arange(k)).sum(axis=1)
+    for pat in np.unique(pats):
+        rows = np.nonzero(pats == pat)[0]
+        out[rows] = a[rows] @ compose_transforms(k, [i for i in range(k) if (pat >> i) & 1])
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_transform_matches_the_product_form(k):
+    """``effective_masks()`` and the table gradient ``backward`` adds to
+    ``dmasks`` equal the a[rows] @ V form to the byte, zero signs included,
+    though the rows that sever no input skip the product with the identity
+    V. Raw masks can hold -0.0 (a caller's, or a checkpoint's), which that
+    product turns into +0.0; a table gradient holds none, since its entries
+    are sums, which numpy starts at +0.0."""
+    rng = np.random.default_rng(k)
+    inputs = np.stack([rng.choice(N_IN, size=k, replace=False) for _ in range(N_NODES)])
+    masks = rng.uniform(-1.0, 1.0, size=(N_NODES, 2**k))
+    pick = rng.random(masks.shape)
+    masks[pick < 0.2] = -0.0
+    masks[(pick >= 0.2) & (pick < 0.3)] = 0.0
+    pruned = rng.random((N_NODES, k)) < 0.3
+    pruned[:5], pruned[5] = False, True  # rows that sever nothing, and all
+    lay = LutLayer(N_IN, N_OUT, None, "l", inputs=inputs, masks=masks, pruned=pruned,
+                   channel=np.sort(rng.integers(0, N_OUT, size=N_NODES)))
+    assert np.any(np.signbit(lay.masks[:5]) & (lay.masks[:5] == 0.0))
+    want = product_form(lay.masks, lay.pruned, k)
+    assert not np.any(np.signbit(want[:5]) & (want[:5] == 0.0))
+    assert lay.effective_masks().tobytes() == want.tobytes()
+
+    x = rng.uniform(-1.0, 1.0, size=(7, N_IN))
+    x[:, ::2] = sign_pm1(x[:, ::2])  # corner weights of exactly 0
+    dout = rng.standard_normal((7, N_OUT))
+    lay.forward(x, "hp", "batch")
+    batch, table = lay._cache_lut
+    df = (dout * lay.alpha).take(lay.channel, axis=1)
+    dtable = np.ascontiguousarray(batch.backward(table, df, need_dx=False)[0].T)
+    lay.backward(dout, need_dx=False)
+    want = np.zeros_like(lay.masks)
+    want += product_form(dtable, lay.pruned, k)
+    assert lay.dmasks.tobytes() == want.tobytes()
 
 
 MASK_OPS = st.lists(st.one_of(

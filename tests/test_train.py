@@ -93,6 +93,39 @@ def _loss(net, x, y):
     return loss
 
 
+def frozen_softmax_xent(logits, labels):
+    """softmax_xent before its reductions were called directly and its
+    gradient built in place (frozen; do not optimize)."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=1, keepdims=True)
+    b = len(labels)
+    loss = -np.log(np.maximum(p[np.arange(b), labels], 1e-30)).mean()
+    grad = p.copy()
+    grad[np.arange(b), labels] -= 1.0
+    return loss, grad / b
+
+
+@pytest.mark.parametrize("classes", [2, 10, 13])
+@pytest.mark.parametrize("b", [1, 2, 7, 128])
+def test_softmax_xent_matches_frozen_form(b, classes):
+    """Loss and gradient agree to the byte with the frozen form, on logits
+    that tie, that saturate a probability to 0 (the 1e-30 floor) and that
+    are ordinary; the caller's logits are unchanged."""
+    rng = np.random.default_rng(100 * b + classes)
+    for scale in (0.0, 1.0, 30.0, 2000.0):
+        logits = rng.standard_normal((b, classes)) * scale
+        labels = rng.integers(0, classes, size=b)
+        seen = logits.copy()
+        loss, grad = softmax_xent(logits, labels)
+        want_loss, want_grad = frozen_softmax_xent(logits.copy(), labels)
+        assert logits.tobytes() == seen.tobytes()
+        assert type(loss) is type(want_loss)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.dtype == want_grad.dtype and grad.shape == want_grad.shape
+        assert grad.tobytes() == want_grad.tobytes()
+
+
 def test_lut_layer_backward_matches_finite_differences():
     rng = np.random.default_rng(42)
     net = _manual_lut_net(rng)
