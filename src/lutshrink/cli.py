@@ -154,7 +154,7 @@ def cmd_export(args) -> None:
     if mismatches:
         raise RuntimeError(
             f"netlist/model mismatch on {mismatches} of {len(x)} samples")
-    print(f"wrote {v_path}")
+    print(f"wrote {v_path} ({os.path.getsize(v_path)} bytes)")
 
 
 def cmd_simulate(args) -> None:

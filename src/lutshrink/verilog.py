@@ -2,18 +2,30 @@
 
 Encoding: a wire bit 1 means +1 and 0 means -1. Truth-table nodes become
 sum-of-products assigns (minterms in index order, no two-level
-minimization). Accumulations become balanced binary adder trees over signed
-literals of width ceil(log2(range))+1, thresholds become signed compares.
-Emission order is the netlist's topological order, so output text is
-byte-stable for a given netlist.
+minimization), thresholds become signed compares. A sum of +/-1 terms plus
+an offset is written as two popcounts over its 1-bit wires,
+``((p0 + p1 - (q0 + q1)) <<< 1) + C``: each term s * (2 b - 1) adds 2 b to
+the sum when s = +1 and takes 2 b from it when s = -1, so with P and N the
+counts of true bits among the positive and negative terms the sum is
+2 (P - N) + C, with C = offset - |positive| + |negative|. An empty popcount
+is written ``1'b0``, and no bit is inverted inside the arithmetic. Each sum
+is declared signed at width max(1, floor(log2(terms + |offset|))) + 2, and C
+is one signed literal of that width. Emission order is the netlist's topological
+order, so output text is byte-stable for a given netlist.
 
 The parser understands exactly this subset; it exists so emitted text can be
 re-simulated and checked for equivalence without any vendor tool. It reads
-literals as a Verilog tool does: ``W'sdV`` is V truncated to W bits and
-sign-extended, before any unary minus, and each sum keeps its declared
-width, at which the simulator wraps it. The emitter refuses a literal whose
-magnitude does not fit its signed width. A sum is split on its leaves, and
-the text between them must reduce to one leaf.
+the text as a Verilog tool does (IEEE 1364-2005, 5.4 and 5.5). A literal
+``W'sdV`` is V truncated to W bits and sign-extended, before any unary
+minus. In a sum, three width rules apply: each 1-bit unsigned operand
+extends to the context width, the sum's declared width; one unsigned
+operand makes the whole expression unsigned, so C must be at exactly that
+width, or it would be zero-extended; and the result wraps at the declared
+width, at which the simulator wraps it. So the parser refuses a C of
+another width, and ``~w`` inside a sum, which a tool reads as -1 - w. It
+gives back each sum's terms as a multiset, the positive ones first: the
+text does not keep the order in which they were interleaved. The emitter
+refuses a literal whose magnitude does not fit its signed width.
 """
 
 from __future__ import annotations
@@ -52,13 +64,6 @@ def _lut_expr(node: Node, names: dict[int, str]) -> str:
     return " | ".join(minterms)
 
 
-def _tree(leaves: list[str]) -> str:
-    if len(leaves) == 1:
-        return leaves[0]
-    mid = (len(leaves) + 1) // 2
-    return f"({_tree(leaves[:mid])} + {_tree(leaves[mid:])})"
-
-
 def _lit(value: int, width: int, name: str) -> str:
     """``value`` as a signed literal of ``width`` bits, written as a minus
     and a magnitude; the magnitude must read back as itself at that width."""
@@ -73,14 +78,14 @@ def _decl(node: Node) -> str:
     return f"wire signed [{_sum_width(node) - 1}:0]" if node.kind == "sum" else "wire"
 
 
+_ZERO = "1'b0"  # an empty popcount
+
+
 def _sum_expr(node: Node, names: dict[int, str]) -> str:
-    width = _sum_width(node)
-    one = _lit(1, width, _wire(node.id))
-    branches = {1: f"{one} : -{one}", -1: f"-{one} : {one}"}  # by term sign
-    leaves = [f"({names[wid]} ? {branches[sign]})" for wid, sign in node.terms]
-    if node.offset or not leaves:
-        leaves.append(_lit(node.offset, width, _wire(node.id)))
-    return _tree(leaves)
+    pos = [names[wid] for wid, sign in node.terms if sign > 0]
+    neg = [names[wid] for wid, sign in node.terms if sign < 0]
+    c = _lit(node.offset - len(pos) + len(neg), _sum_width(node), _wire(node.id))
+    return f"(({' + '.join(pos) or _ZERO} - ({' + '.join(neg) or _ZERO})) <<< 1) + {c}"
 
 
 def emit_verilog(nl: Netlist, top_name: str = "top") -> str:
@@ -129,10 +134,11 @@ def emit_verilog(nl: Netlist, top_name: str = "top") -> str:
 _LIT = r"-?[1-9]\d*'sd\d+"
 _RE_CONST = re.compile(r"^1'b([01])$")
 _RE_TH = re.compile(rf"^\((\w+) >= ({_LIT})\)$")
-_RE_LUT_LIT = re.compile(r"^~?(?:n\d+|in\[\d+\])$")
-_RE_LIT = re.compile(_LIT)
-# a sum leaf: a term (w ? a : b), captured as w and "a : b", or a literal
-_RE_SUM_LEAF = re.compile(rf"\((\w+(?:\[\d+\])?) \? ({_LIT} : {_LIT})\)|({_LIT})")
+_BIT = r"(?:n\d+|in\[\d+\])"
+_RE_LUT_LIT = re.compile(rf"^~?{_BIT}$")
+# a sum: two popcounts, each 1'b0 or a chain of bit wires, and one literal
+_CHAIN = rf"1'b0|{_BIT}(?: \+ {_BIT})*"
+_RE_SUM = re.compile(rf"\(\(({_CHAIN}) - \(({_CHAIN})\)\) <<< 1\) \+ ({_LIT})")
 _RE_SIGNED_WIRE = re.compile(r"wire signed \[(\d+):0\] (\w+);")
 
 
@@ -150,35 +156,27 @@ def _lit_value(lit: str) -> tuple[int, int]:
     return (-value if lit[0] == "-" else value), int(width)
 
 
-def _parse_sum(expr: str):
-    """Balanced adder tree -> (terms, offset), terms in left-to-right leaf
-    order.
-
-    Grammar: ``e := leaf | "(" e ")" | "(" e " + " e ")"``. A leaf is a
-    literal, or ``(w ? a : b)``: the term +w when a = 1 and b = -1, -w when
-    a = -1 and b = 1. The expression is split on its leaves, and what lies
-    between them must reduce to one leaf ``L`` by rewriting ``(L + L)`` and
-    ``(L)`` to ``L``.
-    """
-    parts = _RE_SUM_LEAF.split(expr)
-    skeleton = "L".join(parts[::4])
-    # an "L" in the text itself would pass for a leaf
-    ok = skeleton.count("L") == len(parts) // 4
-    while ok and skeleton != "L":
-        reduced = skeleton.replace("(L + L)", "L").replace("(L)", "L")
-        ok, skeleton = reduced != skeleton, reduced
-    if not ok:
-        raise NetlistError(f"cannot parse sum expression: {expr!r}")
-    wires, branches, lits = parts[1::4], parts[2::4], parts[3::4]
-    sign_of = {}  # the sign of each distinct "a : b"
-    for ab in set(filter(None, branches)):
-        a, _, b = ab.partition(" : ")
-        sign = _lit_value(a)[0]
-        if sign not in (1, -1) or _lit_value(b)[0] != -sign:
-            raise NetlistError(f"cannot parse sum expression: {expr!r}")
-        sign_of[ab] = sign
-    terms = list(zip(filter(None, wires), map(sign_of.__getitem__, filter(None, branches))))
-    return terms, sum(_lit_value(lit)[0] for lit in filter(None, lits))
+def _parse_sum(lhs: str, expr: str, widths: dict[str, int], by_name: dict[str, int]):
+    """Two popcounts -> (terms, offset), the positive terms first. The
+    literal must be at the sum's declared width, and every operand a 1-bit
+    wire."""
+    m = _RE_SUM.fullmatch(expr)
+    if not m:
+        hint = ("; Verilog reads ~w in a sum as -1 - w, so write w in the other "
+                "popcount" if "~" in expr else "")
+        raise NetlistError(f"sum {lhs}: cannot parse {expr!r}, expected "
+                           f"((a + b - (c + d)) <<< 1) + C over 1-bit wires{hint}")
+    c, width = _lit_value(m[3])
+    if width != widths[lhs]:
+        raise NetlistError(f"sum {lhs}: literal {m[3]} is not at the sum's "
+                           f"declared width {widths[lhs]}")
+    pos, neg = ([] if side == _ZERO else side.split(" + ") for side in m.group(1, 2))
+    names = pos + neg
+    if not widths.keys().isdisjoint(names):
+        wide = min(widths.keys() & names)
+        raise NetlistError(f"sum {lhs}: operand {wide} is not a 1-bit wire")
+    signs = [1] * len(pos) + [-1] * len(neg)
+    return list(zip(map(by_name.__getitem__, names), signs)), c + len(pos) - len(neg)
 
 
 def _parse_lut(lhs: str, expr: str):
@@ -242,11 +240,10 @@ def parse_verilog(text: str) -> Netlist:
             if src.width:  # the compare runs at the wider of the two widths
                 tau = _wrap(tau, max(w, src.width))
             nid = nl.add("th", src=src.id, tau=tau).id
-        elif "?" in rhs or _RE_LIT.search(rhs):
+        elif lhs in widths or "'sd" in rhs:
             if lhs not in widths:
                 raise NetlistError(f"sum {lhs} has no signed width declaration")
-            terms, offset = _parse_sum(rhs)
-            terms = [(by_name[n], s) for n, s in terms]
+            terms, offset = _parse_sum(lhs, rhs, widths, by_name)
             nid = nl.add("sum", terms=terms, offset=offset, width=widths[lhs]).id
         else:
             fanin, bits = _parse_lut(lhs, rhs)

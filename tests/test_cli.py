@@ -53,6 +53,14 @@ def test_export_counts_multi_input_luts(pipeline_dir, tmp_path, capsys):
                             "simplify; the netlist is a pruned XNOR/popcount network\n")
 
 
+def test_export_prints_the_verilog_size(pipeline_dir, tmp_path, capsys):
+    ckpt = os.path.join(pipeline_dir, "checkpoint.json")
+    assert main(["export", ckpt, "--out", str(tmp_path)]) == 0
+    v_path = tmp_path / "netlist.v"
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"wrote {v_path} ({len(v_path.read_bytes())} bytes)")
+
+
 def test_report_checkpoint(pipeline_dir, capsys):
     assert main(["report", os.path.join(pipeline_dir, "checkpoint.json")]) == 0
     out = capsys.readouterr().out

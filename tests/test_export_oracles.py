@@ -1,20 +1,24 @@
 """The export path against frozen copies of the code it replaced.
 
-``simulate`` (levelized, float32 BLAS), ``simplify`` (one topological pass)
-and ``_parse_sum`` (split on leaves, reduce the skeleton) are checked against
-the node-by-node simulator, the fixpoint loop of simplification passes and
-the token-by-token sum parser they replaced. The oracles below are copies
-of that code and must not be edited to follow the library. The fixpoint
+``simulate`` (levelized, float32 BLAS) and ``simplify`` (one topological
+pass) are checked against the node-by-node simulator and the fixpoint loop
+of simplification passes they replaced. The oracles below are copies of
+that code and must not be edited to follow the library. The fixpoint
 oracle adds one step the old passes did not have: folding thresholds that
 their sum cannot reach, the rule ``simplify`` now applies. It is written
 here on its own, so the old passes stay verbatim. The table helpers the
 old passes called (``table_view``, ``_cofactor``, ``_flip_axis``, the wire
 and inverter tests, the fan-in merge) are frozen here too, and
 ``lutcore.rewire`` and ``project`` are checked against them.
+
+Sums are emitted as two popcounts, ``((P - N) <<< 1) + C``. The text keeps
+which terms are positive and which negative, not how they were interleaved,
+so the parser is checked against the netlist the text was emitted from,
+with terms compared as multisets, and against values worked out by hand as
+a Verilog tool computes them.
 """
 
 import itertools
-import re
 
 import numpy as np
 import pytest
@@ -30,9 +34,10 @@ from lutshrink.netlist import (
     simplify,
     simulate,
 )
-from lutshrink.verilog import _parse_sum, emit_verilog, parse_verilog
+from lutshrink.verilog import emit_verilog, parse_verilog
 
-from test_netlist import all_patterns, netlist_state, random_netlist, sum_netlist
+from test_netlist import (all_patterns, netlist_state, random_netlist, sum_netlist,
+                          sums_by_position)
 
 # -- frozen oracles -----------------------------------------------------------
 
@@ -264,55 +269,6 @@ def oracle_simplify(nl: Netlist) -> tuple[Netlist, bool]:
     return nl, folded
 
 
-_ORACLE_SUM_TOKEN = re.compile(
-    r"\s*(?:"
-    r"\(\s*(?P<cond>\w+(?:\[\d+\])?)\s*\?\s*(?P<a>-?\d+'sd\d+)\s*:"
-    r"\s*(?P<b>-?\d+'sd\d+)\s*\)"
-    r"|(?P<lit>-?\d+'sd\d+)"
-    r"|(?P<op>[()+])"
-    r"|(?P<bad>\S)"
-    r")"
-)
-
-
-def _oracle_lit_value(lit: str) -> int:
-    value = int(lit.partition("'sd")[2])
-    return -value if lit[0] == "-" else value
-
-
-def oracle_parse_sum(expr: str):
-    terms: list[tuple[str, int]] = []
-    offset = 0
-    open_: list[bool] = []
-    want_operand = True
-    for cond, a, b, lit, op, _bad in _ORACLE_SUM_TOKEN.findall(expr):
-        if want_operand:
-            if cond:
-                sign = _oracle_lit_value(a)
-                if sign not in (1, -1) or _oracle_lit_value(b) != -sign:
-                    break
-                terms.append((cond, sign))
-            elif lit:
-                offset += _oracle_lit_value(lit)
-            elif op == "(":
-                open_.append(False)
-                continue
-            else:
-                break
-            want_operand = False
-        elif op == "+" and open_ and not open_[-1]:
-            open_[-1] = True
-            want_operand = True
-        elif op == ")" and open_:
-            open_.pop()
-        else:
-            break
-    else:
-        if not want_operand and not open_:
-            return terms, offset
-    raise NetlistError(f"cannot parse sum expression: {expr!r}")
-
-
 # -- table rewiring ----------------------------------------------------------
 
 
@@ -470,20 +426,56 @@ def test_simplify_rejects_a_node_that_reads_a_later_node():
 # -- parser and literals ------------------------------------------------------
 
 
-def emitted_sums(text: str) -> list[str]:
-    return [rhs for rhs in re.findall(r"assign \S+ = (.+);", text) if "?" in rhs
-            or re.fullmatch(r"-?\d+'sd\d+", rhs)]
+def test_parse_gives_back_emitted_sums_as_multisets():
+    nets = [simplify(random_netlist(np.random.default_rng(seed))) for seed in range(100)]
+    want = list(map(sums_by_position, nets))
+    assert sum(map(len, want)) > 250
+    for nl, sums in zip(nets, want):
+        assert sums_by_position(parse_verilog(emit_verilog(nl))) == sums
 
 
-def test_parse_sum_matches_frozen_parser_on_emitted_sums():
-    texts = [emit_verilog(simplify(random_netlist(np.random.default_rng(seed))))
-             for seed in range(100)]
-    texts += [emit_verilog(sum_netlist(n, offset, seed=n))
-              for n in (1, 2, 3, 196, 1000) for offset in (-5, 0, 3)]
-    exprs = [e for text in texts for e in emitted_sums(text)]
-    assert len(exprs) > 250 and any(e.count("?") == 1000 for e in exprs)
-    for expr in exprs:
-        assert _parse_sum(expr) == oracle_parse_sum(expr), expr
+def popcount_netlist(pos: list[int], neg: list[int], offset: int) -> Netlist:
+    """One score sum of +in[i] for i in pos and -in[i] for i in neg."""
+    nl = Netlist(n_inputs=4)
+    for i in range(4):
+        nl.add("input", pos=i)
+    s = nl.add("sum", terms=[(i, 1) for i in pos] + [(i, -1) for i in neg], offset=offset)
+    nl.outputs.append(nl.add("out", src=s.id, name="score_0").id)
+    return nl
+
+
+def spellings(lit: str) -> list[str]:
+    """``lit`` and literals of its width that a Verilog tool reads as the
+    same value modulo 2^width: the digits taken modulo 2^width, plus 2^width
+    (truncated away), and with the sign moved onto the digits."""
+    width, _, digits = lit.lstrip("-").partition("'sd")
+    w, value = int(width), int(digits) * (-1 if lit[0] == "-" else 1)
+    return [lit, f"{w}'sd{value % 2**w}", f"{w}'sd{value % 2**w + 2**w}",
+            f"-{w}'sd{-value % 2**w}"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pos=st.lists(st.integers(0, 3), max_size=12),
+       neg=st.lists(st.integers(0, 3), max_size=12),
+       edge=st.integers(-1, 0), power=st.integers(0, 5), sign=st.sampled_from([-1, 1]))
+def test_round_trip_of_random_popcounts(pos, neg, edge, power, sign):
+    """Terms and offset come back as a multiset and a number, and every
+    spelling of C a tool reads as the same value simulates the same, at the
+    widths where the span of terms plus |offset| crosses a power of two."""
+    n = len(pos) + len(neg)
+    offset = sign * max(0, 2**power + edge - n)
+    nl = popcount_netlist(pos, neg, offset)
+    text = emit_verilog(nl)
+    want = oracle_simulate(nl, all_patterns(4))
+    (line,) = [l for l in text.splitlines() if l.startswith("  assign n4 = ")]
+    head, c = line[:-1].rsplit(" ", 1)
+    for lit in spellings(c):
+        back = parse_verilog(text.replace(line, f"{head} {lit};"))
+        assert_same_outputs(simulate(back, all_patterns(4)), want, f"C spelt {lit}")
+    back = parse_verilog(text)
+    terms = [(("in", i), 1) for i in pos] + [(("in", i), -1) for i in neg]
+    assert sums_by_position(back) == [(sorted(terms), offset)]
+    assert back.nodes[4].width == int(c.lstrip("-").partition("'")[0])
 
 
 SUM_MODULE = """module top (
@@ -496,28 +488,40 @@ SUM_MODULE = """module top (
   wire n3;
   assign n3 = (n2 >= {tau});
   wire signed [{msb}:0] n4;
-  assign n4 = ((n3 ? {w}'sd1 : -{w}'sd1) + {w}'sd0);
+  assign n4 = ((n3 - (1'b0)) <<< 1) + -{w}'sd1;
   assign score_0 = n2;
   assign score_1 = n4;
 endmodule
 """
 
 
+# values a Verilog tool computes: each 1-bit operand zero-extends to the
+# sum's width, the arithmetic is taken modulo 2^width, and the result is
+# read back as signed
 @pytest.mark.parametrize("width, expr, tau, score, bit", [
     # 3'sd5 is 3'b101: -3 once truncated and sign-extended, so -3'sd5 is 3
-    (3, "((in[0] ? 3'sd1 : -3'sd1) + (in[1] ? -3'sd1 : 3'sd1))", "-3'sd5",
-     [0, 2, -2, 0], [-1, -1, -1, -1]),
-    (3, "((in[0] ? 3'sd1 : -3'sd1) + 3'sd5)", "3'sd5", [-4, -2, -4, -2], [-1, 1, -1, 1]),
-    # 2'sd3 is -1 and -2'sd3 is 1, so the first leaf is the term -in[0]
-    (3, "((in[0] ? 2'sd3 : -2'sd3) + (in[1] ? 3'sd1 : -3'sd1))", "3'sd1",
-     [0, -2, 2, 0], [-1, -1, 1, -1]),
-    # 2 in a 2-bit sum wraps to -2
-    (2, "((in[0] ? 2'sd1 : -2'sd1) + (in[1] ? 2'sd1 : -2'sd1))", "2'sd0",
-     [-2, 0, 0, -2], [-1, 1, 1, -1]),
-    # 4'sd8 is -8 and the minus gives 8: 8 - 1 = 7, and 8 + 1 wraps to -7;
-    # in the 4-bit compare, 8 wraps back to -8
-    (4, "((in[0] ? 4'sd1 : -4'sd1) + -4'sd8)", "-4'sd8", [7, -7, 7, -7], [1, 1, 1, 1]),
-])
+    (3, "((in[0] - (in[1])) <<< 1) + 3'sd0", "-3'sd5", [0, 2, -2, 0], [-1, -1, -1, -1]),
+    # as C, 3'sd5 is -3: 2 in[0] - 3; 3'sd6 is -2
+    (3, "((in[0] - (1'b0)) <<< 1) + 3'sd5", "3'sd6", [-3, -1, -3, -1], [-1, 1, -1, 1]),
+    # 2'sd2 is -2 and -2'sd2 is 2: 2 (in[0] + in[1]) + 2, where 2 and 6 wrap
+    # to -2 in a 2-bit sum
+    (2, "((in[0] + in[1] - (1'b0)) <<< 1) + -2'sd2", "2'sd0", [-2, 0, 0, -2],
+     [-1, 1, 1, -1]),
+    # 2 in[0] + 7: 9 wraps to -7 at 4 bits
+    (4, "((in[0] - (1'b0)) <<< 1) + 4'sd7", "4'sd0", [7, -7, 7, -7], [1, -1, 1, -1]),
+    # 4'sd8 is -8 and the minus gives 8, which is -8 at 4 bits: 8 - 2 in[1]
+    # reads -8 or 6; in the 4-bit compare, 8 wraps back to -8
+    (4, "((1'b0 - (in[1])) <<< 1) + -4'sd8", "-4'sd8", [-8, -8, 6, 6], [1, 1, 1, 1]),
+    # (P - N) <<< 1 leaves the signed range before C brings it back:
+    # 2 (in[0] + in[1]) is 4 (-4 at 3 bits), and 4 - 2 is 2
+    (3, "((in[0] + in[1] - (1'b0)) <<< 1) + -3'sd2", "3'sd1", [-2, 0, 0, 2],
+     [-1, -1, -1, 1]),
+    # 2 (in[0] - 3 in[1]) + 2: a wire may repeat, and 4 wraps to -4
+    (3, "((in[0] - (in[1] + in[1] + in[1])) <<< 1) + 3'sd2", "3'sd0", [2, -4, -4, -2],
+     [1, -1, -1, -1]),
+], ids=["negated-3sd5-threshold-is-3", "3sd5-offset-is-minus-3", "2-bit-sum-wraps",
+        "4-bit-sum-wraps", "negated-4sd8-is-minus-8", "shifted-popcount-wraps-back",
+        "repeated-wire"])
 def test_parser_reads_literals_and_widths_as_verilog_does(width, expr, tau, score, bit):
     text = SUM_MODULE.format(msb=width - 1, w=width, expr=expr, tau=tau)
     out = simulate(parse_verilog(text), all_patterns(2))
@@ -526,7 +530,8 @@ def test_parser_reads_literals_and_widths_as_verilog_does(width, expr, tau, scor
 
 
 def test_parse_rejects_a_sum_without_a_declared_width():
-    text = SUM_MODULE.format(msb=2, w=3, expr="(in[0] ? 3'sd1 : -3'sd1)", tau="3'sd0")
+    text = SUM_MODULE.format(msb=2, w=3, expr="((in[0] - (1'b0)) <<< 1) + -3'sd1",
+                             tau="3'sd0")
     with pytest.raises(NetlistError, match="sum n2 has no signed width declaration"):
         parse_verilog(text.replace("  wire signed [2:0] n2;\n", ""))
 

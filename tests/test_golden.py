@@ -59,6 +59,14 @@ dense layer after it, which neither preset has: two hidden layers with
 ``fc2`` expanded, from an INI file the test writes. Its two hashes were
 recorded on the code from before the layer constructors took the arrays a
 checkpoint stores, and that change left them as they were.
+
+The three Verilog hashes (xor-smoke, parity8 and ``LUT_HIDDEN``) were taken
+again when each sum began to be emitted as two popcounts,
+``((P - N) <<< 1) + C``, in place of a balanced adder tree of
+``(w ? W'sd1 : -W'sd1)`` leaves. Every sum keeps its terms, offset and
+declared width, and every LUT, threshold and output assign is unchanged;
+no checkpoint hash moved. ``XOR_SMOKE_OLD`` was rewritten in the same form,
+with its ``-3'sd5`` compare kept.
 """
 
 import hashlib
@@ -76,18 +84,18 @@ from lutshrink.verilog import parse_verilog
 
 GOLDEN = {
     "xor-smoke": (
-        "e2d9b39f62993d1548af6e3c91da07405f7b8c65b9e3de85f6307211aadf9872",
+        "d96f1c48f35b11ef486ab5e407b6f7c8a660eb024cad0fac980441aa7b042626",
         "270c6a6c061910f3d63e414702da773fa2ba529b1d688586bc3853f302ad67ae",
     ),
     "parity8": (
-        "793f3578167476f12fbc137906f7a4e76edbac71911808093e41fb98afd33da3",
+        "8bda601ee3ba7c7e86270b634d0928eebc5f6f03f95b9e09a7b8c0d76af4523f",
         "70a1152bdf1f56b7b77aab1f5dd107b20edf181b95f07c2e5b5b7f03b73fcb9e",
     ),
 }
 
 # (Verilog, checkpoint) sha256 of a run of LUT_HIDDEN_INI
 LUT_HIDDEN = (
-    "2208eb59046ed7fef212c94747f6e92d3a8b855a0f60f2192e9ee28066f6b7f0",
+    "868ee9bc3379a644d66c70603e33ffc127f050580ac40ad2421d0ac5263a3df0",
     "6bbc4e073c53f4f10fe76cfea0128a5e2abf6af1144f4c8b22d0d4a10bab20da",
 )
 LUT_HIDDEN_INI = """\
@@ -125,7 +133,8 @@ epochs = 20
 """
 
 
-# the xor-smoke Verilog before unreachable thresholds were folded
+# the xor-smoke Verilog before unreachable thresholds were folded, its sums
+# written as popcounts
 XOR_SMOKE_OLD = """\
 module top (
     input wire [1:0] in,
@@ -133,33 +142,33 @@ module top (
     output wire signed [3:0] score_1
 );
   wire signed [2:0] n4;
-  assign n4 = ((in[0] ? 3'sd1 : -3'sd1) + (in[1] ? -3'sd1 : 3'sd1));
+  assign n4 = ((in[0] - (in[1])) <<< 1) + 3'sd0;
   wire n5;
   assign n5 = (n4 >= -3'sd5);
   wire signed [2:0] n6;
-  assign n6 = ((in[0] ? 3'sd1 : -3'sd1) + (in[1] ? 3'sd1 : -3'sd1));
+  assign n6 = ((in[0] + in[1] - (1'b0)) <<< 1) + -3'sd2;
   wire n7;
   assign n7 = (n6 >= 3'sd1);
   wire signed [2:0] n10;
-  assign n10 = ((in[0] ? 3'sd1 : -3'sd1) + (in[1] ? 3'sd1 : -3'sd1));
+  assign n10 = ((in[0] + in[1] - (1'b0)) <<< 1) + -3'sd2;
   wire n11;
   assign n11 = (n10 >= 3'sd0);
   wire signed [2:0] n12;
-  assign n12 = ((in[0] ? -3'sd1 : 3'sd1) + (in[1] ? -3'sd1 : 3'sd1));
+  assign n12 = ((1'b0 - (in[0] + in[1])) <<< 1) + 3'sd2;
   wire n13;
   assign n13 = (n12 >= 3'sd1);
   wire signed [2:0] n14;
-  assign n14 = ((in[0] ? -3'sd1 : 3'sd1) + (in[1] ? -3'sd1 : 3'sd1));
+  assign n14 = ((1'b0 - (in[0] + in[1])) <<< 1) + 3'sd2;
   wire n15;
   assign n15 = (n14 >= -3'sd1);
   wire signed [2:0] n16;
-  assign n16 = ((in[0] ? 3'sd1 : -3'sd1) + (in[1] ? -3'sd1 : 3'sd1));
+  assign n16 = ((in[0] - (in[1])) <<< 1) + 3'sd0;
   wire n17;
   assign n17 = (n16 >= 3'sd1);
   wire signed [3:0] n30;
-  assign n30 = ((((n5 ? 4'sd1 : -4'sd1) + (n7 ? 4'sd1 : -4'sd1)) + (n11 ? -4'sd1 : 4'sd1)) + (((n13 ? 4'sd1 : -4'sd1) + (n15 ? -4'sd1 : 4'sd1)) + (n17 ? -4'sd1 : 4'sd1)));
+  assign n30 = ((n5 + n7 + n13 - (n11 + n15 + n17)) <<< 1) + 4'sd0;
   wire signed [3:0] n32;
-  assign n32 = ((((n5 ? -4'sd1 : 4'sd1) + (n7 ? -4'sd1 : 4'sd1)) + (n11 ? 4'sd1 : -4'sd1)) + (((n13 ? -4'sd1 : 4'sd1) + (n15 ? 4'sd1 : -4'sd1)) + (n17 ? 4'sd1 : -4'sd1)));
+  assign n32 = ((n11 + n15 + n17 - (n5 + n7 + n13)) <<< 1) + 4'sd0;
   assign score_0 = n30;
   assign score_1 = n32;
 endmodule

@@ -1,4 +1,5 @@
 import gc
+import re
 
 import numpy as np
 import pytest
@@ -269,12 +270,14 @@ def sum_netlist(n_terms: int, offset: int, seed: int = 0) -> Netlist:
 
 
 def sums_by_position(nl: Netlist) -> list[tuple[list, int]]:
-    """Each sum's (terms, offset) in order; a term names its wire by input
-    position, or by its source's position in the node order."""
+    """Each sum's (terms, offset) in order, its terms as a sorted multiset:
+    the text keeps which terms are positive and which negative, not how the
+    two were interleaved. A term names its wire by input position, or by its
+    source's position in the node order."""
     def key(wid):
         node = nl.nodes[wid]
         return ("in", node.pos) if node.kind == "input" else ("node", nl.order.index(wid))
-    return [([(key(w), sgn) for w, sgn in n.terms], n.offset)
+    return [(sorted((key(w), sgn) for w, sgn in n.terms), n.offset)
             for n in (nl.nodes[i] for i in nl.order) if n.kind == "sum"]
 
 
@@ -287,10 +290,36 @@ def test_round_trip_keeps_sum_terms_and_offset(n_terms, offset):
     assert [back.nodes[i].tau for i in back.order if back.nodes[i].kind == "th"] == [offset // 2]
 
 
+def test_emit_writes_each_sum_as_two_popcounts():
+    nl = sum_netlist(5, 3, seed=1)
+    text = emit_verilog(nl)
+    # 2 positive and 3 negative terms and offset 3: C = 3 - 2 + 3 = 4
+    assert ("  assign n64 = ((in[32] + in[48] - (in[30] + in[60] + in[2])) <<< 1) + 5'sd4;\n"
+            in text)
+    # an empty popcount is 1'b0: the one term -n65 and offset -3, C = -3 + 1
+    assert "  assign n66 = ((1'b0 - (n65)) <<< 1) + -4'sd2;\n" in text
+    assert "?" not in text and "~" not in text
+
+
+def test_round_trip_of_a_sum_without_terms():
+    nl = Netlist(n_inputs=1)
+    nl.add("input", pos=0)
+    s = nl.add("sum", terms=[], offset=-2)
+    nl.outputs.append(nl.add("out", src=s.id, name="score_0").id)
+    text = emit_verilog(nl)
+    assert "assign n1 = ((1'b0 - (1'b0)) <<< 1) + -3'sd2;" in text
+    (back,) = [n for n in parse_verilog(text).nodes.values() if n.kind == "sum"]
+    assert (back.terms, back.offset, back.width) == ([], -2, 3)
+
+
 SUM_MODULE = """module top (
     input wire [1:0] in,
     output wire signed [3:0] score_0
 );
+  wire n5;
+  assign n5 = in[0];
+  wire signed [3:0] n6;
+  assign n6 = ((n5 + n5 - (n5)) <<< 1) + 4'sd0;
   wire signed [3:0] n2;
   assign n2 = {expr};
   assign score_0 = n2;
@@ -299,10 +328,14 @@ endmodule
 
 
 def test_parse_reads_hand_written_sum():
-    nl = parse_verilog(SUM_MODULE.format(
-        expr="((in[0] ? 4'sd1 : -4'sd1) + ((in[1] ? -4'sd1 : 4'sd1) + -4'sd3))"))
-    (node,) = [n for n in nl.nodes.values() if n.kind == "sum"]
-    assert node.terms == [(0, 1), (1, -1)] and node.offset == -3
+    # 2 (in[0] - in[1]) - 3: the terms +in[0], -in[1] and the offset -3;
+    # 4'sd13 is 4'b1101, which is -3 too
+    for c in ("-4'sd3", "4'sd13"):
+        nl = parse_verilog(SUM_MODULE.format(expr=f"((in[0] - (in[1])) <<< 1) + {c}"))
+        node = [n for n in nl.nodes.values() if n.kind == "sum"][-1]
+        assert node.terms == [(0, 1), (1, -1)] and node.offset == -3, c
+        np.testing.assert_array_equal(simulate(nl, all_patterns(2))["score_0"],
+                                      [-3, -1, -5, -3])
 
 
 @pytest.mark.parametrize("expr", [
@@ -321,13 +354,52 @@ def test_parse_reads_hand_written_sum():
     "(L + (in[0] ? 4'sd1 : -4'sd1))",  # a letter where an operand belongs
 ])
 def test_parse_rejects_malformed_sum(expr):
-    with pytest.raises(NetlistError, match="cannot parse sum expression"):
+    """The adder-tree form sums were once written in, and garbage, are
+    refused in one line that names the sum."""
+    with pytest.raises(NetlistError, match=r"^sum n2: cannot parse .*, expected "
+                       r"\(\(a \+ b - \(c \+ d\)\) <<< 1\) \+ C over 1-bit wires$"):
         parse_verilog(SUM_MODULE.format(expr=expr))
+
+
+_INVERTED = "Verilog reads ~w in a sum as -1 - w, so write w in the other popcount"
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("(in[0] - (in[1])) + 4'sd0", "cannot parse"),  # no <<< 1
+    ("((in[0] - (in[1])) <<< 2) + 4'sd0", "cannot parse"),
+    ("((in[0] - (in[1])) << 1) + 4'sd0", "cannot parse"),
+    ("((in[0] - (in[1])) <<< 1) + 4'sd0 + 4'sd1", "cannot parse"),
+    ("((in[0] - (in[1])) <<< 1)", "cannot parse"),  # no C
+    ("((in[0] - in[1]) <<< 1) + 4'sd0", "cannot parse"),  # N unbracketed
+    ("((in[0] + - (in[1])) <<< 1) + 4'sd0", "cannot parse"),  # empty operand
+    ("((in[0] + 4'sd1 - (in[1])) <<< 1) + 4'sd0", "cannot parse"),  # a literal operand
+    ("((in[0] + 1'b1 - (in[1])) <<< 1) + 4'sd0", "cannot parse"),
+    ("((in[0] + 1'b0 - (in[1])) <<< 1) + 4'sd0", "cannot parse"),  # 1'b0 is a whole popcount
+    ("((in[0] + score_0 - (in[1])) <<< 1) + 4'sd0", "cannot parse"),
+    ("((in[0] + n6 - (in[1])) <<< 1) + 4'sd0", "operand n6 is not a 1-bit wire"),
+    ("((in[0] - (in[1] + n6)) <<< 1) + 4'sd0", "operand n6 is not a 1-bit wire"),
+    ("((in[0] - (in[1])) <<< 1) + 5'sd1", "literal 5'sd1 is not at the sum's declared width 4"),
+    ("((in[0] - (in[1])) <<< 1) + -8'sd1", "literal -8'sd1 is not at the sum's declared width 4"),
+    # narrower: the unsigned expression would zero-extend 3'sd7 to 7, not -1
+    ("((in[0] - (in[1])) <<< 1) + 3'sd7", "literal 3'sd7 is not at the sum's declared width 4"),
+    # inside a 4-bit sum a tool extends w to 4 bits before ~, so ~w is
+    # -1 - w, not the 1 - w a bit inverter suggests
+    ("((~in[0] - (in[1])) <<< 1) + 4'sd0", _INVERTED),
+    ("((in[0] - (~in[1] + in[0])) <<< 1) + 4'sd0", _INVERTED),
+], ids=["no-shift", "shift-by-2", "logical-shift", "two-literals", "no-literal",
+        "bare-negative-popcount", "empty-operand", "literal-operand", "one-operand",
+        "zero-in-a-chain", "output-operand", "sum-operand", "sum-operand-negative",
+        "wider-literal", "wider-negative-literal", "narrower-literal",
+        "inverted-positive", "inverted-negative"])
+def test_parse_rejects_malformed_popcount(expr, message):
+    with pytest.raises(NetlistError, match=rf"^sum n2: (.* )?{re.escape(message)}") as exc:
+        parse_verilog(SUM_MODULE.format(expr=expr))
+    assert "\n" not in str(exc.value)
 
 
 def test_parse_rejects_undefined_wire_in_sum():
     with pytest.raises(NetlistError, match="undefined wire 'n7'"):
-        parse_verilog(SUM_MODULE.format(expr="(n7 ? 4'sd1 : -4'sd1)"))
+        parse_verilog(SUM_MODULE.format(expr="((n7 - (1'b0)) <<< 1) + 4'sd1"))
 
 
 LUT_MODULE = """module top (
