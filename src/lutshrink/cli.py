@@ -1,8 +1,7 @@
-"""Command-line pipeline driver.
-
-Subcommands follow the pipeline order: train -> expand -> shrink ->
-finalize -> export. Each stage reads and advances a checkpoint; running a
-stage out of order is a hard error naming the current and required phase.
+"""Command line: each subcommand parses its arguments, makes one library
+call and prints. The stages follow the pipeline order, train -> expand ->
+shrink -> finalize -> export (``pipeline`` runs them); running one out of
+order is a hard error naming the current and required phase.
 """
 
 from __future__ import annotations
@@ -37,124 +36,43 @@ def _set_threads(argv: list[str]) -> None:
         os.environ[var] = os.environ.get(var, "1") if n is None else n
 
 
-class PhaseError(RuntimeError):
-    pass
-
-
-def _require_phase(phase: str, required: str, command: str) -> None:
-    if phase != required:
-        raise PhaseError(
-            f"cannot run {command!r}: checkpoint is at phase {phase!r}, "
-            f"requires {required!r}"
-        )
-
-
-def _resolve_config(args) -> str:
-    from .config import preset_path
-
-    if args.preset:
-        return preset_path(args.preset)
-    if args.config:
-        return args.config
-    raise ValueError("provide --config or --preset")
-
-
 def cmd_train(args) -> None:
-    import numpy as np
+    from .config import preset_path
+    from .pipeline import run_stage
 
-    from . import checkpoint
-    from .config import load_config, load_datasets
-    from .train import MetricLog, build_network, prune_nodes, train_bnn
-
-    cfg = load_config(_resolve_config(args))
-    if args.seed is not None:
-        cfg.seed = args.seed
-    os.makedirs(args.out, exist_ok=True)
-    log = MetricLog(os.path.join(args.out, "metrics.log"))
-    train, test = load_datasets(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    net = build_network(cfg, train.features.shape[1], train.num_classes, rng)
-    train_bnn(net, train, test, cfg, rng, log)
-    prune_nodes(net, cfg.theta, train, test, cfg, rng, log)
-    path = os.path.join(args.out, "checkpoint.json")
-    checkpoint.save(path, net, cfg, checkpoint.PHASES[0], rng)
-    print(f"wrote {path}")
+    if not (args.preset or args.config):
+        raise ValueError("provide --config or --preset")
+    src = preset_path(args.preset) if args.preset else args.config
+    seed = {} if args.seed is None else {"seed": args.seed}
+    print(f"wrote {run_stage('train', src, args.out, seed)}")
 
 
 def cmd_stage(args) -> None:
     """Advance a checkpoint by one stage, with its INI section's flags
     applied to the config it saves."""
-    from . import checkpoint
-    from .config import load_datasets
-    from .train import (SETTINGS, STAGES, MetricLog, finalize_binarized, logic_expand,
-                        logic_shrink)
+    from .pipeline import run_stage
+    from .train import SETTINGS
 
-    required, written, _ = STAGES[args.command]
-    net, cfg, phase, rng, plan = checkpoint.load(args.checkpoint)
-    _require_phase(phase, required, args.command)
-    for (section, key), f in SETTINGS.items():
-        if section == args.command and getattr(args, key) is not None:
-            setattr(cfg, f.name, getattr(args, key))
-    cfg.validate()
-    train, test = load_datasets(cfg)
-    log = MetricLog(os.path.join(os.path.dirname(args.checkpoint) or ".",
-                                 "metrics.log"))
-    if args.command == "expand":
-        logic_expand(net, cfg.k, train, test, cfg, rng, log)
-    elif args.command == "shrink":
-        plan = logic_shrink(net, train, test, cfg, rng, log)
-    else:
-        finalize_binarized(net, train, test, cfg, rng, log)
-    checkpoint.save(args.out or args.checkpoint, net, cfg, written, rng, plan)
-    print(f"wrote {args.out or args.checkpoint}")
+    overrides = {f.name: getattr(args, key) for (section, key), f in SETTINGS.items()
+                 if section == args.command and getattr(args, key) is not None}
+    print(f"wrote {run_stage(args.command, args.checkpoint, args.out, overrides)}")
 
 
 def cmd_export(args) -> None:
-    import numpy as np
+    from .pipeline import run_export
 
-    from . import checkpoint
-    from .config import load_datasets
-    from .netlist import area_report, extract_netlist, scores, simplify
-    from .verilog import emit_verilog, parse_verilog
-
-    net, cfg, phase, rng, plan = checkpoint.load(args.checkpoint)
-    _require_phase(phase, checkpoint.PHASES[-1], "export")
-    os.makedirs(args.out, exist_ok=True)
-    pre = extract_netlist(net)
-    post = simplify(pre)
-    text = emit_verilog(post, args.top)
-    v_path = os.path.join(args.out, "netlist.v")
-    with open(v_path, "w") as f:
-        f.write(text)
-    report = area_report(pre, post)
-    with open(os.path.join(args.out, "area_report.txt"), "w") as f:
-        f.write(report.to_table())
-    with open(os.path.join(args.out, "area_report.tsv"), "w") as f:
-        f.write(report.to_tsv())
-    multi = report.multi_input()
-    for layer, n in multi.items():
-        print(f"{layer}: {n} of {int(report.pre[layer].sum())} LUTs keep 2 or more "
-              "inputs after simplify")
-    if not any(multi.values()):
+    res = run_export(args.checkpoint, args.out, args.top)
+    for layer, (n, total) in res.multi_input.items():
+        print(f"{layer}: {n} of {total} LUTs keep 2 or more inputs after simplify")
+    if not any(n for n, _ in res.multi_input.values()):
         print("warning: no LUT keeps 2 or more inputs after simplify; the netlist "
               "is a pruned XNOR/popcount network", file=sys.stderr)
-
-    x = load_datasets(cfg)[1].features
-    # every class score, not just the argmax: a wrong sum can keep its class
-    model_scores = net.infer_bin(x)
-    sim_scores = scores(parse_verilog(text), np.where(x >= 0, 1, -1))
-    mismatches = int(np.any(model_scores != sim_scores, axis=1).sum())
-    cert = (
-        f"samples\t{len(x)}\nmismatches\t{mismatches}\n"
-        f"status\t{'PASS' if mismatches == 0 else 'FAIL'}\n"
-    )
-    with open(os.path.join(args.out, "certificate.txt"), "w") as f:
-        f.write(cert)
-    print(cert, end="")
-    if mismatches:
+    print(f"area_terms: {res.area_terms} (LUT inputs plus sum terms after simplify)")
+    print(res.certificate, end="")
+    if res.mismatches:
         raise RuntimeError(
-            f"netlist/model mismatch on {mismatches} of {len(x)} samples")
-    print(f"wrote {v_path} ({os.path.getsize(v_path)} bytes)")
+            f"netlist/model mismatch on {res.mismatches} of {res.samples} samples")
+    print(f"wrote {res.verilog_path} ({os.path.getsize(res.verilog_path)} bytes)")
 
 
 def cmd_simulate(args) -> None:

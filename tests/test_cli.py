@@ -150,6 +150,54 @@ def test_shrink_before_expand_fails(tmp_path, capsys):
     assert "requires 'expanded'" in capsys.readouterr().err
 
 
+def _rows(log: Path, phase: str) -> int:
+    return sum(line.split("\t")[0] == phase for line in log.read_text().splitlines())
+
+
+def test_stage_metrics_go_beside_the_checkpoint_written(tmp_path):
+    """A stage's epoch rows go to the metrics.log of the directory it writes
+    into; the log beside its input checkpoint is left as it was."""
+    src, dst = tmp_path / "a", tmp_path / "b"
+    assert main(["train", "--preset", "xor-smoke", "--out", str(src)]) == 0
+    before = (src / "metrics.log").read_bytes()
+    dst.mkdir()
+    assert main(["expand", str(src / "checkpoint.json"),
+                 "--out", str(dst / "expanded.json")]) == 0
+    assert (src / "metrics.log").read_bytes() == before
+    epochs = load_config(preset_path("xor-smoke")).epochs_post_expand
+    assert _rows(dst / "metrics.log", "expand-retrain") == epochs > 0
+
+
+def test_stage_out_into_a_missing_directory(tmp_path, monkeypatch, capsys):
+    """The directories of --out are made before any epoch runs: a path that
+    cannot be one fails before the stage trains."""
+    out = str(tmp_path)
+    assert main(["train", "--preset", "xor-smoke", "--out", out]) == 0
+    ckpt = os.path.join(out, "checkpoint.json")
+    dst = tmp_path / "new" / "deeper" / "expanded.json"
+    assert main(["expand", ckpt, "--out", str(dst)]) == 0
+    assert checkpoint.load(str(dst))[2] == "expanded"
+    assert _rows(dst.parent / "metrics.log", "expand-retrain") > 0
+    (tmp_path / "blocker").write_text("")
+    ran = []
+    monkeypatch.setattr(lutshrink.train, "logic_expand", lambda *a: ran.append(a))
+    capsys.readouterr()
+    assert main(["expand", ckpt, "--out", str(tmp_path / "blocker" / "x.json")]) == 1
+    assert "blocker" in capsys.readouterr().err and ran == []
+
+
+def test_train_starts_a_fresh_log(tmp_path):
+    """A second train into the same directory replaces the log of the run
+    whose checkpoint it overwrites, rather than appending to it."""
+    out = str(tmp_path)
+    assert main(["train", "--preset", "xor-smoke", "--out", out]) == 0
+    first = (tmp_path / "metrics.log").read_bytes()
+    assert main(["train", "--preset", "xor-smoke", "--out", out]) == 0
+    assert (tmp_path / "metrics.log").read_bytes() == first
+    cfg = load_config(preset_path("xor-smoke"))
+    assert _rows(tmp_path / "metrics.log", "bnn") == sum(e for _, e in cfg.lr_schedule)
+
+
 def test_train_is_seed_deterministic(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["train", "--preset", "xor-smoke", "--out", a]) == 0

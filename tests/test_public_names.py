@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 import lutshrink
-from lutshrink import train
+from lutshrink import checkpoint, netlist, pipeline, train
+from lutshrink.cli import main
+from lutshrink.config import preset_path
 from lutshrink.data import Dataset
 from lutshrink.model import BatchNorm, DenseLayer, LutLayer, Network, softmax_xent
 
@@ -87,3 +89,30 @@ def test_benchmark_tracer_spans_a_training_step(tracer):
     # the step span opens once per training step, never at evaluation
     assert [name for name, _ in got].count(step) == 2
     assert tracer.counts["train.samples"] == 2 * len(ds)
+
+
+def test_benchmark_tracer_sees_every_driver_call(tracer, tmp_path, capsys):
+    """xor-smoke through ``pipeline.run_stage`` and ``run_export``: the
+    driver reaches the traced callables through their module attributes,
+    so each opens its span. The ``area_terms`` that ``export`` prints is the
+    benchmark's count: LUT fan-ins plus adder terms after simplify."""
+    out = str(tmp_path)
+    with tracer.installed():
+        ckpt = pipeline.run_stage("train", preset_path("xor-smoke"), out)
+        for command in train.STAGES:
+            assert pipeline.run_stage(command, ckpt) == ckpt
+        res = pipeline.run_export(ckpt, out)
+    assert {name for name, *_ in tracer.spans} >= {
+        "checkpoint.load", "checkpoint.save", "netlist.extract", "netlist.simplify",
+        "netlist.simulate", "verilog.emit", "verilog.parse"}
+    assert res.mismatches == 0
+
+    assert main(["export", ckpt, "--out", str(tmp_path / "x")]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("area_terms: ")]
+    assert len(printed) == 1
+    post = netlist.simplify(netlist.extract_netlist(checkpoint.load(ckpt)[0]))
+    adder_terms = sum(len(n.terms) for n in post.nodes.values() if n.kind == "sum")
+    assert post.total_lut_inputs() + adder_terms > 0
+    assert printed[0].split()[1] == str(res.area_terms)
+    assert res.area_terms == post.total_lut_inputs() + adder_terms
