@@ -7,7 +7,7 @@ import importlib
 
 _EXPORTS = {
     "data": ["Dataset", "load_idx", "synth_boolean"],
-    "lutcore": ["CornerBatch", "project", "rewire", "support"],
+    "lutcore": ["CornerBatch", "Wiring", "project", "rewire", "support"],
     "model": ["Network"],
     "shrink": ["build_U", "build_prune_mask", "compose_transforms", "salience_rows"],
     "train": ["TrainConfig"],

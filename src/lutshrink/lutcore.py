@@ -50,8 +50,19 @@ not, because a corner lookup costs one gather whatever the fan-in.
 
 On +/-1 inputs the two paths agree bit for bit, because every bincount bin
 receives its terms in the order the interpolating sums add them: samples
-ascending for a table entry, (node, input) ascending for an input. One LUT
-at one point is a batch of one: ``CornerBatch(x[None], np.arange(k)[None])``.
+ascending for a table entry, (node, input) ascending for an input.
+
+What a batch reads is split by what it depends on. A ``Wiring``, built
+from a layer's inputs and severed mask, holds what follows from them
+alone: the column each (node, input) reads, the kept inputs, the fan-in
+groups (built on the first batch that interpolates in them), one
+input-gradient bin template that each row block slices, and the pair and
+slope index tables. A layer builds it once per severance. A
+``CornerBatch(x, wiring)`` holds what follows from x: the corner index or
+the corner weights, the row blocks and whether to group, which read
+``STEP_FLOATS``, ``GROUP_FLOATS`` and ``_at_corners`` at call time. One
+LUT at one point is a batch of one:
+``CornerBatch(x[None], Wiring(k, np.arange(k)[None]))``.
 
 A table binarizes to its signs, with sign(0) = +1 (``model.sign_bits``).
 A binarized table has one set of helpers: ``support``, ``project`` (drop
@@ -151,24 +162,24 @@ def _sample_sum(basis: np.ndarray) -> np.ndarray:
 
 
 class _Fanin:
-    """LUTs of a ``CornerBatch`` interpolated over m inputs each, ``inputs``
+    """LUTs of a ``Wiring`` interpolated over m inputs each, ``inputs``
     (N_g, m) columns of x: all N nodes over all k inputs when ``rows`` is
     None, else the nodes ``rows`` that keep m inputs, over those alone.
-    Node rows[i] then reads its table at the corners ``cols[:, i]``, those
-    whose severed bits are 0, and its input j is term ``terms[i * m + j]``
-    of the batch's kept inputs in (node, input) order. ``w`` is the pair of
-    (B, n_in) corner weights (lo, hi) of x that each block's slabs are
-    gathered from."""
+    Node rows[i] then reads its table at the flat positions ``at[:, i]`` of
+    the (2^k, N) table, the corners whose severed bits are 0, and its input
+    j is term ``terms[i * m + j]`` of the kept inputs in (node, input)
+    order. A group depends on the wiring alone: a batch passes in its
+    (B, n_in) corner weights ``w`` = (lo, hi) of x, which the slabs of each
+    block are gathered from."""
 
-    def __init__(self, w, inputs: np.ndarray, rows=None, cols=None, terms=None):
-        self.w, self.inputs = w, inputs
-        self.rows, self.cols, self.terms = rows, cols, terms
+    def __init__(self, inputs: np.ndarray, rows=None, at=None, terms=None):
+        self.inputs, self.rows, self.at, self.terms = inputs, rows, at, terms
         self.n, self.m = inputs.shape
 
-    def slabs(self, r: slice) -> np.ndarray:
+    def slabs(self, w, r: slice) -> np.ndarray:
         """Input j of every node over the samples r as contiguous slabs of
         corner weights: lo, hi = out[0, j], out[1, j], (rows, N_g) each."""
-        w = [wx[r] for wx in self.w]
+        w = [wx[r] for wx in w]
         out = np.empty((2, self.m, len(w[0]), self.n))
         for wx, slabs in zip(w, out):
             for j in range(self.m):
@@ -183,12 +194,15 @@ class _Fanin:
 
     def table(self, table: np.ndarray) -> np.ndarray:
         """The group's own (2^m, N_g) table."""
-        return table if self.rows is None else table[self.cols, self.rows]
+        return table if self.rows is None else table.take(self.at)
 
     def pairs(self, t: np.ndarray) -> list[np.ndarray]:
-        """Per input j, the (2^(m-1), N_g) differences t[hi_j] - t[lo_j]."""
-        return [t[hi] - t[lo]
-                for lo, hi in (pair_indices(self.m, j) for j in range(self.m))]
+        """Per input j, the (2^(m-1), N_g) differences t[hi_j] - t[lo_j]:
+        one gather of the pairs ``FLIP_PAIRS[m]`` of every input."""
+        if not self.m:
+            return []
+        lo, hi = FLIP_PAIRS[self.m]
+        return np.split(t[hi] - t[lo], self.m)
 
     def grad_table(self, df: np.ndarray, slabs: np.ndarray, carry) -> np.ndarray:
         """The running (2^m, N_g) table gradient after one block: the
@@ -218,17 +232,88 @@ class _Fanin:
             out[:, :, j] = dfdx * 0.5 * df
 
 
+class Wiring:
+    """How N k-LUTs read n_in inputs: node n reads column ``inputs[n, j]``
+    of x as its input j, except those ``severed`` (N, k) marks, which it
+    ignores. Everything here follows from those arrays alone, so a layer
+    builds its wiring once per severance and every ``CornerBatch`` shares
+    it:
+
+    * ``read``, the column each (node, input) reads, where a severed input
+      reads the extra column n_in that a batch holds at -1, and ``kept``,
+      the inputs not severed (None when none is);
+    * the fan-in groups of ``groups(True)``, built on the first call that
+      interpolates in them;
+    * the bins of the input-gradient terms: one template per term layout,
+      sized for the largest row block asked for, which smaller blocks
+      slice;
+    * ``slopes``, the (k, 2^k) corner index pairs d & ~2^j and d | 2^j of
+      the slope rows; each fan-in group reads its pairs from
+      ``FLIP_PAIRS``.
+    """
+
+    def __init__(self, n_in: int, inputs: np.ndarray,
+                 severed: np.ndarray | None = None):
+        self.inputs = np.asarray(inputs, dtype=np.int64)
+        self.k = self.inputs.shape[1]
+        _check_k(self.k)
+        self.n_in = n_in
+        self.kept, self.read = None, self.inputs  # every node reads all k inputs
+        if severed is not None and np.any(severed):
+            self.kept = ~np.asarray(severed, dtype=bool)
+            self.read = np.where(self.kept, self.inputs, n_in)
+        self.width = n_in + (self.kept is not None)  # columns read, the extra one included
+        self.whole = [_Fanin(self.read)]
+        self._fanin = None
+        self._bins = {}  # grouped -> template
+        d, h = np.arange(2**self.k), 1 << np.arange(self.k)[:, None]
+        self.slopes = d & ~h, d | h  # rows d and d ^ h agree
+
+    def groups(self, grouped: bool) -> list[_Fanin]:
+        """One group of every node over all k inputs, or, ``grouped`` (which
+        needs severance), groups of equal kept-input count, each over its
+        kept inputs."""
+        if not grouped:
+            return self.whole
+        if self._fanin is None:
+            n_nodes = len(self.inputs)
+            fan_in = self.kept.sum(axis=1)
+            term = (np.cumsum(self.kept) - 1).reshape(self.kept.shape)
+            self._fanin = []
+            for m in np.unique(fan_in):
+                rows = np.flatnonzero(fan_in == m)
+                pos = np.nonzero(self.kept[rows])[1].reshape(len(rows), m)
+                bit = (np.arange(2**m)[:, None] >> np.arange(m)) & 1  # (2^m, m)
+                cols = (bit[:, :, None] << pos.T).sum(axis=1)
+                self._fanin.append(_Fanin(
+                    np.take_along_axis(self.inputs[rows], pos, axis=1), rows,
+                    cols * n_nodes + rows,
+                    np.take_along_axis(term[rows], pos, axis=1).ravel()))
+        return self._fanin
+
+    def bins(self, rows: int, grouped: bool) -> np.ndarray:
+        """Bins of the input-gradient terms of ``rows`` samples: term t of
+        row i, which reads column c[t] of x, goes to bin i * width + c[t].
+        c is ``read`` over every (node, input), or, ``grouped``, the
+        columns of the kept inputs alone, in (node, input) order."""
+        t = self._bins.get(grouped)
+        if t is None or len(t) < rows:
+            c = self.inputs[self.kept] if grouped else self.read.reshape(-1)
+            t = self._bins[grouped] = np.arange(rows)[:, None] * self.width + c
+        return t[:rows]
+
+
 class _InputGrad:
     """The input gradient dx (B, n_in) of a ``CornerBatch``, filled block
-    by block: a block's terms (rows, T), where term t of a row reads column
-    read[t] of x, go into that block's rows of dx by one bincount, which
-    adds each sample's terms in order."""
+    by block: a block's terms (rows, T) go into that block's rows of dx by
+    one bincount over the wiring's bins, which adds each sample's terms in
+    order."""
 
-    def __init__(self, batch: CornerBatch, read: np.ndarray):
-        self.n_in, self.width = batch.n_in, batch.width
-        self.dx = np.empty((batch.b, batch.n_in))
-        rows = min(batch.blocks[0].stop, batch.b)
-        self.bins = np.arange(rows)[:, None] * self.width + read.reshape(-1)
+    def __init__(self, batch: CornerBatch, grouped: bool):
+        wiring = batch.wiring
+        self.n_in, self.width = wiring.n_in, wiring.width
+        self.dx = np.empty((batch.b, self.n_in))
+        self.bins = wiring.bins(min(batch.blocks[0].stop, batch.b), grouped)
 
     def terms(self, rows: int) -> np.ndarray:
         return np.empty((rows, self.bins.shape[1]))
@@ -246,21 +331,21 @@ GROUP_FLOATS = 1 << 15
 
 
 class CornerBatch:
-    """The k inputs of N LUTs over B samples; node n reads x[:, inputs[n, j]].
+    """The k inputs of N LUTs over B samples, as ``wiring`` reads them from
+    x (B, n_in).
 
-    ``severed`` (N, k), when given, marks inputs that a node ignores: it
-    reads its table at the corners whose severed bits are 0, passes those
-    inputs no gradient, and its table gradient is 0 at every other corner.
-    A node with every input severed outputs its constant, table[0]. A
-    severed input reads an extra column of x held at -1, whose corner bit
-    is 0 and whose corner weights are exactly 1 and 0.
+    A node reads its table at the corners whose severed bits are 0, passes
+    its severed inputs no gradient, and its table gradient is 0 at every
+    other corner. A node with every input severed outputs its constant,
+    table[0]. A severed input reads an extra column of x held at -1, whose
+    corner bit is 0 and whose corner weights are exactly 1 and 0.
 
     When every input is +/-1, ``flat`` holds the table position each node
     reads and every operation gathers or bincounts over it. Otherwise
     ``flat`` is None and the nodes interpolate over slabs of the corner
     weights lo = (1 - x)/2 and hi = (1 + x)/2 of x: in one group over all
-    k inputs, or, with severance from ``GROUP_FLOATS`` on, in groups of
-    equal kept-input count, each over its kept inputs only.
+    k inputs, or, with severance from ``GROUP_FLOATS`` on, in the wiring's
+    fan-in groups, each over its kept inputs only.
 
     Every pass runs over the row blocks ``blocks`` (``STEP_FLOATS``). Apart
     from its (B, N) output and index and the (B, n_in) corner weights of
@@ -269,49 +354,33 @@ class CornerBatch:
     block gathers its slabs once, for the forward and the backward pass.
     """
 
-    def __init__(self, x: np.ndarray, inputs: np.ndarray,
-                 severed: np.ndarray | None = None):
+    def __init__(self, x: np.ndarray, wiring: Wiring):
         x = np.asarray(x)
-        self.inputs = np.asarray(inputs, dtype=np.int64)
-        n_nodes, self.k = self.inputs.shape
-        _check_k(self.k)
-        self.b, self.n_in = x.shape
-        self.kept, self.read = None, self.inputs  # every node reads all k inputs
-        if severed is not None and np.any(severed):
-            self.kept = ~np.asarray(severed, dtype=bool)
+        self.wiring = wiring
+        self.b, n_in = x.shape
+        if n_in != wiring.n_in:
+            raise ContractError(f"the LUTs read {wiring.n_in} inputs, x has {n_in}")
+        self.n, k = wiring.read.shape
+        if wiring.kept is not None:
             x = np.concatenate([x, np.full((self.b, 1), -1, dtype=x.dtype)], axis=1)
-            self.read = np.where(self.kept, self.inputs, self.n_in)
-        self.width = x.shape[1]  # columns read, the extra one included
         if _at_corners(x):
-            self.flat = _corner_flat(x, self.read)
-            self.blocks = _blocks(self.b, n_nodes * self.k)
+            self.flat = _corner_flat(x, wiring.read)
+            self.blocks = _blocks(self.b, self.n * k)
             return
         self.flat = None
         x = x.astype(np.float64, copy=False)
-        w = (1.0 - x) * 0.5, (1.0 + x) * 0.5
-        if self.kept is None or self.b * n_nodes < GROUP_FLOATS:
-            self.groups = [_Fanin(w, self.read)]
-        else:
-            fan_in = self.kept.sum(axis=1)
-            term = (np.cumsum(self.kept) - 1).reshape(self.kept.shape)
-            self.groups = []
-            for m in np.unique(fan_in):
-                rows = np.flatnonzero(fan_in == m)
-                pos = np.nonzero(self.kept[rows])[1].reshape(len(rows), m)
-                bit = (np.arange(2**m)[:, None] >> np.arange(m)) & 1  # (2^m, m)
-                cols = (bit[:, :, None] << pos.T).sum(axis=1)
-                self.groups.append(_Fanin(
-                    w, np.take_along_axis(self.inputs[rows], pos, axis=1), rows,
-                    cols, np.take_along_axis(term[rows], pos, axis=1).ravel()))
+        self.w = (1.0 - x) * 0.5, (1.0 + x) * 0.5
+        grouped = wiring.kept is not None and self.b * self.n >= GROUP_FLOATS
+        self.groups = wiring.groups(grouped)
         self.blocks = _blocks(self.b, sum(g.n << max(g.m - 1, 0) for g in self.groups))
         self._slabs = None
         if len(self.blocks) == 1:
-            self._slabs = [g.slabs(self.blocks[0]) for g in self.groups]
+            self._slabs = [g.slabs(self.w, self.blocks[0]) for g in self.groups]
 
     def _block_slabs(self):
         """Each row block with the slabs of every group."""
         for r in self.blocks:
-            yield r, self._slabs or [g.slabs(r) for g in self.groups]
+            yield r, self._slabs or [g.slabs(self.w, r) for g in self.groups]
 
     def interpolate(self, table: np.ndarray) -> np.ndarray:
         """LUT outputs f[b, n]; shape (B, N). At corners this is the table
@@ -319,7 +388,7 @@ class CornerBatch:
         if self.flat is not None:
             return table.take(self.flat)
         tables = [g.table(table) for g in self.groups]
-        f = np.empty((self.b, len(self.inputs)))
+        f = np.empty((self.b, self.n))
         for r, slabs in self._block_slabs():
             for g, t, (lo, hi) in zip(self.groups, tables, slabs):
                 if g.rows is None:
@@ -342,11 +411,10 @@ class CornerBatch:
         if self.flat is not None:
             return self._corner_backward(table, df, need_dx)
         whole = self.groups[0].rows is None  # one group over all k inputs
-        read = self.read if whole else self.inputs[self.kept]
         tables = [g.table(table) for g in self.groups]
         pairs = [g.pairs(t) for g, t in zip(self.groups, tables)] if need_dx else None
         sums = [None] * len(self.groups)
-        dx = _InputGrad(self, read) if need_dx else None
+        dx = _InputGrad(self, not whole) if need_dx else None
         in_order = len(self.groups) == 1  # then its terms are all, in order
         for r, slabs in self._block_slabs():
             dfr = df[r]
@@ -365,24 +433,23 @@ class CornerBatch:
         if whole:
             dtable = sums[0]
         else:
-            dtable = np.zeros((2**self.k, df.shape[1]))
+            dtable = np.zeros((2**self.wiring.k, df.shape[1]))
             for g, s in zip(self.groups, sums):
-                dtable[g.cols, g.rows] = s
+                dtable.put(g.at, s)
         return dtable, dx.dx if need_dx else None
 
     def _corner_backward(self, table, df, need_dx):
         """``backward`` at corners: gathers of slope rows and bincounts."""
-        n = df.shape[1]
-        dtable = _bincount(self.flat, df, n << self.k).reshape(2**self.k, n)
+        n, k = df.shape[1], self.wiring.k
+        dtable = _bincount(self.flat, df, n << k).reshape(2**k, n)
         if not need_dx:
             return dtable, None
-        d = np.arange(2**self.k)
-        # rows d and d ^ h agree
-        slopes = [table[d | h] - table[d & ~h] for h in (1 << np.arange(self.k))]
-        dx = _InputGrad(self, self.read)
+        lo, hi = self.wiring.slopes
+        slopes = table[hi] - table[lo]  # (k, 2^k, N)
+        dx = _InputGrad(self, False)
         for r in self.blocks:
             flat, dfr = self.flat[r], df[r]
-            terms = dx.terms(len(dfr)).reshape(len(dfr), n, self.k)
+            terms = dx.terms(len(dfr)).reshape(len(dfr), n, k)
             for j, slope in enumerate(slopes):
                 terms[:, :, j] = slope.take(flat) * 0.5 * dfr
             dx.add(r, terms)

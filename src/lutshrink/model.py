@@ -33,6 +33,16 @@ few (B, N) arrays (output, gradient) and one block's temporaries, not
 2^k of them. Each LUT feeds one channel, so its gradient is a gather of
 that channel's.
 
+A LUT layer builds what its ``inputs``, ``channel`` and ``pruned`` fix
+once, in its constructor and in ``set_pruned``: the hp ``Wiring`` (with
+the severance), the bin one (without), the channel matrix and its largest
+fan-in, and the severed rows sorted by pattern with one averaging operator
+per pattern. Those three arrays are read-only, so no in-place write can
+leave that stale. Per call stay the kernel's batch (``CornerBatch`` of the
+call's x), the effective table and the severance transform, which is one
+gather of the severed rows, one product per pattern on its contiguous
+slice and one scatter.
+
 A layer takes its widths, its batch norm (None on the output layer only:
 ``is_output`` is ``bn is None``), its name, and the arrays a checkpoint
 stores for its kind: ``shadow`` and ``alive`` of a dense layer; ``masks``,
@@ -62,7 +72,7 @@ import math
 
 import numpy as np
 
-from .lutcore import CornerBatch
+from .lutcore import CornerBatch, Wiring
 from .shrink import compose_transforms, salience_rows
 
 GAMMA_MIN = 1e-3  # keeps the folded threshold comparison direction fixed
@@ -313,6 +323,10 @@ class LutLayer(_Layer):
     positions are recorded in ``pruned``; the averaging transform is applied
     to the raw masks whenever they are read (``effective_masks``), so
     severance survives any number of gradient updates.
+
+    ``inputs``, ``channel`` and ``pruned`` are read-only: what follows from
+    them is built when they are set, and ``set_pruned`` is the one way to
+    change the severance.
     """
 
     kind = "lut"
@@ -324,6 +338,7 @@ class LutLayer(_Layer):
         order = np.argsort(channel, kind="stable")
         self.inputs = inputs[order].astype(np.int64)
         self.channel = channel[order].astype(np.int64)
+        self.inputs.flags.writeable = self.channel.flags.writeable = False
         self.masks = masks[order].astype(np.float64)
         self.k = self.inputs.shape[1]
         self.dmasks = np.zeros_like(self.masks)
@@ -331,6 +346,8 @@ class LutLayer(_Layer):
         self._chmat = np.zeros((len(self.channel), n_out))
         self._chmat[np.arange(len(self.channel)), self.channel] = 1.0
         self._chmat32 = self._chmat.astype(np.float32)  # for infer_bin
+        self._fan_in = int(np.bincount(self.channel).max(initial=0))
+        self._bin_wiring = Wiring(n_in, self.inputs)
         self.pruned = np.zeros(self.inputs.shape, dtype=bool)
         self.set_pruned(pruned[order])
 
@@ -339,24 +356,37 @@ class LutLayer(_Layer):
         return len(self.channel)
 
     def set_pruned(self, pruned: np.ndarray) -> None:
-        """Record the severed inputs, and group the rows that sever any by
-        their severed pattern, with one averaging operator V per group (the
+        """Record the severed inputs and build what follows from them: the
+        hp wiring, and the rows that sever any input, sorted by their
+        severed pattern, with one averaging operator V per pattern (the
         rows that sever none keep V = I and are left out)."""
         if not np.all(pruned[self.pruned]):
             raise ModelError("severed LUT inputs cannot be revived")
         self.pruned = pruned.astype(bool)
-        pats = (self.pruned.astype(np.int64) * (1 << np.arange(self.k))).sum(axis=1)
-        self._groups = []
-        for pat in np.unique(pats[pats != 0]):
-            pos = [i for i in range(self.k) if (pat >> i) & 1]
-            self._groups.append((np.nonzero(pats == pat)[0],
-                                 compose_transforms(self.k, pos)))
+        self.pruned.flags.writeable = False
+        self._hp_wiring = Wiring(self.n_in, self.inputs, self.pruned)
+        pats = (self.pruned.astype(np.int64) << np.arange(self.k)).sum(axis=1)
+        order = np.argsort(pats, kind="stable")
+        self._severed_rows = order[pats[order] != 0]
+        pats = pats[self._severed_rows]
+        starts = np.flatnonzero(np.diff(pats, prepend=0))
+        self._severances = [
+            (slice(lo, hi), compose_transforms(self.k, [i for i in range(self.k)
+                                                        if (pats[lo] >> i) & 1]))
+            for lo, hi in zip(starts, [*starts[1:], len(pats)])]
 
     def _transform(self, a: np.ndarray) -> np.ndarray:
         """Row-wise severance transform, in place (v is symmetric, so it maps
-        raw masks to effective ones and effective gradients to raw ones)."""
-        for rows, v in self._groups:
-            a[rows] = a[rows] @ v
+        raw masks to effective ones and effective gradients to raw ones):
+        one gather of the severed rows, one product per pattern on its
+        contiguous slice of them, one scatter."""
+        rows = self._severed_rows
+        if len(rows):
+            severed = a.take(rows, axis=0)
+            out = np.empty_like(severed)
+            for s, v in self._severances:
+                np.matmul(severed[s], v, out=out[s])
+            a[rows] = out
         return a
 
     def effective_masks(self) -> np.ndarray:
@@ -370,7 +400,7 @@ class LutLayer(_Layer):
     def forward(self, x: np.ndarray, mode: str, stats: str) -> np.ndarray:
         # hp reads the kept inputs only; a bin lookup costs one gather
         # whatever the fan-in, so it reads all k
-        batch = CornerBatch(x, self.inputs, self.pruned if mode == "hp" else None)
+        batch = CornerBatch(x, self._hp_wiring if mode == "hp" else self._bin_wiring)
         table = np.ascontiguousarray(self.effective_masks().T)  # (2^k, N)
         self._cache_lut, self._cache_mode = (batch, table), mode
         f = batch.interpolate(table)
@@ -390,9 +420,9 @@ class LutLayer(_Layer):
         return sign_bits(self.effective_masks())
 
     def infer_bin(self, xbits: np.ndarray) -> np.ndarray:
-        _check_exact(self.name, int(np.bincount(self.channel).max(initial=0)))
+        _check_exact(self.name, self._fan_in)
         tt = self.truth_tables().astype(np.float32).T  # (2^k, N)
-        f = CornerBatch(xbits, self.inputs).interpolate(tt)
+        f = CornerBatch(xbits, self._bin_wiring).interpolate(tt)
         return _infer_out(self, f @ self._chmat32)
 
     def step(self, lr: float) -> None:

@@ -81,10 +81,16 @@ class ExportResult:
 def run_export(path: str, out_dir: str, top: str = "top") -> ExportResult:
     """Write the Verilog, area reports and certificate of the final
     checkpoint ``path`` into ``out_dir``. A certificate mismatch is returned,
-    not raised, so the certificate is written either way."""
+    not raised, so the certificate is written either way; an error raised
+    before it is written leaves no certificate behind."""
     net, cfg, phase, _, _ = checkpoint.load(path)
     _require_phase(phase, train.PHASES[-1], "export")
     os.makedirs(out_dir, exist_ok=True)
+    # a certificate left by an earlier export would vouch for this one's
+    # netlist.v even if the check below never ran
+    cert_path = os.path.join(out_dir, "certificate.txt")
+    if os.path.exists(cert_path):
+        os.remove(cert_path)
     pre = netlist.extract_netlist(net)
     post = netlist.simplify(pre)
     text = verilog.emit_verilog(post, top)
@@ -103,7 +109,7 @@ def run_export(path: str, out_dir: str, top: str = "top") -> ExportResult:
         f"samples\t{len(x)}\nmismatches\t{mismatches}\n"
         f"status\t{'PASS' if mismatches == 0 else 'FAIL'}\n"
     )
-    with open(os.path.join(out_dir, "certificate.txt"), "w") as f:
+    with open(cert_path, "w") as f:
         f.write(cert)
     adder_terms = sum(len(n.terms) for n in post.nodes.values() if n.kind == "sum")
     multi = {layer: (n, int(report.pre[layer].sum()))

@@ -26,7 +26,7 @@ import pytest
 from lutshrink import checkpoint
 from lutshrink.config import DATA_DIR_ENV, MNIST_FILES, load_datasets
 from lutshrink.data import synth_boolean
-from lutshrink.lutcore import CornerBatch
+from lutshrink.lutcore import CornerBatch, Wiring
 from lutshrink.model import Network, sign_bits
 from lutshrink.netlist import area_report, extract_netlist, scores, simplify
 from lutshrink.shrink import build_U, compose_transforms, salience_rows
@@ -161,7 +161,7 @@ def test_criterion_3_function_preservation():
 
 def _one_lut(x: np.ndarray) -> CornerBatch:
     """One sample of one LUT that reads x[j] as its input j."""
-    return CornerBatch(x[None], np.arange(len(x))[None])
+    return CornerBatch(x[None], Wiring(len(x), np.arange(len(x))[None]))
 
 
 def _lut_out(params: np.ndarray, x: np.ndarray) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import lutshrink
-from lutshrink import checkpoint
+from lutshrink import checkpoint, verilog
 from lutshrink.cli import THREAD_VARS, _set_threads, build_parser, main
 from lutshrink.config import RETIRED, load_config, preset_path
 from lutshrink.train import SETTINGS
@@ -132,6 +132,20 @@ def test_simulate_writes_out(pipeline_dir, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     lines = out.read_text().splitlines()
     assert lines[0] == "score_0\tscore_1" and len(lines) == 3
+
+
+def test_failed_export_leaves_no_certificate(pipeline_dir, tmp_path, monkeypatch, capsys):
+    """An export whose Verilog does not parse fails before it certifies: the
+    PASS of an earlier export into the same directory must not stay next
+    to a netlist.v it never checked."""
+    ckpt, out = os.path.join(pipeline_dir, "checkpoint.json"), str(tmp_path)
+    assert main(["export", ckpt, "--out", out]) == 0
+    assert "status\tPASS" in (tmp_path / "certificate.txt").read_text()
+    monkeypatch.setattr(verilog, "emit_verilog", lambda nl, top: "assign y = ();")
+    capsys.readouterr()
+    assert main(["export", ckpt, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "certificate.txt").exists()
 
 
 def test_phase_order_enforced(pipeline_dir, tmp_path, capsys):

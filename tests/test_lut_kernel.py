@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lutshrink import checkpoint, lutcore
-from lutshrink.lutcore import CornerBatch, _halve
+from lutshrink.lutcore import CornerBatch, Wiring, _halve
 from lutshrink.model import BatchNorm, DenseLayer, LutLayer, Network, sign_pm1
 from lutshrink.shrink import compose_transforms
 from lutshrink.train import TrainConfig
@@ -159,7 +159,7 @@ def test_kernel_matches_reference(mode, k, batch, is_output, one_sample_steps,
     dout = rng.standard_normal((batch, N_OUT))
     out, dmasks, dx = _run(live, x, dout, mode)
     ref_out, ref_dmasks, ref_dx = _run(ref, x, dout, mode)
-    f = CornerBatch(x, live.inputs).interpolate(live.effective_masks().T)
+    f = CornerBatch(x, Wiring(N_IN, live.inputs)).interpolate(live.effective_masks().T)
     if mode == "bin":
         np.testing.assert_array_equal(f, ref._cache_freal)
         np.testing.assert_array_equal(out, ref_out)
@@ -276,7 +276,7 @@ def _interpolating(monkeypatch):
 
 
 def _kernel_run(x, inputs, table, df):
-    batch = CornerBatch(x, inputs)
+    batch = CornerBatch(x, Wiring(N_IN, inputs))
     return batch, (batch.interpolate(table), *batch.backward(table, df))
 
 
@@ -318,7 +318,7 @@ def test_fanin_groups_match_one_group(k, batch, inputs_at, monkeypatch):
     df = rng.standard_normal((batch, N_NODES))
 
     def run():
-        batch_ = CornerBatch(x, inputs, severed)
+        batch_ = CornerBatch(x, Wiring(N_IN, inputs, severed))
         return batch_, (batch_.interpolate(table), *batch_.backward(table, df))
 
     monkeypatch.setattr(lutcore, "GROUP_FLOATS", 0)
@@ -413,9 +413,10 @@ def test_untouched_zero_sign_is_erased_by_dmasks(monkeypatch):
     dout = -np.ones((batch, N_OUT))  # df < 0 on every node and sample
     df = dout @ live._chmat.T
     table = live.effective_masks().T
-    got = CornerBatch(x, live.inputs).backward(table, df, need_dx=False)[0]
+    got = CornerBatch(x, Wiring(N_IN, live.inputs)).backward(table, df, need_dx=False)[0]
     with _interpolating(monkeypatch):
-        want = CornerBatch(x, live.inputs).backward(table, df, need_dx=False)[0]
+        want = CornerBatch(x, Wiring(N_IN, live.inputs)).backward(table, df,
+                                                                need_dx=False)[0]
         twin_dmasks = _run(twin, x, dout, "bin")[1]
     np.testing.assert_array_equal(got, want)
     untouched = got == 0.0
@@ -445,4 +446,5 @@ def test_interpolation_is_exact_at_every_corner(table):
     hi = [np.repeat((1.0 + corners[:, j : j + 1]) * 0.5, n, axis=1) for j in range(k)]
     np.testing.assert_array_equal(_halve(table, lo, hi), table)  # f[a] == table[a]
     inputs = np.tile(np.arange(k), (n, 1))  # every node reads x
-    np.testing.assert_array_equal(CornerBatch(corners, inputs).interpolate(table), table)
+    np.testing.assert_array_equal(CornerBatch(corners, Wiring(k, inputs)).interpolate(table),
+                                  table)

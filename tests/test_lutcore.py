@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lutshrink.lutcore import ContractError, CornerBatch, project, rewire, support
+from lutshrink.lutcore import ContractError, CornerBatch, Wiring, project, rewire, support
 from lutshrink.model import sign_bits, sign_pm1
 from lutshrink.shrink import build_U, salience_rows
 
@@ -38,7 +38,7 @@ def brute_forward(params, x):
 def one_lut(x) -> CornerBatch:
     """One sample of one LUT that reads x[j] as its input j."""
     x = np.asarray(x, dtype=np.float64)
-    return CornerBatch(x[None], np.arange(len(x))[None])
+    return CornerBatch(x[None], Wiring(len(x), np.arange(len(x))[None]))
 
 
 def forward(params, x) -> float:
@@ -229,7 +229,7 @@ def test_project_table():
 
 def test_contract_errors():
     with pytest.raises(ContractError, match=r"fan-in must be in \[1, 6\], got 7"):
-        CornerBatch(np.zeros((1, 7)), np.arange(7)[None])
+        CornerBatch(np.zeros((1, 7)), Wiring(7, np.arange(7)[None]))
     with pytest.raises(ContractError, match="needs 4 entries"):
         rewire([1, -1, 1], 2, [0, 1], [0, 0])
     with pytest.raises(ContractError, match="expected 4 columns"):

@@ -12,7 +12,7 @@ import copy
 import numpy as np
 import pytest
 
-from lutshrink.lutcore import CornerBatch
+from lutshrink.lutcore import CornerBatch, Wiring
 from lutshrink.model import (
     BN_EPS,
     BN_MOMENTUM,
@@ -39,7 +39,7 @@ def calibrate_ref(lay, x):
     if lay.kind == "dense":
         s = x @ (np.where(lay.shadow >= 0, 1.0, -1.0) * lay.alive).T
     else:
-        f = CornerBatch(x, lay.inputs).interpolate(lay.effective_masks().T)
+        f = CornerBatch(x, Wiring(lay.n_in, lay.inputs)).interpolate(lay.effective_masks().T)
         s = sign_pm1(f) @ lay._chmat
     if lay.is_output:
         return s * lay.alpha

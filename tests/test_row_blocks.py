@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 
 from lutshrink import lutcore, model
-from lutshrink.lutcore import CornerBatch
+from lutshrink.lutcore import CornerBatch, Wiring
 from lutshrink.model import BatchNorm, DenseLayer, LutLayer, Network, sign_pm1
 
 N_IN, N_NODES = 9, 23
 
 
 def _kernel(x, inputs, table, df, severed):
-    batch = CornerBatch(x, inputs, severed)
+    batch = CornerBatch(x, Wiring(N_IN, inputs, severed))
     dtable, dx = batch.backward(table, df)
     assert batch.backward(table, df, need_dx=False)[0].tobytes() == dtable.tobytes()
     return batch, (batch.interpolate(table), dtable, dx)
@@ -66,9 +66,10 @@ def test_default_blocks_split_a_large_batch():
     rng = np.random.default_rng(0)
     inputs = rng.integers(0, N_IN, size=(N_NODES, 6))
     x = rng.uniform(-1.0, 1.0, size=(600, N_IN))
-    assert len(CornerBatch(x, inputs).blocks) > 1
-    assert len(CornerBatch(sign_pm1(x), inputs).blocks) > 1
-    assert len(CornerBatch(x[:7], inputs).blocks) == 1
+    wiring = Wiring(N_IN, inputs)
+    assert len(CornerBatch(x, wiring).blocks) > 1
+    assert len(CornerBatch(sign_pm1(x), wiring).blocks) > 1
+    assert len(CornerBatch(x[:7], wiring).blocks) == 1
 
 
 def _network(rng, n_in=40, hidden=32, k=3, n_nodes=96, classes=5):
