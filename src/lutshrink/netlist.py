@@ -80,15 +80,13 @@ class Node:
 @dataclass
 class Netlist:
     n_inputs: int
-    nodes: dict[int, Node] = field(default_factory=dict)
-    order: list[int] = field(default_factory=list)
+    nodes: dict[int, Node] = field(default_factory=dict)  # in id order
     outputs: list[int] = field(default_factory=list)
     _next: int = 0
 
     def add(self, kind: str, **kw) -> Node:
         node = Node(self._next, kind, **kw)
         self.nodes[node.id] = node
-        self.order.append(node.id)
         self._next += 1
         return node
 
@@ -97,11 +95,11 @@ class Netlist:
         return Netlist(
             self.n_inputs,
             nodes={i: node.copy() for i, node in self.nodes.items()},
-            order=list(self.order), outputs=list(self.outputs), _next=self._next,
+            outputs=list(self.outputs), _next=self._next,
         )
 
     def lut_nodes(self) -> list[Node]:
-        return [self.nodes[i] for i in self.order if self.nodes[i].kind == "lut"]
+        return [node for node in self.nodes.values() if node.kind == "lut"]
 
     def total_lut_inputs(self) -> int:
         return sum(n.k for n in self.lut_nodes())
@@ -218,12 +216,11 @@ def _simplify_node(nl: Netlist, image: dict, node: Node) -> None:
 
 def _garbage_collect(nl: Netlist) -> None:
     live = set(nl.outputs)
-    for nid in reversed(nl.order):  # consumers before their sources
+    for nid in reversed(nl.nodes):  # consumers before their sources
         if nid in live:
             live.update(_sources(nl.nodes[nid]))
     live |= {n.id for n in nl.nodes.values() if n.kind == "input"}
-    nl.order = [i for i in nl.order if i in live]
-    nl.nodes = {i: nl.nodes[i] for i in nl.order}
+    nl.nodes = {i: node for i, node in nl.nodes.items() if i in live}
 
 
 def simplify(nl: Netlist) -> Netlist:
@@ -233,8 +230,7 @@ def simplify(nl: Netlist) -> Netlist:
     ends at the fixpoint."""
     nl = nl.copy()
     image: dict[int, tuple[int, int, int]] = {}
-    for nid in nl.order:
-        node = nl.nodes[nid]
+    for nid, node in nl.nodes.items():
         late = max(_sources(node), default=-1)
         if late >= nid:
             raise NetlistError(f"node {nid} reads node {late}, which is not "
@@ -257,8 +253,7 @@ def _levels(nl: Netlist) -> list[list[Node]]:
     fan-in form a level, which only reads levels before it."""
     depth: dict[int, int] = {}
     levels: dict[tuple, list[Node]] = {}
-    for nid in nl.order:
-        node = nl.nodes[nid]
+    for nid, node in nl.nodes.items():
         try:
             depth[nid] = 1 + max(map(depth.__getitem__, _sources(node)), default=-1)
         except KeyError as e:
@@ -309,7 +304,7 @@ def simulate(nl: Netlist, x: np.ndarray) -> dict[str, np.ndarray]:
         raise NetlistError("simulation inputs must be +/-1")
     levels = _levels(nl)
     ids = [node.id for nodes in levels for node in nodes]
-    rows = np.zeros(max(nl.order, default=0) + 1, dtype=np.int64)
+    rows = np.zeros(max(nl.nodes, default=0) + 1, dtype=np.int64)
     rows[ids] = np.arange(len(ids))
     v = np.empty((len(ids), x.shape[0]), dtype=np.float32)
     a = 0

@@ -1,8 +1,15 @@
 """Structural Verilog emission and a parser for the emitted subset.
 
-Encoding: a wire bit 1 means +1 and 0 means -1. Truth-table nodes become
-sum-of-products assigns (minterms in index order, no two-level
-minimization), thresholds become signed compares. A sum of +/-1 terms plus
+Encoding: a wire bit 1 means +1 and 0 means -1. A k-input LUT is one
+2^k-bit constant, as an FPGA LUT's INIT, and one bit-select of it::
+
+    localparam [7:0] Tn46 = 8'h96;
+    wire n46;
+    assign n46 = Tn46[{n30, n18, in[2]}];
+
+Bit i of the constant is the output at corner i; the index concatenates
+the fan-in with input 0 last, as the LSB, so a wire read twice indexes as
+in the netlist. Thresholds become signed compares. A sum of +/-1 terms plus
 an offset is written as two popcounts over its 1-bit wires,
 ``((p0 + p1 - (q0 + q1)) <<< 1) + C``: each term s * (2 b - 1) adds 2 b to
 the sum when s = +1 and takes 2 b from it when s = -1, so with P and N the
@@ -25,7 +32,15 @@ width, at which the simulator wraps it. So the parser refuses a C of
 another width, and ``~w`` inside a sum, which a tool reads as -1 - w. It
 gives back each sum's terms as a multiset, the positive ones first: the
 text does not keep the order in which they were interleaved. The emitter
-refuses a literal whose magnitude does not fit its signed width.
+refuses a literal whose magnitude does not fit its signed width. A LUT is
+read only in the form above, its constant decoded with Python ints (a
+6-input table is 64 bits). In one line naming the LUT, the parser refuses
+a constant not declared and sized at 2^k bits or too wide for them, an
+unknown table, an index operand that is not a 1-bit wire, and other LUT
+text; the sum-of-products text of older exports is told to re-run
+``lutshrink export``. A bare wire on the right is a copy of it. A second
+assign to a wire or output, or one to an input, is refused: a tool would
+see two drivers.
 """
 
 from __future__ import annotations
@@ -45,23 +60,6 @@ def _sum_width(node: Node) -> int:
 
 def _wire(nid: int) -> str:
     return f"n{nid}"
-
-
-def _lut_expr(node: Node, names: dict[int, str]) -> str:
-    k = node.k
-    lits = [names[f] for f in node.fanin]
-    minterms = []
-    for idx in range(2**k):
-        if node.bits[idx] > 0:
-            parts = [
-                lits[j] if (idx >> j) & 1 else f"~{lits[j]}" for j in range(k)
-            ]
-            minterms.append("(" + " & ".join(parts) + ")" if k > 1 else parts[0])
-    if not minterms:
-        return "1'b0"
-    if len(minterms) == 2**k:
-        return "1'b1"
-    return " | ".join(minterms)
 
 
 def _lit(value: int, width: int, name: str) -> str:
@@ -97,20 +95,18 @@ def emit_verilog(nl: Netlist, top_name: str = "top") -> str:
     lines = [f"module {top_name} (", ",\n".join(ports), ");"]
 
     names: dict[int, str] = {}
-    for nid in sorted(nl.order):  # ids are assigned in topological order
-        node = nl.nodes[nid]
+    for nid, node in nl.nodes.items():  # ids are assigned in topological order
         name = names[nid] = f"in[{node.pos}]" if node.kind == "input" else _wire(nid)
         if node.kind in ("input", "out"):
             continue
         if node.kind == "const":
             expr = f"1'b{1 if node.value > 0 else 0}"
-        elif node.kind == "lut":
-            if len(set(node.fanin)) != node.k:
-                raise NetlistError(
-                    f"LUT {name} reads one wire twice in fan-in {node.fanin}; "
-                    "the parser would re-read it with a smaller k"
-                )
-            expr = _lut_expr(node, names)
+        elif node.kind == "lut":  # bit i of the table is the output at corner i
+            size = 2**node.k
+            value = sum(1 << i for i in np.flatnonzero(node.bits > 0).tolist())
+            lines.append(f"  localparam [{size - 1}:0] T{name} = "
+                         f"{size}'h{value:0{-(-size // 4)}x};")
+            expr = f"T{name}[{{{', '.join(names[f] for f in reversed(node.fanin))}}}]"
         elif node.kind == "sum":
             expr = _sum_expr(node, names)
         elif node.kind == "th":
@@ -135,7 +131,8 @@ _LIT = r"-?[1-9]\d*'sd\d+"
 _RE_CONST = re.compile(r"^1'b([01])$")
 _RE_TH = re.compile(rf"^\((\w+) >= ({_LIT})\)$")
 _BIT = r"(?:n\d+|in\[\d+\])"
-_RE_LUT_LIT = re.compile(rf"^~?{_BIT}$")
+_RE_LUT = re.compile(r"(\w+)\[\{([^{}]*)\}\]")
+_RE_TABLE = re.compile(r"localparam \[(\d+):0\] (\w+) = ([^;]*);")
 # a sum: two popcounts, each 1'b0 or a chain of bit wires, and one literal
 _CHAIN = rf"1'b0|{_BIT}(?: \+ {_BIT})*"
 _RE_SUM = re.compile(rf"\(\(({_CHAIN}) - \(({_CHAIN})\)\) <<< 1\) \+ ({_LIT})")
@@ -179,35 +176,31 @@ def _parse_sum(lhs: str, expr: str, widths: dict[str, int], by_name: dict[str, i
     return list(zip(map(by_name.__getitem__, names), signs)), c + len(pos) - len(neg)
 
 
-def _parse_lut(lhs: str, expr: str):
-    """SOP over bit wires -> (fanin names in input order, table bits); a
-    bare wire name is a one-input wire LUT."""
-    fanin: list[str] = []
-    minterm_lits: list[list[tuple[str, bool]]] = []
-    for term in expr.split("|"):
-        term = term.strip()
-        if term.startswith("(") and term.endswith(")"):
-            term = term[1:-1]
-        lits = []
-        for lit in term.split("&"):
-            lit = lit.strip()
-            if not _RE_LUT_LIT.match(lit):
-                raise NetlistError(f"assign {lhs}: malformed LUT expression {expr!r}")
-            neg = lit.startswith("~")
-            name = lit[1:] if neg else lit
-            if name not in fanin:
-                fanin.append(name)
-            lits.append((name, neg))
-        minterm_lits.append(lits)
-    k = len(fanin)
-    bits = -np.ones(2**k, dtype=np.int8)
-    for idx in range(2**k):
-        assign = {name: bool((idx >> j) & 1) for j, name in enumerate(fanin)}
-        for lits in minterm_lits:
-            if all(assign[name] != neg for name, neg in lits):
-                bits[idx] = 1
-                break
-    return fanin, bits
+def _parse_lut(lhs: str, expr: str, tables: dict[str, tuple[str, str]],
+               widths: dict[str, int]):
+    """``T[{a, b, c}]`` -> (fan-in names, input 0 first; table bits)."""
+    m = _RE_LUT.fullmatch(expr)
+    if not m:
+        remedy = ("; the sum-of-products form of older exports is no longer read, "
+                  "re-run `lutshrink export`" if re.search(r"[&|~]", expr) else "")
+        raise NetlistError(f"LUT {lhs}: cannot parse {expr!r}, expected "
+                           f"T[{{a, b, c}}] of a localparam T{remedy}")
+    if m[1] not in tables:
+        raise NetlistError(f"LUT {lhs}: unknown table {m[1]}")
+    operands = [op.strip() for op in m[2].split(",")]
+    for op in operands:
+        if not re.fullmatch(_BIT, op) or op in widths:
+            raise NetlistError(f"LUT {lhs}: index operand {op!r} is not a 1-bit wire")
+    size, (msb, const) = 2 ** len(operands), tables[m[1]]
+    mh = re.fullmatch(r"(\d+)'[hH]([0-9a-fA-F]+)", const)
+    if int(msb) + 1 != size or not mh or int(mh[1]) != size:
+        raise NetlistError(f"LUT {lhs}: table {m[1]} is [{msb}:0] {const}; "
+                           f"{len(operands)} inputs need [{size - 1}:0] {size}'h...")
+    value = int(mh[2], 16)  # a Python int: a 6-input table is 64 bits
+    if value >> size:
+        raise NetlistError(f"LUT {lhs}: table {m[1]} = {const} does not fit {size} bits")
+    bits = np.array([1 if value >> i & 1 else -1 for i in range(size)], dtype=np.int8)
+    return operands[::-1], bits
 
 
 class _Wires(dict):
@@ -225,12 +218,20 @@ def parse_verilog(text: str) -> Netlist:
     n_inputs = int(m.group(1)) + 1
     out_names = set(re.findall(r"output wire (?:signed \[\d+:0\] )?(\w+)", text))
     widths = {name: int(msb) + 1 for msb, name in _RE_SIGNED_WIRE.findall(text)}
+    tables = {name: (msb, const) for msb, name, const in _RE_TABLE.findall(text)}
 
     nl = Netlist(n_inputs=n_inputs)
     by_name = _Wires((f"in[{i}]", nl.add("input", pos=i).id) for i in range(n_inputs))
+    assigned: set[str] = set()
     for lhs, rhs in re.findall(r"assign (\S+) = (.+);", text):
+        if lhs == "in" or lhs.startswith("in["):
+            raise NetlistError(f"assign to input {lhs}, which only the caller drives")
+        if lhs in assigned:
+            raise NetlistError(f"{'output' if lhs in out_names else 'wire'} {lhs} is "
+                               "assigned twice; a Verilog tool sees two drivers")
+        assigned.add(lhs)
         rhs = rhs.strip()
-        if lhs in out_names and rhs in by_name:  # an output aliasing a wire
+        if rhs in by_name:  # a copy of a wire
             nid = by_name[rhs]
         elif mc := _RE_CONST.match(rhs):
             nid = nl.add("const", value=1 if mc.group(1) == "1" else -1).id
@@ -246,7 +247,7 @@ def parse_verilog(text: str) -> Netlist:
             terms, offset = _parse_sum(lhs, rhs, widths, by_name)
             nid = nl.add("sum", terms=terms, offset=offset, width=widths[lhs]).id
         else:
-            fanin, bits = _parse_lut(lhs, rhs)
+            fanin, bits = _parse_lut(lhs, rhs, tables, widths)
             nid = nl.add("lut", bits=bits, fanin=[by_name[n] for n in fanin]).id
         if lhs in out_names:
             nl.outputs.append(nl.add("out", src=nid, name=lhs).id)

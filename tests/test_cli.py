@@ -134,6 +134,36 @@ def test_simulate_writes_out(pipeline_dir, tmp_path, capsys):
     assert lines[0] == "score_0\tscore_1" and len(lines) == 3
 
 
+XOR_LUT = """module top (
+    input wire [1:0] in,
+    output wire y
+);
+  localparam [3:0] Tn2 = 4'h6;
+  wire n2;
+  assign n2 = {expr};
+  assign y = n2;
+endmodule
+"""
+
+
+def test_simulate_reads_a_lut_and_refuses_the_old_form(tmp_path, capsys):
+    """The LUT form ``Tn2[{in[1], in[0]}]`` of a 4-bit constant is read;
+    the sum-of-products form older exports wrote fails in one line that
+    says to export again."""
+    vecs, v = tmp_path / "vecs.txt", tmp_path / "netlist.v"
+    vecs.write_text("1 1\n1 -1\n-1 1\n-1 -1\n")
+    v.write_text(XOR_LUT.format(expr="Tn2[{in[1], in[0]}]"))
+    assert main(["simulate", str(v), "--inputs", str(vecs)]) == 0
+    assert capsys.readouterr().out == "y\n-1\n1\n1\n-1\n"
+    v.write_text(XOR_LUT.format(expr="(in[0] & ~in[1]) | (~in[0] & in[1])"))
+    assert main(["simulate", str(v), "--inputs", str(vecs)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: LUT n2: cannot parse ")
+    assert captured.err.endswith("re-run `lutshrink export`\n")
+    assert captured.err.count("\n") == 1
+
+
 def test_failed_export_leaves_no_certificate(pipeline_dir, tmp_path, monkeypatch, capsys):
     """An export whose Verilog does not parse fails before it certifies: the
     PASS of an earlier export into the same directory must not stay next

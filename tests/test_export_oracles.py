@@ -9,7 +9,9 @@ their sum cannot reach, the rule ``simplify`` now applies. It is written
 here on its own, so the old passes stay verbatim. The table helpers the
 old passes called (``table_view``, ``_cofactor``, ``_flip_axis``, the wire
 and inverter tests, the fan-in merge) are frozen here too, and
-``lutcore.rewire`` and ``project`` are checked against them.
+``lutcore.rewire`` and ``project`` are checked against them. Since
+``Netlist.order`` was dropped, the oracles walk ``nl.nodes``, which is
+kept in the same id order; what they compute is unchanged.
 
 Sums are emitted as two popcounts, ``((P - N) <<< 1) + C``. The text keeps
 which terms are positive and which negative, not how they were interleaved,
@@ -22,7 +24,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lutshrink import netlist
@@ -87,8 +89,7 @@ def oracle_simulate(nl: Netlist, x: np.ndarray) -> dict[str, np.ndarray]:
         raise NetlistError("simulation inputs must be +/-1")
     b = x.shape[0]
     vals: dict[int, np.ndarray] = {}
-    for nid in nl.order:
-        node = nl.nodes[nid]
+    for nid, node in nl.nodes.items():
         if node.kind == "input":
             vals[nid] = x[:, node.pos].astype(np.int64)
         elif node.kind == "const":
@@ -151,7 +152,7 @@ def oracle_resolve(nl: Netlist, wid: int, through_inverters: bool) -> tuple[int,
 
 def oracle_simplify_pass(nl: Netlist) -> bool:
     changed = False
-    for nid in list(nl.order):
+    for nid in list(nl.nodes):
         node = nl.nodes[nid]
         if node.kind == "lut":
             j = 0
@@ -236,16 +237,14 @@ def oracle_garbage_collect(nl: Netlist) -> None:
         if node.kind in ("th", "out"):
             stack.append(node.src)
     live |= {n.id for n in nl.nodes.values() if n.kind == "input"}
-    nl.order = [i for i in nl.order if i in live]
-    nl.nodes = {i: nl.nodes[i] for i in nl.order}
+    nl.nodes = {i: node for i, node in nl.nodes.items() if i in live}
 
 
 def fold_unreachable(nl: Netlist) -> bool:
     """The added rule: a threshold its sum of n +/-1 terms cannot reach, or
     always reaches, is a constant."""
     changed = False
-    for nid in nl.order:
-        node = nl.nodes[nid]
+    for node in nl.nodes.values():
         if node.kind == "th" and nl.nodes[node.src].kind == "sum":
             s = nl.nodes[node.src]
             lo, hi = s.offset - len(s.terms), s.offset + len(s.terms)
@@ -556,3 +555,50 @@ def test_round_trip_through_width_faithful_parse(seed, n_inputs):
     back = parse_verilog(emit_verilog(simplify(nl)))
     assert all(n.width > 0 for n in back.nodes.values() if n.kind == "sum")
     assert_same_outputs(simulate(back, x), oracle_simulate(nl, x), f"seed {seed}")
+
+
+def one_lut_netlist(k: int, table: int, picks: list[int]) -> Netlist:
+    """Output y is a k-input LUT whose bit i is bit i of ``table``. Its
+    fan-in is picked, repeats allowed, from six inputs (ids 0-5), a 2-input
+    LUT (id 6) and a threshold (id 8)."""
+    nl = Netlist(n_inputs=6)
+    for i in range(6):
+        nl.add("input", pos=i)
+    nl.add("lut", bits=np.array([1, -1, -1, 1], dtype=np.int8), fanin=[0, 1])
+    s = nl.add("sum", terms=[(2, 1), (3, -1), (4, 1)], offset=0)
+    nl.add("th", src=s.id, tau=1)
+    bits = np.array([1 if table >> i & 1 else -1 for i in range(2**k)], dtype=np.int8)
+    pool = [0, 1, 2, 3, 4, 5, 6, 8]
+    lut = nl.add("lut", bits=bits, fanin=[pool[p] for p in picks])
+    nl.outputs.append(nl.add("out", src=lut.id, name="y").id)
+    return nl
+
+
+@st.composite
+def one_lut(draw):
+    k = draw(st.integers(1, 6))
+    return (k, draw(st.integers(0, 2 ** 2**k - 1)),
+            draw(st.lists(st.integers(0, 7), min_size=k, max_size=k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=one_lut())
+@example(case=(6, 1 << 63, [0, 1, 2, 3, 4, 5]))  # the top corner of a 64-bit table
+@example(case=(6, (1 << 63) | 0x96, [6, 7, 0, 6, 5, 7]))  # LUT, threshold, repeats
+@example(case=(2, 0b0110, [3, 3]))  # one wire read twice: in[3] ^ in[3]
+@example(case=(3, 0b00000010, [7, 6, 2]))
+def test_round_trip_of_one_lut(case):
+    """emit -> parse gives back the LUT's table bits and fan-in order, and
+    simulates bit for bit as the netlist does, on every input corner."""
+    k, table, picks = case
+    nl = one_lut_netlist(k, table, picks)
+    text = emit_verilog(nl)
+    size = 2**k
+    assert f"  localparam [{size - 1}:0] Tn9 = {size}'h{table:0{-(-size // 4)}x};\n" in text
+    back = parse_verilog(text)
+    assert ([(n.id, n.kind, n.fanin) for n in back.nodes.values()]
+            == [(n.id, n.kind, n.fanin) for n in nl.nodes.values()])
+    assert back.nodes[9].bits.dtype == np.int8
+    np.testing.assert_array_equal(back.nodes[9].bits, nl.nodes[9].bits)
+    x = all_patterns(6)
+    assert_same_outputs(simulate(back, x), oracle_simulate(nl, x), f"case {case}")

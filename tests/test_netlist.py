@@ -97,7 +97,7 @@ def test_simplify_preserves_function_on_random_netlists():
 
 def netlist_state(nl: Netlist):
     """Every field of the netlist and of each node, arrays as lists."""
-    return (nl.n_inputs, nl._next, list(nl.order), list(nl.outputs), [
+    return (nl.n_inputs, nl._next, list(nl.nodes), list(nl.outputs), [
         (i, n.id, n.kind, n.layer, None if n.bits is None else n.bits.tolist(),
          list(n.fanin), n.pos, n.value, list(n.terms), n.offset, n.src, n.tau,
          n.name)
@@ -274,11 +274,13 @@ def sums_by_position(nl: Netlist) -> list[tuple[list, int]]:
     the text keeps which terms are positive and which negative, not how the
     two were interleaved. A term names its wire by input position, or by its
     source's position in the node order."""
+    index = {wid: i for i, wid in enumerate(nl.nodes)}
+
     def key(wid):
         node = nl.nodes[wid]
-        return ("in", node.pos) if node.kind == "input" else ("node", nl.order.index(wid))
+        return ("in", node.pos) if node.kind == "input" else ("node", index[wid])
     return [(sorted((key(w), sgn) for w, sgn in n.terms), n.offset)
-            for n in (nl.nodes[i] for i in nl.order) if n.kind == "sum"]
+            for n in nl.nodes.values() if n.kind == "sum"]
 
 
 @pytest.mark.parametrize("offset", [-5, 0, 3])
@@ -287,7 +289,7 @@ def test_round_trip_keeps_sum_terms_and_offset(n_terms, offset):
     nl = sum_netlist(n_terms, offset, seed=n_terms)
     back = parse_verilog(emit_verilog(nl))
     assert sums_by_position(back) == sums_by_position(nl)
-    assert [back.nodes[i].tau for i in back.order if back.nodes[i].kind == "th"] == [offset // 2]
+    assert [n.tau for n in back.nodes.values() if n.kind == "th"] == [offset // 2]
 
 
 def test_emit_writes_each_sum_as_two_popcounts():
@@ -407,8 +409,11 @@ LUT_MODULE = """module top (
     output wire y
 );
   wire n2;
-  wire n3;
   assign n2 = in[0];
+  wire signed [2:0] n4;
+  assign n4 = ((in[0] - (1'b0)) <<< 1) + -3'sd1;
+  localparam [{msb}:0] Tn3 = {const};
+  wire n3;
   assign n3 = {expr};
   assign y = n3;
 endmodule
@@ -416,40 +421,93 @@ endmodule
 
 
 def test_parse_reads_hand_written_lut():
-    nl = parse_verilog(LUT_MODULE.format(expr="(n2 & ~in[1]) | (~n2 & in[1])"))
+    nl = parse_verilog(LUT_MODULE.format(msb=3, const="4'h6", expr="Tn3[{in[1], n2}]"))
     np.testing.assert_array_equal(simulate(nl, all_patterns(2))["y"], [-1, 1, 1, -1])
 
 
-@pytest.mark.parametrize("expr", ["()", "n2 & & n2", "(n2 &)", "n2 |", "n2 & 1'b1"])
-def test_parse_rejects_malformed_lut(expr):
-    with pytest.raises(NetlistError, match="assign n3: malformed LUT expression") as exc:
-        parse_verilog(LUT_MODULE.format(expr=expr))
+@pytest.mark.parametrize("const", ["4'h2", "4'H2"])
+def test_parse_reads_the_index_lsb_last(const):
+    """n2 & ~in[1] is bit 1 of the table: n2, written last, is the LSB of
+    the index and input 0 of the LUT."""
+    nl = parse_verilog(LUT_MODULE.format(msb=3, const=const, expr="Tn3[{in[1], n2}]"))
+    np.testing.assert_array_equal(simulate(nl, all_patterns(2))["y"], [-1, 1, -1, -1])
+    (lut,) = nl.lut_nodes()
+    assert lut.fanin == [0, 1]  # n2 is a copy of in[0]
+
+
+_OLD_FORM = ("the sum-of-products form of older exports is no longer read, "
+             "re-run `lutshrink export`")
+_CANNOT = "cannot parse"
+
+
+@pytest.mark.parametrize("msb, const, expr, message", [
+    (3, "4'h6", "()", "cannot parse '()', expected T[{a, b, c}] of a localparam T"),
+    (3, "4'h6", "n2 & & n2", _OLD_FORM),
+    (3, "4'h6", "(n2 &)", _OLD_FORM),
+    (3, "4'h6", "n2 |", _OLD_FORM),
+    (3, "4'h6", "n2 & 1'b1", _OLD_FORM),
+    (3, "4'h6", "(n2 & ~in[1]) | (~n2 & in[1])", _OLD_FORM),
+    (3, "4'h6", "~in[1]", _OLD_FORM),
+    (3, "4'h6", "Tn3", _CANNOT),
+    (3, "4'h6", "Tn3[in[1]]", _CANNOT),
+    (3, "4'h6", "Tn3[{in[1], n2}] | n2", _OLD_FORM),
+    (3, "4'h6", "Tx[{in[1], n2}]", "unknown table Tx"),
+    (3, "4'h6", "Tn3[{in[1], y}]", "index operand 'y' is not a 1-bit wire"),
+    (3, "4'h6", "Tn3[{in, n2}]", "index operand 'in' is not a 1-bit wire"),
+    (3, "4'h6", "Tn3[{n4, n2}]", "index operand 'n4' is not a 1-bit wire"),
+    (3, "4'h6", "Tn3[{in[1], ~n2}]", "index operand '~n2' is not a 1-bit wire"),
+    (3, "4'h6", "Tn3[{}]", "index operand '' is not a 1-bit wire"),
+    (7, "8'h96", "Tn3[{in[1], n2}]", "table Tn3 is [7:0] 8'h96; 2 inputs need [3:0] 4'h..."),
+    (3, "4'h6", "Tn3[{in[1], n2, in[0]}]", "table Tn3 is [3:0] 4'h6; 3 inputs need [7:0] 8'h..."),
+    (3, "8'h6", "Tn3[{in[1], n2}]", "table Tn3 is [3:0] 8'h6; 2 inputs need [3:0] 4'h..."),
+    (3, "3'h6", "Tn3[{in[1], n2}]", "table Tn3 is [3:0] 3'h6; 2 inputs need"),
+    (3, "4'b0110", "Tn3[{in[1], n2}]", "table Tn3 is [3:0] 4'b0110; 2 inputs need"),
+    (3, "4'h16", "Tn3[{in[1], n2}]", "table Tn3 = 4'h16 does not fit 4 bits"),
+], ids=["()", "n2 & & n2", "(n2 &)", "n2 |", "n2 & 1'b1", "sum-of-products", "inverter",
+        "bare-table", "unbraced-index", "trailing-or", "unknown-table", "output-operand",
+        "bus-operand", "sum-operand", "inverted-operand", "no-operand", "wider-table",
+        "narrower-table", "wider-literal", "narrower-literal", "binary-literal",
+        "value-too-wide"])
+def test_parse_rejects_malformed_lut(msb, const, expr, message):
+    """Garbage, the sum-of-products form LUTs were once written in, and a
+    table or index that does not fit are refused in one line naming the LUT."""
+    with pytest.raises(NetlistError, match=rf"^LUT n3: .*{re.escape(message)}") as exc:
+        parse_verilog(LUT_MODULE.format(msb=msb, const=const, expr=expr))
+    assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("assign n2 = in[1];", "wire n2 is assigned twice; a Verilog tool sees two drivers"),
+    ("assign n3 = n2;", "wire n3 is assigned twice"),
+    ("assign y = n2;", "output y is assigned twice"),
+    ("assign in[0] = n2;", "assign to input in[0]"),
+    ("assign in = 2'b00;", "assign to input in,"),
+])
+def test_parse_rejects_a_second_driver(extra, message):
+    """A net with two assigns, or an input with one, has two drivers: the
+    last assign must not silently win."""
+    text = LUT_MODULE.format(msb=3, const="4'h6", expr="Tn3[{in[1], n2}]")
+    with pytest.raises(NetlistError, match=re.escape(message)) as exc:
+        parse_verilog(text.replace("endmodule", f"  {extra}\nendmodule"))
     assert "\n" not in str(exc.value)
 
 
 def test_parse_leaves_no_cyclic_garbage():
-    text = emit_verilog(sum_netlist(1000, 3)) + emit_verilog(
-        simplify(random_netlist(np.random.default_rng(1))))
-    parse_verilog(text)  # warm the regex cache outside the measured parse
+    # two modules, each parsed on its own: one text of both drives each
+    # output twice, which the parser refuses
+    texts = [emit_verilog(sum_netlist(1000, 3)),
+             emit_verilog(simplify(random_netlist(np.random.default_rng(1))))]
+    assert "localparam" in texts[1]
+    for text in texts:
+        parse_verilog(text)  # warm the regex cache outside the measured parse
     gc.collect()
     gc.disable()
     try:
-        nl = parse_verilog(text)
+        nets = [parse_verilog(text) for text in texts]
         garbage = gc.collect()
     finally:
         gc.enable()
-    assert nl.outputs and garbage == 0
-
-
-def test_emit_rejects_lut_reading_one_wire_twice():
-    nl = Netlist(n_inputs=2)
-    a = nl.add("input", pos=0)
-    nl.add("input", pos=1)
-    g = nl.add("lut", bits=np.array([-1, 1, 1, 1], dtype=np.int8), fanin=[a.id, a.id])
-    nl.outputs.append(nl.add("out", src=g.id, name="y").id)
-    with pytest.raises(NetlistError, match="n2 reads one wire twice") as exc:
-        emit_verilog(nl)
-    assert "\n" not in str(exc.value)
+    assert all(nl.outputs for nl in nets) and garbage == 0
 
 
 def test_emit_rejects_a_threshold_over_a_non_sum():
