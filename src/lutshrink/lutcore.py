@@ -30,14 +30,18 @@ chosen by the data.
 Every pass works in row blocks of about ``STEP_FLOATS`` floats per
 temporary. Besides its (B, N) output (and, at corners, the (B, N) flat
 index), a pass holds the (B, n_in) corner weights of x and one block's
-working set: its slabs, its (2^m, rows, N) table-gradient basis and its
-(rows, N * k) input-gradient terms and their bins. So memory grows with
-the block, not with 2^k * B * N. The backward pass is one pass per block:
-it gathers the block's slabs once (a batch of one block keeps those of the
-forward pass), adds the block's basis to the running table gradient, and
-bincounts the block's input terms into its own rows of dx. The running sum
-rides in as the first row of the next block's basis, so the samples are
-still added in order, and the block size changes no bit.
+working set: the forward pass the slabs of one input at a time, gathered
+as the halving reaches that input, and its halving temporaries; the
+backward pass the block's slabs of every input, its (2^m, rows, N)
+table-gradient basis and its (rows, N * k) input-gradient terms and their
+bins. So memory grows with the block, not with 2^k * B * N. The backward
+pass is one pass per block: it gathers the block's slabs once, adds the
+block's basis to the running table gradient, and bincounts the block's
+input terms into its own rows of dx. A batch of one block that a backward
+pass follows gathers all its slabs once, in the forward pass, and keeps
+them for the backward; an evaluation keeps none. The running sum rides in
+as the first row of the next block's basis, so the samples are still
+added in order, and the block size changes no bit.
 
 Severed inputs, when given, reach neither a node's output nor its input
 gradient: a node that keeps m of its k inputs reads its table only where
@@ -186,6 +190,16 @@ class _Fanin:
                 # mode="clip" writes straight into out; the default buffers it
                 wx.take(self.inputs[:, j], axis=1, out=slabs[j], mode="clip")
         return out
+
+    def each_slab(self, wx: np.ndarray, r: slice):
+        """The slabs of ``slabs`` of one corner weight wx (lo or hi) over
+        the samples r, input by input, each gathered when it is asked for
+        into one (rows, N_g) buffer: a slab is read before the next."""
+        wx = wx[r]
+        slab = np.empty((len(wx), self.n))
+        for j in range(self.m):
+            wx.take(self.inputs[:, j], axis=1, out=slab, mode="clip")
+            yield slab
 
     def columns(self, a: np.ndarray) -> np.ndarray:
         """The group's columns of a (B, N) array, C-contiguous (a[:, rows]
@@ -349,9 +363,12 @@ class CornerBatch:
 
     Every pass runs over the row blocks ``blocks`` (``STEP_FLOATS``). Apart
     from its (B, N) output and index and the (B, n_in) corner weights of
-    x, a pass holds one block's slabs, table-gradient basis and input
-    terms, which each block gathers or builds for itself. A batch of one
-    block gathers its slabs once, for the forward and the backward pass.
+    x, a pass holds one block's table-gradient basis and input terms, which
+    each block builds for itself, and its slabs: the forward pass gathers
+    those one input at a time, as the halving reaches that input, and the
+    backward pass a block's all at once. A batch of one block that a
+    backward pass follows (``interpolate(table, keep=True)``) gathers all
+    its slabs once, in the forward pass, and keeps them for the backward.
     """
 
     def __init__(self, x: np.ndarray, wiring: Wiring):
@@ -373,24 +390,29 @@ class CornerBatch:
         grouped = wiring.kept is not None and self.b * self.n >= GROUP_FLOATS
         self.groups = wiring.groups(grouped)
         self.blocks = _blocks(self.b, sum(g.n << max(g.m - 1, 0) for g in self.groups))
-        self._slabs = None
-        if len(self.blocks) == 1:
-            self._slabs = [g.slabs(self.w, self.blocks[0]) for g in self.groups]
+        self._slabs = None  # a kept batch of one block: its slabs per group
 
     def _block_slabs(self):
         """Each row block with the slabs of every group."""
         for r in self.blocks:
             yield r, self._slabs or [g.slabs(self.w, r) for g in self.groups]
 
-    def interpolate(self, table: np.ndarray) -> np.ndarray:
+    def interpolate(self, table: np.ndarray, keep: bool = False) -> np.ndarray:
         """LUT outputs f[b, n]; shape (B, N). At corners this is the table
-        entry itself, in the table's dtype."""
+        entry itself, in the table's dtype. ``keep``: a backward pass
+        follows, so a batch of one block gathers its slabs once and keeps
+        them for it; otherwise each input's slabs are gathered as the
+        halving reaches that input."""
         if self.flat is not None:
             return table.take(self.flat)
         tables = [g.table(table) for g in self.groups]
+        if keep and len(self.blocks) == 1:
+            self._slabs = [g.slabs(self.w, self.blocks[0]) for g in self.groups]
         f = np.empty((self.b, self.n))
-        for r, slabs in self._block_slabs():
-            for g, t, (lo, hi) in zip(self.groups, tables, slabs):
+        for r in self.blocks:
+            for i, (g, t) in enumerate(zip(self.groups, tables)):
+                lo, hi = (self._slabs[i] if self._slabs
+                          else (g.each_slab(wx, r) for wx in self.w))
                 if g.rows is None:
                     f[r] = _halve(t, lo, hi)
                 else:  # a node that keeps no input broadcasts its constant

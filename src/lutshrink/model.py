@@ -54,6 +54,12 @@ A layer's ``forward`` also takes the batch-norm statistics to use:
 (training), ``"running"`` normalizes by the running stats (evaluation), and
 ``"refresh"`` folds the batch in first and then normalizes by the running
 stats. ``Network.recalibrate`` runs the binarized forward in refresh mode.
+Only a ``"batch"`` forward, the one a backward follows, stores what the
+backward reads: a dense layer's input, the batch-norm xhat, the hard-tanh
+input, and a LUT layer's kernel batch (with its slabs, in a batch of one
+row block) and table. An evaluation or refresh forward stores nothing, and
+leaves those of the last training forward in place: a backward after it
+reads the training forward's.
 
 Weights of dense layers are always sign(shadow) in the forward pass. The
 exact inference path (``infer_bin``) compares integer-valued +/-1 sums with
@@ -122,7 +128,8 @@ def _activate(layer, s: np.ndarray, mode: str, stats: str) -> np.ndarray:
     if layer.is_output:
         return s * layer.alpha
     h = layer.bn.forward(s, stats)
-    layer._cache_h = h
+    if stats == "batch":  # a backward pass follows
+        layer._cache_h = h
     return h.clip(-1.0, 1.0) if mode == "hp" else sign_pm1(h)
 
 
@@ -188,15 +195,17 @@ class BatchNorm:
             d = s - mu
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         d *= inv_std  # xhat
-        self._cache = (d, inv_std)
+        if stats == "batch":  # a backward pass follows
+            self._cache = (d, inv_std)
         y = d * self.gamma
         y += self.beta
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        """Gradient through the last forward, which must be a "batch" one:
-        inv_std / B * (B * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
-        with dxhat = dy * gamma, composed in place in that order."""
+        """Gradient through the last "batch" forward, the one forward that
+        stores what this reads: inv_std / B * (B * dxhat - sum(dxhat) -
+        xhat * sum(dxhat * xhat)), with dxhat = dy * gamma, composed in
+        place in that order."""
         xhat, inv_std = self._cache
         t = dy * xhat
         self.dgamma += np.add.reduce(t, 0)
@@ -290,7 +299,8 @@ class DenseLayer(_Layer):
         return self._wb
 
     def forward(self, x: np.ndarray, mode: str, stats: str) -> np.ndarray:
-        self._cache_x = x
+        if stats == "batch":  # a backward pass follows
+            self._cache_x = x
         return _activate(self, x @ self.weights_bin().T, mode, stats)
 
     def backward(self, dout: np.ndarray, need_dx: bool) -> np.ndarray | None:
@@ -402,8 +412,10 @@ class LutLayer(_Layer):
         # whatever the fan-in, so it reads all k
         batch = CornerBatch(x, self._hp_wiring if mode == "hp" else self._bin_wiring)
         table = np.ascontiguousarray(self.effective_masks().T)  # (2^k, N)
-        self._cache_lut, self._cache_mode = (batch, table), mode
-        f = batch.interpolate(table)
+        keep = stats == "batch"  # a backward pass follows
+        if keep:
+            self._cache_lut, self._cache_mode = (batch, table), mode
+        f = batch.interpolate(table, keep)
         if mode == "bin":  # +/-1 inputs: f is exactly the table entry
             f = sign_pm1(f)
         return _activate(self, f @ self._chmat, mode, stats)

@@ -98,12 +98,6 @@ class Netlist:
             outputs=list(self.outputs), _next=self._next,
         )
 
-    def lut_nodes(self) -> list[Node]:
-        return [node for node in self.nodes.values() if node.kind == "lut"]
-
-    def total_lut_inputs(self) -> int:
-        return sum(n.k for n in self.lut_nodes())
-
 
 def extract_netlist(net: Network) -> Netlist:
     """Build the pre-simplification netlist of a network. LUTs are read

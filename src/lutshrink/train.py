@@ -337,10 +337,6 @@ def logic_expand(net: Network, k: int, train: Dataset, test: Dataset,
         net.recalibrate(train.features)
 
 
-def total_surviving_inputs(net: Network) -> int:
-    return sum(int((~l.pruned).sum()) for l in net.layers if l.kind == "lut")
-
-
 def logic_shrink(net: Network, train: Dataset, test: Dataset, cfg: TrainConfig,
                  rng: np.random.Generator, log: MetricLog) -> ShrinkPlan:
     """Iterative input removal: rank salience globally across the LUT

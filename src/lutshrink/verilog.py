@@ -40,7 +40,9 @@ unknown table, an index operand that is not a 1-bit wire, and other LUT
 text; the sum-of-products text of older exports is told to re-run
 ``lutshrink export``. A bare wire on the right is a copy of it. A second
 assign to a wire or output, or one to an input, is refused: a tool would
-see two drivers.
+see two drivers. So are a second ``localparam`` of one table name, which
+a tool refuses, and an output port that no assign drives, which a tool
+leaves undriven.
 """
 
 from __future__ import annotations
@@ -218,7 +220,12 @@ def parse_verilog(text: str) -> Netlist:
     n_inputs = int(m.group(1)) + 1
     out_names = set(re.findall(r"output wire (?:signed \[\d+:0\] )?(\w+)", text))
     widths = {name: int(msb) + 1 for msb, name in _RE_SIGNED_WIRE.findall(text)}
-    tables = {name: (msb, const) for msb, name, const in _RE_TABLE.findall(text)}
+    tables = {}
+    for msb, name, const in _RE_TABLE.findall(text):
+        if name in tables:
+            raise NetlistError(f"table {name} is declared twice; a Verilog tool "
+                               "refuses a second localparam of one name")
+        tables[name] = (msb, const)
 
     nl = Netlist(n_inputs=n_inputs)
     by_name = _Wires((f"in[{i}]", nl.add("input", pos=i).id) for i in range(n_inputs))
@@ -253,4 +260,7 @@ def parse_verilog(text: str) -> Netlist:
             nl.outputs.append(nl.add("out", src=nid, name=lhs).id)
         else:
             by_name[lhs] = nid
+    if undriven := sorted(out_names - assigned):
+        raise NetlistError(f"output {undriven[0]} is declared but never assigned; "
+                           "a Verilog tool leaves it undriven")
     return nl

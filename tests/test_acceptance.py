@@ -39,7 +39,6 @@ from lutshrink.train import (
     logic_expand,
     logic_shrink,
     prune_nodes,
-    total_surviving_inputs,
     train_bnn,
 )
 from lutshrink.verilog import emit_verilog, parse_verilog
@@ -284,6 +283,11 @@ def desk_cfg(seed: int) -> TrainConfig:
     )
 
 
+def surviving_inputs(net) -> int:
+    """LUT inputs not severed, over every LUT layer."""
+    return sum(int((~lay.pruned).sum()) for lay in net.layers if lay.kind == "lut")
+
+
 @pytest.fixture(scope="session")
 def mnist():
     cfg = desk_cfg(0)
@@ -315,7 +319,7 @@ def desk_prefix(mnist, tmp_path_factory):
         cache[seed] = {
             "path": path, "bnn_err": bnn_err, "prune_err": prune_err,
             "post_exp_err": post_exp_err,
-            "expanded_inputs": total_surviving_inputs(net),
+            "expanded_inputs": surviving_inputs(net),
         }
         return cache[seed]
 
@@ -344,7 +348,7 @@ def desk_final(mnist, desk_prefix):
         cache[key] = {
             "net": net, "cfg": cfg, "rng": rng, "plan": plan,
             "final_err": evaluate(net, test, "bin"),
-            "surviving": total_surviving_inputs(net),
+            "surviving": surviving_inputs(net),
             "pre": pre, "post": post,
             "verilog": emit_verilog(post),
         }

@@ -3,9 +3,11 @@ frozen, uncached copy of the layer it replaced.
 
 Random sequences of training steps, forward, backward, step, reassignment
 of ``alive`` or ``shadow``, ``infer_bin`` and checkpoint round-trips run on
-both. Every output, ``dx``, ``dshadow`` and the shadows after ``step`` must
-agree to the byte: a stale cache would show as a difference after an update
-or a reassignment. ``BatchNorm.step``, which now runs in place through the
+both. A backward runs only after a ``"batch"`` forward, the one forward
+that keeps what a backward reads (``BatchNorm.backward`` documents any other
+as unsupported). Every output, ``dx``, ``dshadow`` and the shadows after
+``step`` must agree to the byte: a stale cache would show as a difference
+after an update or a reassignment. ``BatchNorm.step``, which now runs in place through the
 same momentum helper as the layers, is checked against its frozen
 out-of-place form. ``BatchNorm.forward`` and ``backward``, which now reduce
 the batch once and compose their results in place, are checked against
@@ -193,14 +195,14 @@ def test_cached_layer_matches_frozen_layer(seed, n_in, n_out, batch, is_output, 
                      alive=rng.random((n_out, n_in)) < 0.7)
     ref = FrozenDense(lay)
     probe = np.where(rng.random((batch, n_in)) < 0.5, 1, -1).astype(np.int8)
-    forwarded = False
+    forwarded = False  # the last forward was a "batch" one
     for op in (p for op in ops for p in primitives(op)):
         if op[0] == "forward":
             x = rng.uniform(-1, 1, size=(batch, n_in))
             if op[1] == "bin":
                 x = np.where(x >= 0, 1.0, -1.0)
             same_bytes(lay.forward(x, *op[1:]), ref.forward(x.copy(), *op[1:]))
-            forwarded = True
+            forwarded = op[2] == "batch"
         elif op[0] == "backward" and forwarded:
             dout = rng.standard_normal((batch, n_out))
             dx, want = lay.backward(dout, op[1]), ref.backward(dout.copy(), op[1])

@@ -34,6 +34,14 @@ def and_netlist() -> Netlist:
     return nl
 
 
+def luts(nl: Netlist) -> list:
+    return [node for node in nl.nodes.values() if node.kind == "lut"]
+
+
+def lut_inputs(nl: Netlist) -> int:
+    return sum(node.k for node in luts(nl))
+
+
 def random_netlist(rng: np.random.Generator, n_inputs: int = 4) -> Netlist:
     nl = Netlist(n_inputs=n_inputs)
     wires = [nl.add("input", pos=i).id for i in range(n_inputs)]
@@ -92,7 +100,7 @@ def test_simplify_preserves_function_on_random_netlists():
         assert set(want) == set(got)
         for name in want:
             np.testing.assert_array_equal(want[name], got[name], err_msg=f"seed {seed}, {name}")
-        assert post.total_lut_inputs() <= nl.total_lut_inputs()
+        assert lut_inputs(post) <= lut_inputs(nl)
 
 
 def netlist_state(nl: Netlist):
@@ -126,7 +134,7 @@ def test_simplify_collapses_wire_chains():
     s = nl.add("sum", terms=[(w2.id, 1)], offset=0, layer="L")
     nl.outputs.append(nl.add("out", src=s.id, name="score_0").id)
     post = simplify(nl)
-    assert len(post.lut_nodes()) == 0
+    assert len(luts(post)) == 0
     sum_node = next(n for n in post.nodes.values() if n.kind == "sum")
     assert sum_node.terms == [(a.id, 1)]
 
@@ -138,7 +146,7 @@ def test_simplify_absorbs_inverter_into_term_sign():
     s = nl.add("sum", terms=[(inv.id, 1)], offset=0, layer="L")
     nl.outputs.append(nl.add("out", src=s.id, name="score_0").id)
     post = simplify(nl)
-    assert len(post.lut_nodes()) == 0
+    assert len(luts(post)) == 0
     sum_node = next(n for n in post.nodes.values() if n.kind == "sum")
     assert sum_node.terms == [(a.id, -1)]
 
@@ -168,7 +176,7 @@ def test_simplify_drops_inputs_outside_support():
     s = nl.add("sum", terms=[(g.id, 1)], offset=0, layer="L")
     nl.outputs.append(nl.add("out", src=s.id, name="score_0").id)
     post = simplify(nl)
-    assert len(post.lut_nodes()) == 0  # shrinks to a wire, then collapses
+    assert len(luts(post)) == 0  # shrinks to a wire, then collapses
     sum_node = next(n for n in post.nodes.values() if n.kind == "sum")
     assert sum_node.terms == [(a.id, 1)]
 
@@ -183,7 +191,7 @@ def test_simplify_merges_fanins_that_name_one_wire():
     g = nl.add("lut", bits=bits, fanin=[a.id, b.id, w.id, inv.id], layer="L")
     nl.outputs.append(nl.add("out", src=g.id, name="y").id)
     post = simplify(nl)
-    for node in post.lut_nodes():
+    for node in luts(post):
         assert len(set(node.fanin)) == node.k
     x = all_patterns(2)
     np.testing.assert_array_equal(simulate(post, x)["y"], simulate(nl, x)["y"])
@@ -431,7 +439,7 @@ def test_parse_reads_the_index_lsb_last(const):
     the index and input 0 of the LUT."""
     nl = parse_verilog(LUT_MODULE.format(msb=3, const=const, expr="Tn3[{in[1], n2}]"))
     np.testing.assert_array_equal(simulate(nl, all_patterns(2))["y"], [-1, 1, -1, -1])
-    (lut,) = nl.lut_nodes()
+    (lut,) = luts(nl)
     assert lut.fanin == [0, 1]  # n2 is a copy of in[0]
 
 
@@ -482,13 +490,22 @@ def test_parse_rejects_malformed_lut(msb, const, expr, message):
     ("assign y = n2;", "output y is assigned twice"),
     ("assign in[0] = n2;", "assign to input in[0]"),
     ("assign in = 2'b00;", "assign to input in,"),
+    ("localparam [3:0] Tn3 = 4'h9;", "table Tn3 is declared twice; a Verilog tool "
+     "refuses a second localparam of one name"),
+    ("output wire z", "output z is declared but never assigned; a Verilog tool "
+     "leaves it undriven"),
 ])
 def test_parse_rejects_a_second_driver(extra, message):
     """A net with two assigns, or an input with one, has two drivers: the
-    last assign must not silently win."""
+    last assign must not silently win. A second declaration of a table must
+    not either, and an output port with no driver must not be dropped."""
     text = LUT_MODULE.format(msb=3, const="4'h6", expr="Tn3[{in[1], n2}]")
+    if extra.startswith("output"):  # a port: it goes in the header
+        text = text.replace("output wire y", f"output wire y,\n    {extra}")
+    else:
+        text = text.replace("endmodule", f"  {extra}\nendmodule")
     with pytest.raises(NetlistError, match=re.escape(message)) as exc:
-        parse_verilog(text.replace("endmodule", f"  {extra}\nendmodule"))
+        parse_verilog(text)
     assert "\n" not in str(exc.value)
 
 
@@ -569,7 +586,7 @@ def test_extract_refuses_to_drop_an_input_in_the_support(monkeypatch):
                    masks=np.array([[-0.9, -0.1, -0.8, 0.2]]),
                    pruned=np.array([[False, True]]))
     net = Network([lay])
-    assert extract_netlist(net).total_lut_inputs() == 1
+    assert lut_inputs(extract_netlist(net)) == 1
     # a table that still reads severed input 1 (AND) cannot be projected
     monkeypatch.setattr(lay, "truth_tables",
                         lambda: np.array([[-1, -1, -1, 1]], dtype=np.int8))

@@ -113,6 +113,7 @@ def test_benchmark_tracer_sees_every_driver_call(tracer, tmp_path, capsys):
     assert len(printed) == 1
     post = netlist.simplify(netlist.extract_netlist(checkpoint.load(ckpt)[0]))
     adder_terms = sum(len(n.terms) for n in post.nodes.values() if n.kind == "sum")
-    assert post.total_lut_inputs() + adder_terms > 0
+    lut_inputs = sum(n.k for n in post.nodes.values() if n.kind == "lut")
+    assert lut_inputs + adder_terms > 0
     assert printed[0].split()[1] == str(res.area_terms)
-    assert res.area_terms == post.total_lut_inputs() + adder_terms
+    assert res.area_terms == lut_inputs + adder_terms

@@ -9,14 +9,23 @@ a time. tracemalloc sees numpy's buffers, so it measures the peak of a
 pass directly.
 """
 
+import copy
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lutshrink import lutcore, model
+from lutshrink import lutcore, model, train
+from lutshrink.data import Dataset
 from lutshrink.lutcore import CornerBatch, Wiring
-from lutshrink.model import BatchNorm, DenseLayer, LutLayer, Network, sign_pm1
+from lutshrink.model import (
+    BatchNorm,
+    DenseLayer,
+    LutLayer,
+    Network,
+    sign_pm1,
+    softmax_xent,
+)
 
 N_IN, N_NODES = 9, 23
 
@@ -142,30 +151,71 @@ def test_infer_bin_memory_is_bounded_by_the_block():
 
 
 def test_hp_evaluation_keeps_no_lut_output():
-    """What one hp evaluation forward leaves referenced at the lut-hidden
-    shape (196 -> 128 dense, 820 LUTs at k = 4, 128 -> 10) and B = 600, once
-    its scores are dropped: the backward caches each layer keeps until its
-    next forward. Those are, in floats,
-      fc1: its clipped input (B, 196), and the batch-norm xhat and the
-           hard-tanh input h, (B, 128) each;
-      lut: the corner weights lo and hi of its input, (B, 129) each (the
-           extra column holds severed inputs at -1), its (2^k, N) table,
-           and xhat and h;
-      fc2: its input (B, 128).
-    The LUT outputs f (B, N) are not among them: a bound halfway between
-    these arrays and these plus f fails if the layer caches f again."""
+    """One hp evaluation forward at the lut-hidden shape (196 -> 128 dense,
+    820 LUTs at k = 4, 128 -> 10) and B = 600 leaves nothing referenced but
+    its (B, 10) scores: no layer keeps a backward cache, neither the LUT
+    outputs f (B, N), nor the corner weights or slabs of its batch, nor the
+    inputs, batch-norm xhat or hard-tanh input of a layer. Any one of those
+    holds at least B floats, the slack allowed. A training forward runs
+    first, so that each layer holds the caches a backward would read."""
     b, n_in, hidden, k, n = 600, 196, 128, 4, 820
     rng = np.random.default_rng(2)
     net = _network(rng, n_in=n_in, hidden=hidden, k=k, n_nodes=n, classes=10)
     x = rng.uniform(-1.0, 1.0, size=(b, n_in))
-    net.forward(x, "hp", training=False)  # the caches of any earlier forward
-    counted = 8 * (b * n_in + 2 * b * hidden
-                   + 2 * b * (hidden + 1) + 2**k * n + 2 * b * hidden
-                   + b * hidden)
+    net.forward(x, "hp", training=True)
     tracemalloc.start()
     try:
-        net.forward(x, "hp", training=False)
+        scores = net.forward(x, "hp", training=False)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held < counted + b * n * 8 // 2
+    assert scores.shape == (b, 10)
+    assert held < scores.nbytes + b * 8
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_evaluation_gathers_one_input_at_a_time(k):
+    """An interpolation that no backward follows holds one input's slabs
+    (lo and hi, (B, N) each) at a time; one that keeps them for a backward
+    holds all k inputs' at once, in a batch of one block. The bound allows
+    half of the k - 1 inputs' slabs more."""
+    b, n = 64, 16
+    rng = np.random.default_rng(k)
+    wiring = Wiring(N_IN, rng.integers(0, N_IN, size=(n, k)))
+    x = rng.uniform(-1.0, 1.0, size=(b, N_IN))
+    table = rng.uniform(-1.0, 1.0, size=(2**k, n))
+    peaks, outs = {}, {}
+    for keep in (False, True):
+        batch = CornerBatch(x, wiring)
+        assert len(batch.blocks) == 1
+        peaks[keep] = _peak(lambda: outs.setdefault(keep, batch.interpolate(table, keep)))
+    assert outs[False].tobytes() == outs[True].tobytes()
+    assert peaks[False] <= peaks[True] - (k - 1) * b * n * 8
+
+
+@pytest.mark.parametrize("batch", [32, 600])
+def test_evaluation_and_recalibration_leave_the_gradients(batch):
+    """An hp ``train.evaluate`` and a ``Network.recalibrate`` run between a
+    training forward and its backward keep nothing and drop nothing: the
+    gradients equal those of the same step without them, to the byte, in a
+    batch of one row block and of several."""
+    rng = np.random.default_rng(batch)
+    want = _network(rng)
+    got = copy.deepcopy(want)
+    x = rng.uniform(-1.0, 1.0, size=(batch, 40))
+    labels = rng.integers(0, 5, size=batch)
+    held_out = Dataset(rng.uniform(-1.0, 1.0, size=(300, 40)),
+                       rng.integers(0, 5, size=300), 5)
+    for net in (want, got):
+        logits = net.forward(x, "hp", training=True)
+        if net is got:
+            train.evaluate(net, held_out, "hp")
+            net.recalibrate(held_out.features)
+        net.backward(softmax_xent(logits, labels)[1])
+    for lw, lg in zip(want.layers, got.layers):
+        grad = "dshadow" if lw.kind == "dense" else "dmasks"
+        pairs = [(getattr(lw, grad), getattr(lg, grad))]
+        if lw.bn is not None:
+            pairs += [(lw.bn.dgamma, lg.bn.dgamma), (lw.bn.dbeta, lg.bn.dbeta)]
+        for w, g in pairs:
+            assert np.any(w) and w.tobytes() == g.tobytes()
