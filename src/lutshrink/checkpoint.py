@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 from dataclasses import asdict, fields
 from math import inf
 
@@ -210,10 +211,19 @@ def save(path: str, net: Network, cfg: TrainConfig, phase: str,
         "layers": [_enc_layer(l, cfg.k) for l in net.layers],
         "shrink_plan": None if plan is None else asdict(plan),
     }
-    with open(path, "w") as f:
+    # the whole text first, then a file beside path that replaces it: a
+    # failed save leaves the checkpoint it would overwrite as it was
+    tmp = path + ".tmp"
+    try:
         # dumps runs the C encoder; dump streams through the Python one
-        f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-        f.write("\n")
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        with open(tmp, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except (OSError, TypeError, ValueError) as e:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise CheckpointError(f"cannot save checkpoint {path}: {e}") from None
 
 
 def load(path: str):

@@ -37,11 +37,10 @@ table-gradient basis and its (rows, N * k) input-gradient terms and their
 bins. So memory grows with the block, not with 2^k * B * N. The backward
 pass is one pass per block: it gathers the block's slabs once, adds the
 block's basis to the running table gradient, and bincounts the block's
-input terms into its own rows of dx. A batch of one block that a backward
-pass follows gathers all its slabs once, in the forward pass, and keeps
-them for the backward; an evaluation keeps none. The running sum rides in
-as the first row of the next block's basis, so the samples are still
-added in order, and the block size changes no bit.
+input terms into its own rows of dx. No pass keeps anything for another,
+so a batch's two passes run in any order, any number of times. The
+running sum rides in as the first row of the next block's basis, so the
+samples are still added in order, and the block size changes no bit.
 
 Severed inputs, when given, reach neither a node's output nor its input
 gradient: a node that keeps m of its k inputs reads its table only where
@@ -366,9 +365,7 @@ class CornerBatch:
     x, a pass holds one block's table-gradient basis and input terms, which
     each block builds for itself, and its slabs: the forward pass gathers
     those one input at a time, as the halving reaches that input, and the
-    backward pass a block's all at once. A batch of one block that a
-    backward pass follows (``interpolate(table, keep=True)``) gathers all
-    its slabs once, in the forward pass, and keeps them for the backward.
+    backward pass a block's all at once.
     """
 
     def __init__(self, x: np.ndarray, wiring: Wiring):
@@ -390,29 +387,18 @@ class CornerBatch:
         grouped = wiring.kept is not None and self.b * self.n >= GROUP_FLOATS
         self.groups = wiring.groups(grouped)
         self.blocks = _blocks(self.b, sum(g.n << max(g.m - 1, 0) for g in self.groups))
-        self._slabs = None  # a kept batch of one block: its slabs per group
 
-    def _block_slabs(self):
-        """Each row block with the slabs of every group."""
-        for r in self.blocks:
-            yield r, self._slabs or [g.slabs(self.w, r) for g in self.groups]
-
-    def interpolate(self, table: np.ndarray, keep: bool = False) -> np.ndarray:
+    def interpolate(self, table: np.ndarray) -> np.ndarray:
         """LUT outputs f[b, n]; shape (B, N). At corners this is the table
-        entry itself, in the table's dtype. ``keep``: a backward pass
-        follows, so a batch of one block gathers its slabs once and keeps
-        them for it; otherwise each input's slabs are gathered as the
-        halving reaches that input."""
+        entry itself, in the table's dtype. Each input's slabs are gathered
+        as the halving reaches that input."""
         if self.flat is not None:
             return table.take(self.flat)
         tables = [g.table(table) for g in self.groups]
-        if keep and len(self.blocks) == 1:
-            self._slabs = [g.slabs(self.w, self.blocks[0]) for g in self.groups]
         f = np.empty((self.b, self.n))
         for r in self.blocks:
-            for i, (g, t) in enumerate(zip(self.groups, tables)):
-                lo, hi = (self._slabs[i] if self._slabs
-                          else (g.each_slab(wx, r) for wx in self.w))
+            for g, t in zip(self.groups, tables):
+                lo, hi = (g.each_slab(wx, r) for wx in self.w)
                 if g.rows is None:
                     f[r] = _halve(t, lo, hi)
                 else:  # a node that keeps no input broadcasts its constant
@@ -438,11 +424,11 @@ class CornerBatch:
         sums = [None] * len(self.groups)
         dx = _InputGrad(self, not whole) if need_dx else None
         in_order = len(self.groups) == 1  # then its terms are all, in order
-        for r, slabs in self._block_slabs():
+        for r in self.blocks:
             dfr = df[r]
             terms = dx.terms(len(dfr)) if need_dx else None
-            for i, (g, s) in enumerate(zip(self.groups, slabs)):
-                dfg = g.columns(dfr)
+            for i, g in enumerate(self.groups):
+                s, dfg = g.slabs(self.w, r), g.columns(dfr)
                 sums[i] = g.grad_table(dfg, s, sums[i])
                 if need_dx:
                     out = (terms.reshape(len(dfr), g.n, g.m) if in_order

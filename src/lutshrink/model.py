@@ -56,10 +56,9 @@ A layer's ``forward`` also takes the batch-norm statistics to use:
 stats. ``Network.recalibrate`` runs the binarized forward in refresh mode.
 Only a ``"batch"`` forward, the one a backward follows, stores what the
 backward reads: a dense layer's input, the batch-norm xhat, the hard-tanh
-input, and a LUT layer's kernel batch (with its slabs, in a batch of one
-row block) and table. An evaluation or refresh forward stores nothing, and
-leaves those of the last training forward in place: a backward after it
-reads the training forward's.
+input, and a LUT layer's kernel batch and table. An evaluation or refresh
+forward stores nothing, and leaves those of the last training forward in
+place: a backward after it reads the training forward's.
 
 Weights of dense layers are always sign(shadow) in the forward pass. The
 exact inference path (``infer_bin``) compares integer-valued +/-1 sums with
@@ -412,10 +411,9 @@ class LutLayer(_Layer):
         # whatever the fan-in, so it reads all k
         batch = CornerBatch(x, self._hp_wiring if mode == "hp" else self._bin_wiring)
         table = np.ascontiguousarray(self.effective_masks().T)  # (2^k, N)
-        keep = stats == "batch"  # a backward pass follows
-        if keep:
+        if stats == "batch":  # a backward pass follows
             self._cache_lut, self._cache_mode = (batch, table), mode
-        f = batch.interpolate(table, keep)
+        f = batch.interpolate(table)
         if mode == "bin":  # +/-1 inputs: f is exactly the table entry
             f = sign_pm1(f)
         return _activate(self, f @ self._chmat, mode, stats)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 from dataclasses import fields
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lutshrink import checkpoint
+from lutshrink import checkpoint, pipeline
 from lutshrink.checkpoint import CheckpointError
 from lutshrink.cli import main
+from lutshrink.config import preset_path
 from lutshrink.data import synth_boolean
 from lutshrink.model import GAMMA_MIN
 from lutshrink.train import (
@@ -127,6 +129,18 @@ def test_truncated_checkpoint_names_the_file(tmp_path):
         f.truncate(6)
     with pytest.raises(CheckpointError, match=f"{re.escape(p)} is not a checkpoint"):
         checkpoint.load(p)
+
+
+def test_failed_save_leaves_the_checkpoint(tmp_path):
+    """A stage whose config the JSON encoder refuses (an np.int64 passes
+    ``validate``) fails after training, in one line that names the file,
+    and leaves the checkpoint it read byte for byte, with no file beside it."""
+    ckpt = pipeline.run_stage("train", preset_path("xor-smoke"), str(tmp_path))
+    before = sorted(os.listdir(tmp_path)), open(ckpt, "rb").read()
+    with pytest.raises(CheckpointError) as e:
+        pipeline.run_stage("expand", ckpt, overrides={"epochs_post_expand": np.int64(1)})
+    assert ckpt in str(e.value) and "\n" not in str(e.value)
+    assert (sorted(os.listdir(tmp_path)), open(ckpt, "rb").read()) == before
 
 
 def edit_layer(i, edit):

@@ -27,6 +27,8 @@ from lutshrink.model import (
     softmax_xent,
 )
 
+from test_wiring import FrozenCornerBatch
+
 N_IN, N_NODES = 9, 23
 
 
@@ -175,22 +177,45 @@ def test_hp_evaluation_keeps_no_lut_output():
 
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_evaluation_gathers_one_input_at_a_time(k):
-    """An interpolation that no backward follows holds one input's slabs
-    (lo and hi, (B, N) each) at a time; one that keeps them for a backward
-    holds all k inputs' at once, in a batch of one block. The bound allows
-    half of the k - 1 inputs' slabs more."""
+    """An interpolation holds one input's slabs (lo and hi, (B, N) each) at
+    a time; ``FrozenCornerBatch`` gathers all k inputs' at once, in a batch
+    of one block. The bound allows half of the k - 1 inputs' slabs more.
+    Both batches are built inside the measure, the frozen one's slabs
+    with it."""
     b, n = 64, 16
     rng = np.random.default_rng(k)
-    wiring = Wiring(N_IN, rng.integers(0, N_IN, size=(n, k)))
+    inputs = rng.integers(0, N_IN, size=(n, k))
+    wiring = Wiring(N_IN, inputs)
     x = rng.uniform(-1.0, 1.0, size=(b, N_IN))
     table = rng.uniform(-1.0, 1.0, size=(2**k, n))
-    peaks, outs = {}, {}
-    for keep in (False, True):
-        batch = CornerBatch(x, wiring)
-        assert len(batch.blocks) == 1
-        peaks[keep] = _peak(lambda: outs.setdefault(keep, batch.interpolate(table, keep)))
-    assert outs[False].tobytes() == outs[True].tobytes()
-    assert peaks[False] <= peaks[True] - (k - 1) * b * n * 8
+    assert len(CornerBatch(x, wiring).blocks) == 1
+    outs = {}
+    live = _peak(lambda: outs.setdefault("live", CornerBatch(x, wiring).interpolate(table)))
+    frozen = _peak(lambda: outs.setdefault(
+        "frozen", FrozenCornerBatch(x, inputs).interpolate(table)))
+    assert outs["live"].tobytes() == outs["frozen"].tobytes()
+    assert live <= frozen - (k - 1) * b * n * 8
+
+
+@pytest.mark.parametrize("k, n", [(2, 64), (4, 64), (6, 32)])
+def test_training_forward_holds_no_more_slabs_than_evaluation(k, n):
+    """An hp LUT layer forward under ``"batch"``, the one a backward
+    follows, gathers one input's slabs at a time, as one under
+    ``"running"`` does: in a batch of one row block, its peak is less than
+    k - 1 inputs' (B, N) slabs above the evaluation's."""
+    b, n_in, n_out = 64, 40, 8
+    rng = np.random.default_rng(k)
+    lay = LutLayer(n_in, n_out, BatchNorm(n_out), "lut",
+                   inputs=rng.integers(0, n_in, size=(n, k)),
+                   channel=rng.integers(0, n_out, size=n),
+                   masks=rng.uniform(-1, 1, size=(n, 2**k)),
+                   pruned=np.zeros((n, k), dtype=bool))
+    x = rng.uniform(-1.0, 1.0, size=(b, n_in))
+    assert len(CornerBatch(x, lay._hp_wiring).blocks) == 1
+    lay.forward(x, "hp", "batch")  # so that both measures replace a cache
+    running = _peak(lay.forward, x, "hp", "running")
+    batch = _peak(lay.forward, x, "hp", "batch")
+    assert batch < running + (k - 1) * b * n * 8
 
 
 @pytest.mark.parametrize("batch", [32, 600])
