@@ -328,10 +328,13 @@ class LutLayer(_Layer):
     """A bank of k-input LUTs with per-channel accumulation.
 
     Node n reads k entries of the layer input vector (``inputs[n]``) and
-    contributes its output to channel ``channel[n]``. Severed input
-    positions are recorded in ``pruned``; the averaging transform is applied
-    to the raw masks whenever they are read (``effective_masks``), so
-    severance survives any number of gradient updates.
+    contributes its output to channel ``channel[n]``. The layer keeps its
+    nodes in the order it is given (``logic_expand`` gives them sorted by
+    channel); no step relies on an order, since each works node by node.
+    Severed input positions are recorded in ``pruned``; the averaging
+    transform is applied to the raw masks whenever they are read
+    (``effective_masks``), so severance survives any number of gradient
+    updates.
 
     ``inputs``, ``channel`` and ``pruned`` are read-only: what follows from
     them is built when they are set, and ``set_pruned`` is the one way to
@@ -344,11 +347,10 @@ class LutLayer(_Layer):
                  masks: np.ndarray, inputs: np.ndarray, channel: np.ndarray,
                  pruned: np.ndarray):
         super().__init__(n_in, n_out, bn, name)
-        order = np.argsort(channel, kind="stable")
-        self.inputs = inputs[order].astype(np.int64)
-        self.channel = channel[order].astype(np.int64)
+        self.inputs = inputs.astype(np.int64)
+        self.channel = channel.astype(np.int64)
         self.inputs.flags.writeable = self.channel.flags.writeable = False
-        self.masks = masks[order].astype(np.float64)
+        self.masks = masks.astype(np.float64)
         self.k = self.inputs.shape[1]
         self.dmasks = np.zeros_like(self.masks)
         self._v_masks = np.zeros_like(self.masks)
@@ -358,7 +360,7 @@ class LutLayer(_Layer):
         self._fan_in = int(np.bincount(self.channel).max(initial=0))
         self._bin_wiring = Wiring(n_in, self.inputs)
         self.pruned = np.zeros(self.inputs.shape, dtype=bool)
-        self.set_pruned(pruned[order])
+        self.set_pruned(pruned)
 
     @property
     def n_nodes(self) -> int:

@@ -344,6 +344,7 @@ class AreaReport:
     post: dict[str, np.ndarray]
     pre_inputs: int
     post_inputs: int
+    area_terms: int  # post_inputs plus the terms of every sum after simplify
 
     @property
     def pre_total(self) -> np.ndarray:
@@ -411,4 +412,5 @@ def area_report(pre: Netlist, post: Netlist) -> AreaReport:
         {l: post_counts.get(l, zero.copy()) for l in layers},
         pre_inputs,
         post_inputs,
+        post_inputs + sum(len(n.terms) for n in post.nodes.values() if n.kind == "sum"),
     )

@@ -75,7 +75,7 @@ class ExportResult:
     mismatches: int  # of them, those on which some class score differs
     # LUT layer -> (LUTs keeping 2 or more inputs after simplify, LUTs before)
     multi_input: dict[str, tuple[int, int]]
-    area_terms: int  # LUT fan-ins plus adder terms of the simplified netlist
+    area_terms: int  # AreaReport.area_terms
 
 
 def run_export(path: str, out_dir: str, top: str = "top") -> ExportResult:
@@ -111,8 +111,7 @@ def run_export(path: str, out_dir: str, top: str = "top") -> ExportResult:
     )
     with open(cert_path, "w") as f:
         f.write(cert)
-    adder_terms = sum(len(n.terms) for n in post.nodes.values() if n.kind == "sum")
     multi = {layer: (n, int(report.pre[layer].sum()))
              for layer, n in report.multi_input().items()}
     return ExportResult(os.path.join(out_dir, "netlist.v"), cert, len(x), mismatches,
-                        multi, report.post_inputs + adder_terms)
+                        multi, report.area_terms)

@@ -7,7 +7,6 @@ from __future__ import annotations
 import configparser
 import copy
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from typing import Any, get_args, get_origin, get_type_hints
@@ -85,11 +84,12 @@ _KINDS = {
 
 
 def _is(value, kind) -> bool:
-    """Whether ``value`` has the field type ``kind``; an int is a number,
-    but a bool is neither an int nor a number."""
+    """Whether ``value`` has the field type ``kind`` as a value the
+    checkpoint's JSON encoder writes: an int is a number, but a bool is
+    neither, and nor is a numpy integer (a numpy float64 is a float)."""
     if kind is int or kind is float:
-        abstract = numbers.Integral if kind is int else numbers.Real
-        return isinstance(value, abstract) and not isinstance(value, bool)
+        builtin = int if kind is int else (int, float)
+        return isinstance(value, builtin) and not isinstance(value, bool)
     return isinstance(value, kind)
 
 
@@ -141,8 +141,8 @@ class TrainConfig:
     # (rate, epochs) segments of BNN training, in order; empty trains none
     lr_schedule: list = setting(
         "train", "lr_schedule", _list(_rate_epochs), [[0.01, 50]],
-        _range(lambda v: len(v) == 2 and math.isfinite(v[0]) and v[0] > 0
-               and _is(v[1], int) and v[1] >= 0,
+        _range(lambda v: len(v) == 2 and _is(v[0], float) and math.isfinite(v[0])
+               and v[0] > 0 and _is(v[1], int) and v[1] >= 0,
                "rate:epochs with a rate finite and > 0 and whole epochs >= 0"))
     batch_size: int = setting("train", "batch_size", int, 256, _POSITIVE)
     seed: int = setting("train", "seed", int, 0)
@@ -205,14 +205,13 @@ class ShrinkPlan:
 
 
 class MetricLog:
-    """Per-epoch plain-text metrics: phase, epoch, train error, test error."""
+    """Per-epoch plain-text metrics appended to ``path``, one tab-separated
+    row of phase, epoch, train error and test error; no path keeps none."""
 
     def __init__(self, path: str | None = None):
         self.path = path
-        self.records: list[tuple[str, int, float, float]] = []
 
     def add(self, phase: str, epoch: int, train_err: float, test_err: float) -> None:
-        self.records.append((phase, epoch, train_err, test_err))
         if self.path:
             with open(self.path, "a") as f:
                 f.write(f"{phase}\t{epoch}\t{train_err:.6f}\t{test_err:.6f}\n")

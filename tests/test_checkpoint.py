@@ -131,16 +131,39 @@ def test_truncated_checkpoint_names_the_file(tmp_path):
         checkpoint.load(p)
 
 
-def test_failed_save_leaves_the_checkpoint(tmp_path):
-    """A stage whose config the JSON encoder refuses (an np.int64 passes
-    ``validate``) fails after training, in one line that names the file,
+def test_failed_save_leaves_the_checkpoint(tmp_path, monkeypatch):
+    """A stage whose save fails (here the rename of its finished text over
+    the checkpoint) fails after training, in one line that names the file,
     and leaves the checkpoint it read byte for byte, with no file beside it."""
     ckpt = pipeline.run_stage("train", preset_path("xor-smoke"), str(tmp_path))
     before = sorted(os.listdir(tmp_path)), open(ckpt, "rb").read()
+
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src} to {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(CheckpointError) as e:
-        pipeline.run_stage("expand", ckpt, overrides={"epochs_post_expand": np.int64(1)})
+        pipeline.run_stage("expand", ckpt)
     assert ckpt in str(e.value) and "\n" not in str(e.value)
     assert (sorted(os.listdir(tmp_path)), open(ckpt, "rb").read()) == before
+
+
+@pytest.mark.parametrize("name, value, want", [
+    ("epochs_post_expand", np.int64(1),
+     "[expand] epochs (--epochs) must be an integer, got np.int64(1)"),
+    ("lr", np.float32(0.01), "[train] lr must be a number, got np.float32(0.01)"),
+    ("lr_schedule", [[np.float32(0.05), 1]], "[train] lr_schedule must be rate:epochs "
+     "with a rate finite and > 0 and whole epochs >= 0, got 0.05:1"),
+], ids=["int64", "float32", "schedule-float32"])
+def test_a_numpy_setting_fails_before_any_epoch(tmp_path, name, value, want):
+    """The checkpoint stores the config as JSON, whose encoder refuses a
+    numpy integer or float32: ``validate`` refuses one too, so the stage
+    fails before it trains, and appends no row to ``metrics.log``."""
+    ckpt = pipeline.run_stage("train", preset_path("xor-smoke"), str(tmp_path))
+    before = [open(p, "rb").read() for p in (ckpt, tmp_path / "metrics.log")]
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        pipeline.run_stage("expand", ckpt, overrides={name: value})
+    assert [open(p, "rb").read() for p in (ckpt, tmp_path / "metrics.log")] == before
 
 
 def edit_layer(i, edit):

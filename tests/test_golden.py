@@ -76,15 +76,31 @@ the only lines that changed, and its certificate still passes on all 128
 samples. The xor-smoke and parity8 hashes did not move: after ``simplify``
 neither netlist holds a LUT node, only inputs, sums, thresholds and
 outputs. No checkpoint hash moved.
+
+The checkpoint bytes also depend on the BLAS kernel. OpenBLAS picks one for
+the CPU when it loads, and its SkylakeX, Haswell (which Zen shares) and
+Sandybridge kernels sum float64 products in different orders: the parity8
+checkpoint differs between SkylakeX and Haswell, and the ``LUT_HIDDEN`` one
+under Sandybridge. So each golden pipeline runs in one child interpreter
+with ``OPENBLAS_CORETYPE=Haswell``, which needs only AVX2, and the parity8
+checkpoint hash was taken again under it (it was ``70a1152b...`` under
+SkylakeX). The xor-smoke and ``LUT_HIDDEN`` checkpoint hashes and all three
+Verilog hashes are the same under both. ``OPENBLAS_VERBOSE=2`` makes the
+child name the kernel it ran on a ``Core:`` line, which a failed assertion
+shows.
 """
 
 import hashlib
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lutshrink import verilog
+from lutshrink import cli, train, verilog
 from lutshrink.checkpoint import load as load_checkpoint
 from lutshrink.cli import main
 from lutshrink.config import load_datasets
@@ -98,7 +114,7 @@ GOLDEN = {
     ),
     "parity8": (
         "8bda601ee3ba7c7e86270b634d0928eebc5f6f03f95b9e09a7b8c0d76af4523f",
-        "70a1152bdf1f56b7b77aab1f5dd107b20edf181b95f07c2e5b5b7f03b73fcb9e",
+        "aba8962ebe7f3a704a0adeb99048d91bb204e72fb0a79a6d752d6f2f3bb39c5c",
     ),
 }
 
@@ -189,6 +205,38 @@ def _sha256(path):
         return hashlib.sha256(f.read()).hexdigest()
 
 
+# the BLAS kernel every golden hash was taken on, and its name on stderr
+PINNED_BLAS = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_VERBOSE": "2"}
+# runs each argv of the JSON list argv[1] through the CLI, in order, and
+# stops at the first that fails
+CHILD = """\
+import json, sys
+from lutshrink.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv):
+        sys.exit(1)
+"""
+
+
+def _pinned_pipeline(train_args: list[str], out: str) -> tuple[str, str]:
+    """Train with ``train_args``, run every stage and export into ``out``,
+    all in one child interpreter on the ``PINNED_BLAS`` kernel. Returns the
+    final checkpoint and the child's ``Core:`` line."""
+    ckpt = os.path.join(out, "checkpoint.json")
+    steps = [["train", *train_args, "--out", out],
+             *([command, ckpt] for command in train.STAGES),
+             ["export", ckpt, "--out", out]]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.run([sys.executable, "-c", CHILD, json.dumps(steps)],
+                           env={**os.environ, **PINNED_BLAS, "PYTHONPATH": path},
+                           capture_output=True, text=True)
+    core = next((line for line in child.stderr.splitlines()
+                 if line.startswith("Core:")), "no Core: line")
+    assert child.returncode == 0, f"{core}\n{child.stderr}"
+    return ckpt, core
+
+
 def _final_checkpoint(preset: str, out: str) -> str:
     ckpt = os.path.join(out, "checkpoint.json")
     assert main(["train", "--preset", preset, "--out", out]) == 0
@@ -200,25 +248,21 @@ def _final_checkpoint(preset: str, out: str) -> str:
 @pytest.mark.parametrize("preset", sorted(GOLDEN))
 def test_preset_pipeline_is_byte_identical(preset, tmp_path):
     out = str(tmp_path)
-    ckpt = _final_checkpoint(preset, out)
-    assert main(["export", ckpt, "--out", out]) == 0
+    ckpt, core = _pinned_pipeline(["--preset", preset], out)
     text, checkpoint = GOLDEN[preset]
-    assert _sha256(os.path.join(out, "netlist.v")) == text
-    assert _sha256(ckpt) == checkpoint
+    assert _sha256(os.path.join(out, "netlist.v")) == text, core
+    assert _sha256(ckpt) == checkpoint, core
 
 
 def test_hidden_lut_pipeline_is_byte_identical(tmp_path):
     out = str(tmp_path)
-    ini, ckpt = tmp_path / "lut-hidden.ini", os.path.join(out, "checkpoint.json")
+    ini = tmp_path / "lut-hidden.ini"
     ini.write_text(LUT_HIDDEN_INI)
-    assert main(["train", "--config", str(ini), "--out", out]) == 0
-    for command in ("expand", "shrink", "finalize"):
-        assert main([command, ckpt]) == 0
-    assert main(["export", ckpt, "--out", out]) == 0
+    ckpt, core = _pinned_pipeline(["--config", str(ini)], out)
     net = load_checkpoint(ckpt)[0]
     assert [lay.kind for lay in net.layers] == ["dense", "lut", "dense"]
-    assert _sha256(os.path.join(out, "netlist.v")) == LUT_HIDDEN[0]
-    assert _sha256(ckpt) == LUT_HIDDEN[1]
+    assert _sha256(os.path.join(out, "netlist.v")) == LUT_HIDDEN[0], core
+    assert _sha256(ckpt) == LUT_HIDDEN[1], core
 
 
 def test_old_xor_smoke_text_fails_the_certificate(tmp_path, monkeypatch):

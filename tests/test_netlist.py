@@ -571,6 +571,23 @@ def test_area_report_counts_multi_input_luts():
     assert area_report(pre, simplify(pre)).multi_input() == {"fc2": 1}
 
 
+def test_area_terms_are_lut_inputs_plus_sum_terms_after_simplify():
+    pre = Netlist(n_inputs=3)
+    a, b, c = (pre.add("input", pos=i) for i in range(3))
+    xor = pre.add("lut", bits=np.array([-1, 1, 1, -1], dtype=np.int8),
+                  fanin=[a.id, b.id], layer="fc2")
+    # reads c alone: simplify turns it into a wire, so its inputs leave the count
+    wire = pre.add("lut", bits=np.array([-1, -1, 1, 1], dtype=np.int8),
+                   fanin=[a.id, c.id], layer="fc2")
+    s = pre.add("sum", terms=[(xor.id, 1), (wire.id, -1), (c.id, 1)], offset=0,
+                layer="fc2")
+    pre.outputs.append(pre.add("out", src=s.id, name="score_0").id)
+    rep = area_report(pre, simplify(pre))
+    assert (rep.pre_inputs, rep.post_inputs) == (4, 2)
+    # the sum keeps its three terms, two of them now the wire c
+    assert rep.area_terms == 2 + 3
+
+
 def test_fully_severed_lut_counts_as_zero_input():
     pre = Netlist(n_inputs=1)
     pre.add("input", pos=0)

@@ -241,17 +241,17 @@ def test_expansion_preserves_binarized_function():
     np.testing.assert_array_equal(before, after)
 
 
-def test_expansion_refuses_a_k_other_than_the_config_k():
+def test_expansion_refuses_a_k_other_than_the_config_k(tmp_path):
     """Every LUT has the fan-in [expand] k, so logic_expand refuses another
     k before it builds a LUT or trains an epoch."""
     ds = synth_boolean("xor", 2, 4)
     cfg = tiny_cfg(theta=0.0)
     rng = np.random.default_rng(0)
     net = build_network(cfg, 2, 2, rng)
-    layers, log = list(net.layers), MetricLog()
+    layers, log = list(net.layers), MetricLog(str(tmp_path / "metrics.log"))
     with pytest.raises(ValueError, match=r"^k=3 is not the \[expand\] k=2 of the config$"):
         logic_expand(net, cfg.k + 1, ds, ds, cfg, rng, log)
-    assert net.layers == layers and not log.records
+    assert net.layers == layers and not (tmp_path / "metrics.log").exists()
 
 
 def _dense(n_in, n_out, bn, name):
@@ -460,23 +460,26 @@ def train_phase_ref(net, train_ds, test, *, mode, epochs, lr, cfg, rng, log, pha
     ("copy", 10000, 2),  # equal contents, another object
     ("same", 12, 2),  # the train set is subsampled for its evaluation
 ])
-def test_train_phase_evaluates_a_shared_set_once(monkeypatch, mode, test_set, cap,
-                                                 calls):
+def test_train_phase_evaluates_a_shared_set_once(monkeypatch, tmp_path, mode,
+                                                 test_set, cap, calls):
     ds = synth_boolean("parity", 4, 16)
     test = ds if test_set == "same" else Dataset(ds.features.copy(),
                                                   ds.labels.copy(), ds.num_classes)
     cfg = tiny_cfg(hidden=[8], eval_train_cap=cap)
     rng = np.random.default_rng(5)
     net = build_network(cfg, 4, 2, rng)
-    ref_net, ref_rng, ref_log = copy.deepcopy(net), copy.deepcopy(rng), MetricLog()
+    ref_path, path = tmp_path / "ref.log", tmp_path / "metrics.log"
+    ref_net, ref_rng = copy.deepcopy(net), copy.deepcopy(rng)
+    ref_log = MetricLog(str(ref_path))
     train_phase_ref(ref_net, ds, test, mode=mode, epochs=6, lr=0.05, cfg=cfg,
                     rng=ref_rng, log=ref_log, phase="p")
     seen = []
     monkeypatch.setattr(train, "evaluate",
                         lambda net, ds, mode: seen.append(ds) or evaluate(net, ds, mode))
-    log = MetricLog()
+    log = MetricLog(str(path))
     train_phase(net, ds, test, mode=mode, epochs=6, lr=0.05, cfg=cfg, rng=rng, log=log,
                 phase="p")
     assert len(seen) == 6 * calls
-    assert log.records == ref_log.records
-    assert len({r[2] for r in log.records}) > 1  # the errors move
+    rows = path.read_text().splitlines()
+    assert len(rows) == 6 and rows == ref_path.read_text().splitlines()
+    assert len({r.split("\t")[2] for r in rows}) > 1  # the errors move
